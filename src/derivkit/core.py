@@ -46,6 +46,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uniform_tolerance(pts: np.ndarray, dt: float) -> float:
+    """Largest deviation of a step from ``dt`` on a uniform grid.
+
+    ``UNIFORM_RTOL`` relative to ``dt``, plus four units in the last place of
+    the largest timestamp: rounding in the timestamps themselves scales
+    with |t|, so epoch-stamped grids carry it whatever their step.
+    """
+    return UNIFORM_RTOL * dt + 4 * np.finfo(float).eps * np.max(np.abs(pts))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Sample locations of the independent variable.
@@ -58,7 +68,9 @@ class Grid:
     Attributes
     ----------
     uniform : bool
-        True when all steps agree with the mean step to ``UNIFORM_RTOL``.
+        True when all steps agree with the mean step to ``UNIFORM_RTOL``
+        relative to it, plus four units in the last place of the largest
+        timestamp (epoch-stamped grids carry that much rounding).
     dt : float or None
         The common step when uniform, otherwise None.
     """
@@ -73,7 +85,7 @@ class Grid:
         object.__setattr__(self, "points", _freeze(pts))
         steps = np.diff(pts)
         dt = (pts[-1] - pts[0]) / (len(pts) - 1)
-        uniform = bool(np.max(np.abs(steps - dt)) <= UNIFORM_RTOL * dt)
+        uniform = bool(np.max(np.abs(steps - dt)) <= _uniform_tolerance(pts, dt))
         object.__setattr__(self, "uniform", uniform)
         object.__setattr__(self, "dt", float(dt) if uniform else None)
 
@@ -217,7 +229,7 @@ def validate(signal: Signal) -> None:
     _check_grid_points(pts)
     if signal.grid.uniform:
         dt = signal.grid.dt
-        if dt is None or np.max(np.abs(np.diff(pts) - dt)) > UNIFORM_RTOL * dt:
+        if dt is None or np.max(np.abs(np.diff(pts) - dt)) > _uniform_tolerance(pts, dt):
             raise ValidationError("grid marked uniform but steps disagree with dt")
     _check_signal_values(signal.grid, np.asarray(signal.values, dtype=float))
 

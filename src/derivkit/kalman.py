@@ -1,10 +1,18 @@
 """Linear-Gaussian state estimation and model-free differentiation on top of it.
 
-Provides the classic Kalman filter, the Rauch-Tung-Striebel backward pass,
-a robust joint-MAP smoother with pluggable losses (solved by iteratively
-reweighted least squares on the block-tridiagonal normal equations), naive
-constant-derivative models, and continuous-to-discrete conversion via a
-block matrix exponential so irregular steps cost no extra asymptotics.
+Provides the Kalman filter, the Rauch-Tung-Striebel smoother, a robust
+joint-MAP smoother with pluggable losses, naive constant-derivative models,
+and continuous-to-discrete conversion via a block matrix exponential.
+
+Filter and smoother are one covariance-form primitive run as associative
+scans (Särkkä & García-Fernández, "Temporal parallelization of Bayesian
+smoothers", IEEE TAC 2021): O(N) batched ``(N, d, d)`` matrix operations in
+O(log N) levels, with no Python loop over samples. Models may vary per step
+(``A_n``, ``Q_n``, ``R_n``, known drift ``B_n u_n``); a time-invariant one is
+a broadcast stack of length 1, so uniform and irregular grids share all
+code. Each iteration of the robust smoother's reweighted least squares is
+one run of that primitive with reweighted noise covariances (Aravkin et al.,
+"Generalized Kalman smoothing", Automatica 2017).
 """
 
 from __future__ import annotations
@@ -181,75 +189,169 @@ def _shape_inputs(us, n: int, m: int) -> np.ndarray:
     return arr
 
 
-def _filter_seq(As, Bs, C, Qs, R, x0, P0, ys, us) -> KalmanTrack:
-    n_steps = len(ys)
-    d = len(x0)
-    p = C.shape[0]
-    xs = np.empty((n_steps, d))
-    Ps = np.empty((n_steps, d, d))
-    xps = np.empty((n_steps, d))
-    Pps = np.empty((n_steps, d, d))
-    Ct = C.T
-    x, P = x0, P0
-    scalar = p == 1
-    for n in range(n_steps):
-        A = As[n]
-        xp = A @ x + Bs[n] @ us[n]
-        Pp = A @ P @ A.T + Qs[n]
-        PCt = Pp @ Ct
-        if scalar:
-            s = float((C @ PCt)[0, 0]) + float(R[0, 0])
-            if s <= 0 or not np.isfinite(s):
-                raise NumericError(f"singular innovation covariance at step {n}")
-            K = PCt / s
-        else:
-            S = C @ PCt + R
-            try:
-                cf = sla.cho_factor(S, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"singular innovation covariance at step {n}") from exc
-            K = sla.cho_solve(cf, PCt.T).T
-        x = xp + K @ (ys[n] - C @ xp)
-        P = Pp - K @ (C @ Pp)
-        P = 0.5 * (P + P.T)
-        xs[n], Ps[n], xps[n], Pps[n] = x, P, xp, Pp
-    return KalmanTrack(xs, Ps, xps, Pps, np.array([np.asarray(A) for A in As]))
+def _T(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + _T(M))
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products, ``(..., i, j) x (..., j) -> (..., i)``."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _not_pd(M: np.ndarray) -> np.ndarray:
+    """Flag each matrix of a stack that is non-finite or not positive definite."""
+    bad = ~np.isfinite(M).all(axis=(-2, -1))
+    if not bad.any():
+        try:
+            np.linalg.cholesky(M)
+            return bad
+        except np.linalg.LinAlgError:
+            pass
+    ok = ~bad
+    bad[ok] = ~(np.linalg.eigvalsh(M[ok])[:, 0] > 0)
+    return bad
+
+
+def _require_finite(xs: np.ndarray, Ps: np.ndarray, what: str) -> None:
+    finite = np.isfinite(xs).all(axis=1) & np.isfinite(Ps).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"non-finite {what} estimate at step {int(np.argmin(finite))}")
+
+
+def _scan(combine, elems: list[np.ndarray]) -> list[np.ndarray]:
+    """Inclusive prefixes ``e_0, e_0*e_1, ..., e_0*...*e_{N-1}`` of stacked elements.
+
+    ``combine(first, second)`` composes two batches of elements, ``first``
+    coming before ``second``. Work-efficient odd-even recursion: compose
+    neighbouring pairs, recurse on the N/2 pair products (the prefixes
+    ending at odd indices), then extend each of those by the next even
+    element. That is O(N) compositions in O(log N) batched levels.
+    """
+    n = len(elems[0])
+    if n < 2:
+        return elems
+    odd = _scan(combine, combine([e[0:n - 1:2] for e in elems], [e[1::2] for e in elems]))
+    even = combine([o[:(n - 1) // 2] for o in odd], [e[2::2] for e in elems])
+    out = []
+    for e, o, v in zip(elems, odd, even):
+        full = np.empty((n,) + e.shape[1:])
+        full[0], full[1::2], full[2::2] = e[0], o, v
+        out.append(full)
+    return out
+
+
+def _filter_combine(first, second):
+    """Compose filtering elements (Särkkä & García-Fernández 2021, Lemma 8).
+
+    An element ``(A, b, C, eta, J)`` holds the law ``N(A x + b, C)`` of the
+    later state given the earlier state ``x``, conditioned on the
+    measurements in between, whose likelihood as a function of ``x`` is
+    ``exp(-x^T J x / 2 + eta^T x)``.
+    """
+    A1, b1, C1, e1, J1 = first
+    A2, b2, C2, e2, J2 = second
+    M = np.linalg.inv(np.eye(A1.shape[-1]) + C1 @ J2)
+    A2M = A2 @ M
+    MA1 = M @ A1    # (A1^T (I + J2 C1)^-1)^T
+    return (A2M @ A1,
+            _mv(A2M, b1 + _mv(C1, e2)) + b2,
+            _sym(A2M @ C1 @ _T(A2)) + C2,
+            _mv(_T(MA1), e2 - _mv(J2, b1)) + e1,
+            _sym(_T(MA1) @ J2 @ A1) + J1)
+
+
+def _smooth_combine(later, earlier):
+    """Compose backward elements ``x_n = E x_{n+1} + g + N(0, L)``, later one first."""
+    E2, g2, L2 = later
+    E1, g1, L1 = earlier
+    return E1 @ E2, _mv(E1, g2) + g1, _sym(E1 @ L2 @ _T(E1)) + L1
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
+def _filter(A, c, C, Q, R, x0, P0, ys) -> KalmanTrack:
+    """Covariance-form Kalman filter over all steps as one associative scan.
+
+    ``A``, ``Q`` and ``R`` are stacks whose leading axis is 1 (time-invariant,
+    broadcast) or N; ``c`` is the known drift ``B_n u_n``, shape (N, d). The
+    seed ``(x0, P0)`` is the estimate one step before the first measurement.
+    The scan needs each step's ``C Q_n C^T + R_n`` to be positive definite
+    (at step 0, with the seed's predicted covariance in place of ``Q_0``).
+    """
+    n, d = len(ys), len(x0)
+    A = np.broadcast_to(A, (n, d, d))
+    Q = np.broadcast_to(Q, (n, d, d))
+    xp0 = A[0] @ x0 + c[0]
+    Pp0 = A[0] @ P0 @ A[0].T + Q[0]
+    # Step 0 has no predecessor: its element has a zero transition and the
+    # seed's prediction in place of the drift and the process noise.
+    Ael, cel, Qel = A.copy(), c.copy(), Q.copy()
+    Ael[0], cel[0], Qel[0] = 0.0, xp0, Pp0
+    S = C @ Qel @ C.T + R
+    bad = _not_pd(S)
+    if bad.any():
+        raise NumericError(f"singular innovation covariance at step {int(np.argmax(bad))}")
+    Si = np.linalg.inv(S)
+    CA, CQ = C @ Ael, C @ Qel
+    K = _T(Si @ CQ)
+    v = ys - _mv(C, cel)
+    CASi = _T(CA) @ Si
+    elems = [Ael - K @ CA,
+             cel + _mv(K, v),
+             _sym(Qel - K @ CQ),
+             _mv(CASi, v),
+             _sym(CASi @ CA)]
+    del Ael, cel, Qel, S, Si, CA, CQ, K, v, CASi
+    _, xs, Ps, _, _ = _scan(_filter_combine, elems)
+    _require_finite(xs, Ps, "filter")
+    xps = np.concatenate([xp0[None], _mv(A[1:], xs[:-1]) + c[1:]])
+    Pps = np.concatenate([Pp0[None], A[1:] @ Ps[:-1] @ _T(A[1:]) + Q[1:]])
+    return KalmanTrack(xs, Ps, xps, Pps, A)
 
 
 def kalman_filter(model: LinearGaussianModel, measurements, inputs=None) -> KalmanTrack:
     """Run the forward Kalman recursion.
 
     The seed ``(x0, P0)`` is treated as the estimate one step before the
-    first measurement, so the loop predicts into step 0 like any other step.
-    Returns both a posteriori and a priori tracks for later smoothing.
+    first measurement, so step 0 is predicted like any other step.
+    Returns both a posteriori and a priori tracks for later smoothing; the
+    ``transitions`` field is a read-only broadcast of ``model.A``.
     """
     ys = _shape_measurements(measurements, model.measurement_dim)
     us = _shape_inputs(inputs, len(ys), model.input_dim)
-    n = len(ys)
-    return _filter_seq([model.A] * n, [model.B] * n, model.C, [model.Q] * n,
-                       model.R, model.x0, model.P0, ys, us)
+    return _filter(model.A[None], us @ model.B.T, model.C, model.Q[None], model.R[None],
+                   model.x0, model.P0, ys)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
 def rts_smooth(track: KalmanTrack) -> tuple[np.ndarray, np.ndarray]:
-    """Backward Rauch-Tung-Striebel pass over a complete filter history.
+    """Rauch-Tung-Striebel smoothing of a complete filter history.
 
     The final smoothed state equals the final filtered state; earlier steps
     blend in information from the future through the gain
-    ``L_n = P_n A^T P_{n+1|n}^{-1}``.
+    ``L_n = P_n A^T P_{n+1|n}^{-1}``. Runs as a backward associative scan of
+    the affine maps ``x_n = x_{n|n} + L_n (x_{n+1} - x_{n+1|n})``.
     """
     xs, Ps, xps, Pps, As = track
-    n_steps, d = xs.shape
-    xr = xs.copy()
-    Pr = Ps.copy()
-    for n in range(n_steps - 2, -1, -1):
-        try:
-            cf = sla.cho_factor(Pps[n + 1], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular a priori covariance at step {n + 1}") from exc
-        L = sla.cho_solve(cf, As[n + 1] @ Ps[n]).T
-        xr[n] = xs[n] + L @ (xr[n + 1] - xps[n + 1])
-        Pn = Ps[n] + L @ (Pr[n + 1] - Pps[n + 1]) @ L.T
-        Pr[n] = 0.5 * (Pn + Pn.T)
+    bad = np.flatnonzero(_not_pd(Pps[1:]))
+    if bad.size:  # name the step a backward recursion meets first
+        raise NumericError(f"singular a priori covariance at step {bad[-1] + 1}")
+    AP = As[1:] @ Ps[:-1]
+    E = _T(np.linalg.solve(Pps[1:], AP))
+    g = xs[:-1] - _mv(E, xps[1:])
+    L = _sym(Ps[:-1] - E @ AP)
+    del AP
+    # the last step is its own smoothed estimate: a zero map plus the filter
+    elems = [np.concatenate([E, np.zeros((1,) + E.shape[1:])])[::-1],
+             np.concatenate([g, xs[-1:]])[::-1],
+             np.concatenate([L, Ps[-1:]])[::-1]]
+    del E, g, L
+    _, xr, Pr = _scan(_smooth_combine, elems)
+    xr, Pr = xr[::-1].copy(), Pr[::-1].copy()
+    _require_finite(xr, Pr, "smoothed")
     return xr, Pr
 
 
@@ -299,16 +401,19 @@ def constant_derivative_continuous(nu: int, q: float) -> ContinuousModel:
     return ContinuousModel(Ac=Ac, Bc=np.zeros((d, 0)), Qc=Qc)
 
 
-def discretize(cm: ContinuousModel, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def discretize(cm: ContinuousModel, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact zero-order-hold discretization by block matrix exponential.
 
     Exponentiating ``[[Ac, Qc], [0, -Ac^T]] * dt`` yields ``A`` in the upper
     left and ``Q A^{-T}`` in the upper right, so ``Q`` is recovered as the
     upper-right block times ``A^T``. ``B`` comes from exponentiating
-    ``[[Ac, Bc], [0, 0]] * dt``.
+    ``[[Ac, Bc], [0, 0]] * dt``. ``dt`` may be a 1-D array of steps; the
+    matrices then gain a leading axis, one entry per step.
     """
-    if dt <= 0:
+    h = np.asarray(dt, dtype=float)
+    if h.ndim > 1 or np.any(h <= 0):
         raise ValidationError(f"dt must be positive, got {dt}")
+    h = h[..., None, None]
     d = cm.Ac.shape[0]
     m = cm.Bc.shape[1]
     blk = np.zeros((2 * d, 2 * d))
@@ -316,38 +421,30 @@ def discretize(cm: ContinuousModel, dt: float) -> tuple[np.ndarray, np.ndarray, 
     blk[:d, d:] = cm.Qc
     blk[d:, d:] = -cm.Ac.T
     try:
-        F = sla.expm(blk * dt)
+        F = sla.expm(blk * h)
     except Exception as exc:  # scipy raises assorted LinAlg errors
         raise NumericError("matrix exponential failed") from exc
-    A = F[:d, :d]
-    Q = F[:d, d:] @ A.T
-    Q = 0.5 * (Q + Q.T)
+    A = F[..., :d, :d]
+    Q = _sym(F[..., :d, d:] @ _T(A))
     if m:
         blk_b = np.zeros((d + m, d + m))
         blk_b[:d, :d] = cm.Ac
         blk_b[:d, d:] = cm.Bc
-        B = sla.expm(blk_b * dt)[:d, d:]
+        B = sla.expm(blk_b * h)[..., :d, d:]
     else:
-        B = np.zeros((d, 0))
+        B = np.zeros(h.shape[:-2] + (d, 0))
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q)) and np.all(np.isfinite(B))):
         raise NumericError("matrix exponential produced non-finite entries")
     return A, B, Q
 
 
-def _irregular_sequences(cm: ContinuousModel, points: np.ndarray):
+def _irregular_model(cm: ContinuousModel, points: np.ndarray):
+    """Per-step ``(A, B, Q)`` stacks for a grid; the seed predicts over the first gap."""
     steps = np.diff(points)
-    steps = np.concatenate([[steps[0]], steps])  # seed predicts over the first gap
-    cache: dict[float, tuple] = {}
-    As, Bs, Qs = [], [], []
-    for h in steps:
-        key = float(h)
-        if key not in cache:
-            cache[key] = discretize(cm, key)
-        A, B, Q = cache[key]
-        As.append(A)
-        Bs.append(B)
-        Qs.append(Q)
-    return As, Bs, Qs
+    steps = np.concatenate([steps[:1], steps])
+    unique, index = np.unique(steps, return_inverse=True)
+    A, B, Q = discretize(cm, unique)
+    return A[index], B[index], Q[index]
 
 
 def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=None
@@ -364,9 +461,9 @@ def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=N
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     P0 = _as_matrix(P0, "P0")
     ys = _shape_measurements(signal.values, C.shape[0])
-    As, Bs, Qs = _irregular_sequences(cm, signal.grid.points)
+    A, B, Q = _irregular_model(cm, signal.grid.points)
     us = _shape_inputs(inputs, len(ys), cm.Bc.shape[1])
-    track = _filter_seq(As, Bs, C, Qs, R, x0, P0, ys, us)
+    track = _filter(A, _mv(B, us), C, Q, R[None], x0, P0, ys)
     xr, Pr = rts_smooth(track)
     return track, xr, Pr
 
@@ -389,96 +486,67 @@ def _loss_weights(kind: str, m: float, r: np.ndarray) -> np.ndarray:
     return _L1_SCALE / np.sqrt(r * r + _L1_EPS ** 2)
 
 
-def _solve_block_tridiag(Ds, Ls, bs) -> np.ndarray:
-    """Thomas elimination for a symmetric block-tridiagonal system.
-
-    Row n holds ``[L_n, D_n, L_{n+1}^T]``; cost is linear in the number of
-    blocks.
-    """
-    n_blocks = len(Ds)
-    Cs = [None] * n_blocks
-    zs = [None] * n_blocks
-    Cs[0], zs[0] = Ds[0], bs[0]
+def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
     try:
-        for n in range(1, n_blocks):
-            W = np.linalg.solve(Cs[n - 1].T, Ls[n].T).T
-            Cs[n] = Ds[n] - W @ Ls[n].T
-            zs[n] = bs[n] - W @ zs[n - 1]
-        xs = [None] * n_blocks
-        xs[-1] = np.linalg.solve(Cs[-1], zs[-1])
-        for n in range(n_blocks - 2, -1, -1):
-            xs[n] = np.linalg.solve(Cs[n], zs[n] - Ls[n + 1].T @ xs[n + 1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("block-tridiagonal solve failed") from exc
-    return np.array(xs)
-
-
-def _sqrt_inverse(M: np.ndarray, name: str) -> np.ndarray:
-    """Lower-triangular T with T M T^T = I (inverse Cholesky factor)."""
-    try:
-        L = np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"{name} is not positive definite") from exc
-    return sla.solve_triangular(L, np.eye(M.shape[0]), lower=True)
 
 
-def _robust_map_core(As, Bs, C, Qs, R, x0, P0, ys, us, spec: RobustSpec) -> RobustSmoothResult:
-    n_steps = len(ys)
-    d = len(x0)
-    TR = _sqrt_inverse(R, "R")
-    TQs = [_sqrt_inverse(Q, "Q") for Q in Qs]
+def _reweighted(L: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Covariance ``L diag(1/w) L^T``: the inverse of ``T^T diag(w) T`` with ``T = L^-1``."""
+    return _sym((L / w[..., None, :]) @ _T(L))
+
+
+def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec) -> RobustSmoothResult:
+    """IRLS on the joint MAP objective; model stacks as in :func:`_filter`.
+
+    Each iteration is one filter + RTS smoother run whose noise covariances
+    turn the current loss weights into the quadratic model's: the weighted
+    least-squares problem of the iteration is that model's MAP estimate.
+    """
+    n, d = len(ys), len(x0)
+    A = np.broadcast_to(A, (n, d, d))
+    LR = _cholesky(R, "R")
+    # process residuals exist from step 1 on
+    LQ = _cholesky(Q if len(Q) == 1 else Q[1:], "Q")
+    TR = np.linalg.inv(LR)
     TRC = TR @ C
-    TRy = ys @ TR.T
+    TRy = _mv(TR, ys)
+    TQ = np.linalg.inv(LQ)
 
     # Prior matching the filter's seed semantics: the first state is predicted
     # from the virtual step before it.
-    mu0 = As[0] @ x0 + Bs[0] @ us[0]
-    P_pr0 = As[0] @ P0 @ As[0].T + Qs[0]
-    H_prior = np.linalg.inv(P_pr0)
-    H_prior = 0.5 * (H_prior + H_prior.T)
+    mu0 = A[0] @ x0 + c[0]
+    H_prior = _sym(np.linalg.inv(A[0] @ P0 @ A[0].T + Q[0]))
 
-    track = _filter_seq(As, Bs, C, Qs, R, x0, P0, ys, us)
-    x = rts_smooth(track)[0]
+    def residuals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        e = TRy - _mv(TRC, states)
+        g = _mv(TQ, states[1:] - _mv(A[1:], states[:-1]) - c[1:])
+        return e, g
 
     def objective(states: np.ndarray) -> float:
-        e = TRy - states @ TRC.T
-        total = _loss_value(spec.measurement_loss, spec.huber_m_measurement, e.ravel())
-        for n in range(1, n_steps):
-            g = TQs[n] @ (states[n] - As[n] @ states[n - 1] - Bs[n] @ us[n])
-            total += _loss_value(spec.process_loss, spec.huber_m_process, g)
+        e, g = residuals(states)
         dx0 = states[0] - mu0
-        return total + 0.5 * float(dx0 @ H_prior @ dx0)
+        return (_loss_value(spec.measurement_loss, spec.huber_m_measurement, e.ravel())
+                + _loss_value(spec.process_loss, spec.huber_m_process, g.ravel())
+                + 0.5 * float(dx0 @ H_prior @ dx0))
 
-    best_x = x.copy()
+    x = rts_smooth(_filter(A, c, C, Q, R, x0, P0, ys))[0]
+    best_x = x
     best_obj = objective(x)
     converged = False
     iterations = 0
     for it in range(spec.max_iter):
         iterations = it + 1
-        e = TRy - x @ TRC.T  # (N, p) noise-normalized measurement residuals
-        We = _loss_weights(spec.measurement_loss, spec.huber_m_measurement, e)
-        Ds = []
-        Ls = [np.zeros((d, d))]
-        bs = []
-        for n in range(n_steps):
-            Hn = TRC.T @ (We[n][:, None] * TRC)
-            bn = TRC.T @ (We[n] * TRy[n])
-            Ds.append(Hn)
-            bs.append(bn)
-        Ds[0] += H_prior
-        bs[0] += H_prior @ mu0
-        for n in range(1, n_steps):
-            g = TQs[n] @ (x[n] - As[n] @ x[n - 1] - Bs[n] @ us[n])
+        e, g = residuals(x)
+        Rw, Qw = R, Q
+        if spec.measurement_loss != "quadratic":
+            Rw = _reweighted(LR, _loss_weights(spec.measurement_loss, spec.huber_m_measurement, e))
+        if spec.process_loss != "quadratic":
             Wg = _loss_weights(spec.process_loss, spec.huber_m_process, g)
-            G = TQs[n].T @ (Wg[:, None] * TQs[n])
-            GA = G @ As[n]
-            c = G @ (Bs[n] @ us[n])
-            Ds[n] += G
-            bs[n] += c
-            Ds[n - 1] += As[n].T @ GA
-            bs[n - 1] -= As[n].T @ c
-            Ls.append(-GA)
-        x_new = _solve_block_tridiag(Ds, Ls, bs)
+            Qw = np.concatenate([Q[:1], _reweighted(LQ, Wg)])
+        x_new = rts_smooth(_filter(A, c, C, Qw, Rw, x0, P0, ys))[0]
         obj = objective(x_new)
         if obj < best_obj:
             best_obj, best_x = obj, x_new
@@ -501,31 +569,26 @@ def robust_map_smooth(model: LinearGaussianModel, measurements, inputs=None,
     spec = spec or RobustSpec()
     ys = _shape_measurements(measurements, model.measurement_dim)
     us = _shape_inputs(inputs, len(ys), model.input_dim)
-    n = len(ys)
-    return _robust_map_core([model.A] * n, [model.B] * n, model.C, [model.Q] * n,
-                            model.R, model.x0, model.P0, ys, us, spec)
+    return _robust_map_core(model.A[None], us @ model.B.T, model.C, model.Q[None],
+                            model.R[None], model.x0, model.P0, ys, spec)
 
 
-def _naive_sequences(signal: Signal, nu: int, q: float, r: float):
-    """Per-step model matrices for a constant-derivative smoother on any grid."""
+def _naive_model(signal: Signal, nu: int, q: float, r: float):
+    """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid."""
     d = nu + 1
-    n = len(signal)
     C = np.zeros((1, d))
     C[0, 0] = 1.0
-    R = np.array([[r]])
     x0 = np.zeros(d)
     x0[0] = signal.values[0]
     # Seeding P0 proportionally to r makes the output depend on q and r only
     # through their ratio, exactly.
     P0 = 10.0 * r * np.eye(d)
     if signal.grid.uniform:
-        model = constant_derivative_model(nu, signal.grid.dt, q, r, y0=signal.values[0])
-        As, Bs, Qs = [model.A] * n, [model.B] * n, [model.Q] * n
+        model = constant_derivative_model(nu, signal.grid.dt, q, r)
+        A, Q = model.A[None], model.Q[None]
     else:
-        cm = constant_derivative_continuous(nu, q)
-        As, Bs, Qs = _irregular_sequences(cm, signal.grid.points)
-    us = np.zeros((n, 0))
-    return As, Bs, C, Qs, R, x0, P0, us
+        A, _, Q = _irregular_model(constant_derivative_continuous(nu, q), signal.grid.points)
+    return A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, P0
 
 
 def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> DerivativeResult:
@@ -535,9 +598,8 @@ def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> Deri
     discretization of the continuous integrator chain).
     """
     validate(signal)
-    As, Bs, C, Qs, R, x0, P0, us = _naive_sequences(signal, nu, q, r)
-    track = _filter_seq(As, Bs, C, Qs, R, x0, P0, signal.values[:, None], us)
-    xr, _ = rts_smooth(track)
+    A, c, C, Q, R, x0, P0 = _naive_model(signal, nu, q, r)
+    xr, _ = rts_smooth(_filter(A, c, C, Q, R, x0, P0, signal.values[:, None]))
     return DerivativeResult(
         smoothed=xr[:, 0],
         derivative=xr[:, 1],
@@ -555,9 +617,7 @@ def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
     """
     validate(signal)
     spec = spec or RobustSpec()
-    As, Bs, C, Qs, R, x0, P0, us = _naive_sequences(signal, nu, q, r)
-    result = _robust_map_core(As, Bs, C, Qs, R, x0, P0,
-                              signal.values[:, None], us, spec)
+    result = _robust_map_core(*_naive_model(signal, nu, q, r), signal.values[:, None], spec)
     return DerivativeResult(
         smoothed=result.states[:, 0],
         derivative=result.states[:, 1],

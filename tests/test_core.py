@@ -9,6 +9,7 @@ from derivkit import (
     MethodConfig,
     Signal,
     ValidationError,
+    apply_method,
     cumtrapz,
     total_variation,
     validate,
@@ -30,6 +31,20 @@ class TestGrid:
         t = 0.1 * np.arange(50)
         t[10] += 1e-12  # far below the 1e-9 relative tolerance
         assert Grid(t).uniform
+
+    @pytest.mark.parametrize("t0", [0.0, 1e6, 1.7e9])
+    def test_epoch_offset_keeps_grid_uniform(self, t0):
+        k = 0.01 * np.arange(1000)
+        y = np.sin(np.pi * k) + 0.05 * np.random.default_rng(0).standard_normal(1000)
+        g = Grid(t0 + k)
+        assert g.uniform
+        assert g.dt == pytest.approx(0.01, rel=1e-8)
+        for method in ("rts", "fd", "savgol"):
+            ref = apply_method(method, Signal(Grid(k), y)).derivative
+            out = apply_method(method, Signal(g, y)).derivative
+            assert np.max(np.abs(out - ref)) <= 1e-8 * np.max(np.abs(ref))
+        jittered = t0 + k + 1e-4 * np.random.default_rng(1).uniform(size=1000)
+        assert not Grid(jittered).uniform
 
     def test_duplicate_timestamp_reports_index(self):
         with pytest.raises(ValidationError, match="index 3"):

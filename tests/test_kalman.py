@@ -1,3 +1,4 @@
+import kalman_reference as ref
 import numpy as np
 import pytest
 
@@ -5,6 +6,7 @@ from derivkit import (
     ContinuousModel,
     Grid,
     LinearGaussianModel,
+    NumericError,
     RobustSpec,
     Signal,
     ValidationError,
@@ -20,6 +22,7 @@ from derivkit import (
     rts_smooth,
     rtsdiff,
 )
+from derivkit import kalman
 
 
 def random_stable_model(rng, d=None, p=None):
@@ -433,3 +436,136 @@ class TestRobustdiff:
         neighbors = 0.5 * (r.smoothed[149] + r.smoothed[151])
         local_resid = np.std(np.diff(r.smoothed[100:200]))
         assert abs(r.smoothed[150] - neighbors) < 3 * max(local_resid, 0.01)
+
+
+def _rel(new, old):
+    return np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1e-300)
+
+
+def _objective_floor(f, states, rng):
+    """Largest objective change seen when each state moves by one unit in the last place."""
+    base = f(states)
+    eps = np.finfo(float).eps
+    return max(abs(f(states * (1 + eps * rng.choice([-1.0, 1.0], states.shape))) - base)
+               for _ in range(8))
+
+
+def _assert_scan_matches_loop(A, c, C, Q, R, x0, P0, ys, rng):
+    track = kalman._filter(A, c, C, Q, R, x0, P0, ys)
+    xr, Pr = rts_smooth(track)
+    track0 = ref.filter_seq(A, c, C, Q, R, x0, P0, ys)
+    xr0, Pr0 = ref.rts_smooth(track0)
+    for new, old in zip((*track[:4], xr, Pr), (*track0[:4], xr0, Pr0)):
+        assert _rel(new, old) <= 1e-9
+    try:
+        np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        return  # Q singular to working precision: the MAP objective does not exist
+
+    def objective(states):
+        return ref.map_objective(states, A, c, C, Q, R, x0, P0, ys)
+
+    # When Q is tiny, whitening by Q^(-1/2) magnifies one-ulp state changes
+    # until the objective's roundoff floor exceeds 1e-6 of it (0.5% at
+    # q/r = 1e-16): no float64 track resolves the objective more finely.
+    obj, obj0 = objective(xr), objective(xr0)
+    assert obj - obj0 <= 1e-6 * abs(obj0) + 2 * _objective_floor(objective, xr0, rng)
+
+
+class TestScanAgainstLoop:
+    """The scan filter and smoother against the sequential recursion."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_constant_derivative_models(self, uniform, nu):
+        rng = np.random.default_rng(30 + nu)
+        n = 160
+        t = 0.01 * np.arange(n) if uniform else np.cumsum(rng.uniform(0.005, 0.02, n))
+        y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
+        signal = Signal(Grid(t), y)
+        for q in (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e10):
+            for r in (1e-6, 1.0, 1e6):
+                stacks = kalman._naive_model(signal, nu, q, r)
+                assert len(stacks[0]) == (1 if uniform else n)
+                _assert_scan_matches_loop(*stacks, y[:, None], rng)
+
+    def test_random_models_with_inputs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            base = random_stable_model(rng, p=int(rng.integers(1, 4)))
+            d, m = base.state_dim, int(rng.integers(0, 3))
+            model = LinearGaussianModel(A=base.A, B=rng.standard_normal((d, m)), C=base.C,
+                                        Q=base.Q, R=base.R, x0=base.x0, P0=base.P0)
+            n = int(rng.integers(1, 150))
+            us = rng.standard_normal((n, m))
+            ys = simulate_model(base, n, rng)[1]
+            _assert_scan_matches_loop(model.A[None], us @ model.B.T, model.C, model.Q[None],
+                                      model.R[None], model.x0, model.P0, ys, rng)
+            track = kalman_filter(model, ys, us)
+            assert track.transitions.shape == (n, d, d)
+            assert track.transitions.strides[0] == 0  # a view, not N copies of A
+
+
+class TestNumericErrors:
+    @staticmethod
+    def _outcome(fn):
+        try:
+            fn()
+        except NumericError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_degenerate_noise_names_the_same_step_as_the_loop(self, d):
+        A = np.array([[1.0]]) if d == 1 else np.array([[1.0, 0.1], [0.0, 1.0]])
+        ys = np.arange(6.0)[:, None]
+        raised = 0
+        for r_, q_, p0 in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)):
+            model = LinearGaussianModel(A=A, B=np.zeros((d, 0)), C=np.eye(1, d),
+                                        Q=q_ * np.eye(d), R=[[r_]], x0=np.zeros(d),
+                                        P0=p0 * np.eye(d))
+            stacks = (model.A[None], np.zeros((6, d)), model.C, model.Q[None],
+                      model.R[None], model.x0, model.P0, ys)
+            old_filter = self._outcome(lambda: ref.filter_seq(*stacks))
+            new_filter = self._outcome(lambda: kalman_filter(model, ys))
+            if old_filter is not None:
+                assert new_filter == old_filter
+                raised += 1
+                continue
+            old = self._outcome(lambda: ref.rts_smooth(ref.filter_seq(*stacks)))
+            new = self._outcome(lambda: rts_smooth(kalman_filter(model, ys)))
+            if new_filter is None:
+                assert new == old
+            else:
+                # R = Q = 0 with an unmeasured state: the scan cannot form the
+                # step's element, the loop fails later in the smoother
+                assert new_filter.startswith("singular innovation covariance") and old
+            raised += old is not None
+        assert raised >= 3
+
+    @pytest.mark.parametrize("combine", ["_filter_combine", "_smooth_combine"])
+    def test_non_finite_scan_output_raises(self, monkeypatch, combine):
+        original = getattr(kalman, combine)
+
+        def poisoned(first, second):
+            out = original(first, second)
+            out[1][-1] = np.nan
+            return out
+
+        monkeypatch.setattr(kalman, combine, poisoned)
+        s = Signal(Grid.regular(50, 0.01), np.sin(np.arange(50.0)))
+        with pytest.raises(NumericError, match="non-finite"):
+            rtsdiff(s)
+
+
+def test_robustdiff_small_q_converges_at_once():
+    # Roundoff in a block-tridiagonal solve once moved the iterate by more
+    # than tol on every IRLS iteration here, even with every Huber weight 1.
+    rng = np.random.default_rng(3)
+    t = 0.01 * np.arange(2000)
+    y = (np.sin(2 * np.pi * 0.3 * t) + 0.5 * np.sin(2 * np.pi * 1.1 * t)
+         + 0.1 * rng.standard_normal(2000))
+    spec = RobustSpec(process_loss="quadratic", measurement_loss="huber", tol=1e-6, max_iter=50)
+    out = robustdiff(Signal(Grid(t), y), nu=2, q=1e-4, r=1.0, spec=spec)
+    assert out.flags["converged"]
+    assert out.flags["iterations"] <= 3
