@@ -17,6 +17,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,35 +55,34 @@ def _fmt(x: float) -> str:
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
+        with open(path) as fh:
+            first = fh.readline()
+            if not first:
                 raise ValidationError(f"{path}: empty file")
-            header = [h.strip() for h in header]
+            header = [h.strip() for h in first.split(",")]
             missing = [c for c in columns if c not in header]
             if missing:
                 raise ValidationError(
                     f"{path}: header must contain columns {','.join(columns)}; got {','.join(header)}"
                 )
-            rows = [row for row in reader if row]
+            try:
+                with warnings.catch_warnings():  # a header-only file is reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: non-numeric cell or ragged rows ({exc})") from exc
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
+    if data.size == 0:
+        raise ValidationError(f"{path}: no data rows")
+    if data.shape[1] != len(header):
         raise ValidationError(f"{path}: ragged rows")
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _write_manifest(out_path: str, payload: dict) -> None:

@@ -234,11 +234,19 @@ def validate(signal: Signal) -> None:
     _check_signal_values(signal.grid, np.asarray(signal.values, dtype=float))
 
 
-def _cumtrapz(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of samples ``v`` over locations ``t``; out[0] = 0."""
+def _require_uniform(signal: Signal, what: str) -> float:
+    """Validate ``signal`` and return its step; ``what`` names the caller in the error."""
+    validate(signal)
+    if not signal.grid.uniform:
+        raise UnsupportedMethodError(f"{what} requires a uniform grid")
+    return signal.grid.dt
+
+
+def _cumtrapz(steps, v: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid of ``v`` over ``steps`` (per gap, or one common step); out[0] = 0."""
     out = np.empty_like(v, dtype=float)
     out[0] = 0.0
-    np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(t), out=out[1:])
+    np.cumsum(0.5 * (v[1:] + v[:-1]) * steps, out=out[1:])
     return out
 
 
@@ -249,7 +257,7 @@ def cumtrapz(signal: Signal) -> np.ndarray:
     ``0.5 * (v[n] + v[n-1]) * (t[n] - t[n-1])``.
     """
     validate(signal)
-    return _cumtrapz(signal.grid.points, signal.values)
+    return _cumtrapz(np.diff(signal.grid.points), signal.values)
 
 
 def total_variation(v) -> float:

@@ -6,8 +6,8 @@ a stencil ``[s_0, ..., s_{S-1}]`` and derivative order ``nu``, solve
     sum_j s_j^i * c_j = (nu! / dx^nu) * delta(i, nu),  i = 0..S-1
 
 Centered schemes are used on the interior and one-sided schemes of matching
-accuracy at the edges. Irregular grids are handled with per-point solves in
-units of the independent variable.
+accuracy at the edges. Irregular grids solve one Vandermonde system per
+sample in units of the independent variable, batched over the interior.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     ConditioningWarning,
     DerivativeResult,
     Signal,
-    UnsupportedMethodError,
     ValidationError,
     _cumtrapz,
+    _require_uniform,
     validate,
 )
 
@@ -58,11 +59,14 @@ class Stencil:
 
 
 def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float) -> np.ndarray:
-    size = len(locs)
-    V = np.vander(locs, size, increasing=True).T
-    rhs = np.zeros(size)
-    rhs[nu] = math.factorial(nu) * rhs_scale
-    cond = np.linalg.cond(V)
+    """Coefficients for each row of ``locs`` (``(..., S)``); warns on the worst-conditioned."""
+    size = locs.shape[-1]
+    V = np.ones(locs.shape[:-1] + (size, size))
+    V[..., 1:, :] = locs[..., None, :]
+    np.multiply.accumulate(V[..., 1:, :], axis=-2, out=V[..., 1:, :])
+    rhs = np.zeros(locs.shape + (1,))
+    rhs[..., nu, 0] = math.factorial(nu) * rhs_scale
+    cond = np.max(np.linalg.cond(V))
     if cond > CONDITION_LIMIT:
         warnings.warn(
             f"stencil system condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}; "
@@ -70,7 +74,7 @@ def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float) -> np.ndarra
             ConditioningWarning,
             stacklevel=3,
         )
-    return np.linalg.solve(V, rhs)
+    return np.linalg.solve(V, rhs)[..., 0]
 
 
 def stencil_coefficients(stencil: Stencil, dx: float) -> np.ndarray:
@@ -109,8 +113,9 @@ def _centered_halfwidth(nu: int, order: int) -> int:
     return h
 
 
-def _window_plan(n_points: int, nu: int, order: int):
-    """Per-point sample-index windows: centered inside, shrunk/one-sided at edges."""
+def _edge_plan(n_points: int, nu: int, order: int):
+    """``(h, edges)``: points ``h <= n < N - h`` use the window ``[n - h, n + h]``;
+    ``edges`` lists ``(n, lo, size)`` for the other 2h, shrunk or one-sided."""
     h = _centered_halfwidth(nu, order)
     s_edge = nu + 2  # one-sided stencil with second-order accuracy
     if n_points < max(2 * h + 1, s_edge):
@@ -118,20 +123,14 @@ def _window_plan(n_points: int, nu: int, order: int):
             f"need at least {max(2 * h + 1, s_edge)} samples for nu={nu}, order={order}; "
             f"got {n_points}"
         )
-    plan = []
-    for n in range(n_points):
+    edges = []
+    for n in [*range(h), *range(n_points - h, n_points)]:
         h_avail = min(n, n_points - 1 - n)
-        if h_avail >= h:
-            lo = n - h
-            size = 2 * h + 1
-        elif 2 * h_avail + 1 > nu and h_avail >= 1:
-            lo = n - h_avail
-            size = 2 * h_avail + 1
+        if 2 * h_avail + 1 > nu and h_avail >= 1:
+            edges.append((n, n - h_avail, 2 * h_avail + 1))
         else:
-            size = s_edge
-            lo = min(max(n - size // 2, 0), n_points - size)
-        plan.append((lo, size))
-    return plan, h
+            edges.append((n, min(max(n - s_edge // 2, 0), n_points - s_edge), s_edge))
+    return h, edges
 
 
 def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResult:
@@ -140,7 +139,8 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
     Interior points use centered schemes of the requested accuracy order;
     edge points fall back to one-sided second-order schemes and near-edge
     points shrink the centered stencil rather than grow a one-sided one.
-    Irregular grids are routed through per-point irregular solves.
+    Irregular grids take one batched Vandermonde solve over the interior
+    windows, in units of the independent variable.
     """
     validate(signal)
     if order < 1:
@@ -148,26 +148,21 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
     t = signal.grid.points
     y = signal.values
     n_points = len(y)
-    plan, h = _window_plan(n_points, nu, order)
+    h, edges = _edge_plan(n_points, nu, order)
+    uniform = signal.grid.uniform
+    scale = signal.grid.dt ** -nu if uniform else 1.0
+    inner = slice(h, n_points - h)
 
     deriv = np.empty(n_points)
-    if signal.grid.uniform:
-        dt = signal.grid.dt
-        c_center = stencil_coefficients(Stencil(tuple(range(-h, h + 1)), nu), dt)
-        deriv[h : n_points - h] = np.convolve(y, c_center[::-1], mode="valid")
-        coeff_cache: dict[tuple, np.ndarray] = {}
-        for n in list(range(h)) + list(range(n_points - h, n_points)):
-            lo, size = plan[n]
-            offsets = tuple(range(lo - n, lo - n + size))
-            c = coeff_cache.get(offsets)
-            if c is None:
-                c = stencil_coefficients(Stencil(offsets, nu), dt)
-                coeff_cache[offsets] = c
-            deriv[n] = c @ y[lo : lo + size]
+    if uniform:
+        c = _vandermonde_solve(np.arange(-h, h + 1.0), nu, scale)
+        deriv[inner] = np.convolve(y, c[::-1], mode="valid")
     else:
-        for n, (lo, size) in enumerate(plan):
-            c = irregular_coefficients(t[lo : lo + size] - t[n], nu)
-            deriv[n] = c @ y[lo : lo + size]
+        c = _vandermonde_solve(sliding_window_view(t, 2 * h + 1) - t[inner, None], nu, scale)
+        deriv[inner] = np.vecdot(c, sliding_window_view(y, 2 * h + 1))
+    for n, lo, size in edges:
+        locs = np.arange(lo - n, lo - n + size, dtype=float) if uniform else t[lo : lo + size] - t[n]
+        deriv[n] = _vandermonde_solve(locs, nu, scale) @ y[lo : lo + size]
 
     return DerivativeResult(
         smoothed=y,
@@ -209,17 +204,13 @@ def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> Derivati
     integration constant as a mean offset. One round is equivalent to an IIR
     low-pass filter; more iterations sharpen the cutoff. Uniform grids only.
     """
-    validate(signal)
-    if not signal.grid.uniform:
-        raise UnsupportedMethodError("iterated_fd requires a uniform grid")
+    dt = _require_uniform(signal, "iterated_fd")
     if iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {iterations}")
-    t = signal.grid.points
-    dt = signal.grid.dt
     z = np.array(signal.values)
     for _ in range(iterations):
         d = _safe_first_derivative(z, dt, order)
-        integ = _cumtrapz(t, d)
+        integ = _cumtrapz(dt, d)
         z = integ + (np.mean(z) - np.mean(integ))
     final = fd_derivative(Signal(signal.grid, z), nu=1, order=order)
     return DerivativeResult(

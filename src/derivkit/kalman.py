@@ -364,28 +364,36 @@ def constant_derivative_model(nu: int, dt: float, q: float, r: float,
     state, and its integrated covariance couples the rest. Only the ratio
     q/r changes the steady-state smoothing behavior.
     """
-    if nu not in (1, 2, 3):
-        raise ValidationError(f"nu must be 1, 2, or 3, got {nu}")
     if dt <= 0 or q <= 0 or r <= 0:
         raise ValidationError("dt, q, and r must be positive")
     d = nu + 1
-    A = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            A[i, j] = dt ** (j - i) / math.factorial(j - i)
-    Q = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            power = 2 * nu + 1 - i - j
-            Q[i, j] = q * dt ** power / (
-                math.factorial(nu - i) * math.factorial(nu - j) * power
-            )
+    A, Q = _integrator_chain(nu, [dt], q)
     C = np.zeros((1, d))
     C[0, 0] = 1.0
     x0 = np.zeros(d)
     x0[0] = y0
-    return LinearGaussianModel(A=A, B=np.zeros((d, 0)), C=C, Q=Q,
+    return LinearGaussianModel(A=A[0], B=np.zeros((d, 0)), C=C, Q=Q[0],
                                R=np.array([[r]]), x0=x0, P0=10.0 * np.eye(d))
+
+
+def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``(A, Q)`` stacks of the nu-fold integrator chain, one per step.
+
+    ``A[i, j] = h^(j-i) / (j-i)!`` on and above the diagonal, and
+    ``Q[i, j] = q h^p / ((nu-i)! (nu-j)! p)`` with ``p = 2 nu + 1 - i - j``.
+    """
+    if nu not in (1, 2, 3):
+        raise ValidationError(f"nu must be 1, 2, or 3, got {nu}")
+    if q <= 0:
+        raise ValidationError("q must be positive")
+    h = np.asarray(steps, dtype=float)[:, None, None]
+    i, j = np.indices((nu + 1, nu + 1))
+    fact = np.array([math.factorial(k) for k in range(nu + 1)], dtype=float)
+    lag = np.maximum(j - i, 0)
+    A = np.where(j >= i, h ** lag / fact[lag], 0.0)
+    power = 2 * nu + 1 - i - j
+    Q = q * h ** power / (fact[nu - i] * fact[nu - j] * power)
+    return A, Q
 
 
 def constant_derivative_continuous(nu: int, q: float) -> ContinuousModel:
@@ -438,13 +446,10 @@ def discretize(cm: ContinuousModel, dt) -> tuple[np.ndarray, np.ndarray, np.ndar
     return A, B, Q
 
 
-def _irregular_model(cm: ContinuousModel, points: np.ndarray):
-    """Per-step ``(A, B, Q)`` stacks for a grid; the seed predicts over the first gap."""
-    steps = np.diff(points)
-    steps = np.concatenate([steps[:1], steps])
-    unique, index = np.unique(steps, return_inverse=True)
-    A, B, Q = discretize(cm, unique)
-    return A[index], B[index], Q[index]
+def _steps(signal: Signal) -> np.ndarray:
+    """One step per sample, the gap before it; the seed predicts over the first gap."""
+    gaps = np.diff(signal.grid.points)
+    return np.concatenate([gaps[:1], gaps])
 
 
 def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=None
@@ -461,7 +466,8 @@ def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=N
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     P0 = _as_matrix(P0, "P0")
     ys = _shape_measurements(signal.values, C.shape[0])
-    A, B, Q = _irregular_model(cm, signal.grid.points)
+    unique, index = np.unique(_steps(signal), return_inverse=True)
+    A, B, Q = (M[index] for M in discretize(cm, unique))
     us = _shape_inputs(inputs, len(ys), cm.Bc.shape[1])
     track = _filter(A, _mv(B, us), C, Q, R[None], x0, P0, ys)
     xr, Pr = rts_smooth(track)
@@ -575,6 +581,9 @@ def robust_map_smooth(model: LinearGaussianModel, measurements, inputs=None,
 
 def _naive_model(signal: Signal, nu: int, q: float, r: float):
     """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid."""
+    if r <= 0:
+        raise ValidationError("r must be positive")
+    A, Q = _integrator_chain(nu, [signal.grid.dt] if signal.grid.uniform else _steps(signal), q)
     d = nu + 1
     C = np.zeros((1, d))
     C[0, 0] = 1.0
@@ -583,19 +592,14 @@ def _naive_model(signal: Signal, nu: int, q: float, r: float):
     # Seeding P0 proportionally to r makes the output depend on q and r only
     # through their ratio, exactly.
     P0 = 10.0 * r * np.eye(d)
-    if signal.grid.uniform:
-        model = constant_derivative_model(nu, signal.grid.dt, q, r)
-        A, Q = model.A[None], model.Q[None]
-    else:
-        A, _, Q = _irregular_model(constant_derivative_continuous(nu, q), signal.grid.points)
     return A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, P0
 
 
 def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> DerivativeResult:
     """Constant-derivative-model RTS smoothing; derivative read from the state.
 
-    Works on uniform and irregular grids (the latter through per-step
-    discretization of the continuous integrator chain).
+    Works on uniform and irregular grids: the integrator chain's closed-form
+    transition and noise matrices are evaluated at every step.
     """
     validate(signal)
     A, c, C, Q, R, x0, P0 = _naive_model(signal, nu, q, r)

@@ -22,8 +22,8 @@ from .core import (
     DerivativeResult,
     NumericError,
     Signal,
-    UnsupportedMethodError,
     ValidationError,
+    _require_uniform,
     validate,
 )
 from .fd import fd_derivative
@@ -64,25 +64,35 @@ def _kernel_weights(kind: str, length: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _reflect_correlate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Slide odd-length ``weights`` over ``values`` mirror-extended by half its length."""
+    padded = np.pad(values, len(weights) // 2, mode="reflect")
+    return np.convolve(padded, weights[::-1], mode="valid")
+
+
+def _gaussian_blur(values: np.ndarray, sigma: float | None) -> np.ndarray:
+    """Normalized Gaussian of radius ceil(4 sigma), reflect-padded; no-op for sigma 0 or None."""
+    if not sigma:
+        return values
+    radius = max(int(np.ceil(4 * sigma)), 1)
+    return _reflect_correlate(values, _kernel_weights("gaussian", 2 * radius + 1, sigma))
+
+
 def kernel_smooth(signal: Signal, spec: KernelSpec) -> Signal:
     """Convolve with a normalized kernel (or slide a median) over the signal.
 
     Edges are handled by mirror extension of half the window length.
     """
-    validate(signal)
-    if not signal.grid.uniform:
-        raise UnsupportedMethodError("kernel_smooth requires a uniform grid")
+    _require_uniform(signal, "kernel_smooth")
     n = len(signal)
     if spec.window > n:
         raise ValidationError(f"window {spec.window} exceeds signal length {n}")
-    half = spec.window // 2
-    padded = np.pad(signal.values, half, mode="reflect")
     if spec.kind == "median":
+        padded = np.pad(signal.values, spec.window // 2, mode="reflect")
         windows = np.lib.stride_tricks.sliding_window_view(padded, spec.window)
         out = np.median(windows, axis=1)
     else:
-        weights = _kernel_weights(spec.kind, spec.window, spec.sigma)
-        out = np.convolve(padded, weights[::-1], mode="valid")
+        out = _reflect_correlate(signal.values, _kernel_weights(spec.kind, spec.window, spec.sigma))
     return Signal(signal.grid, out)
 
 
@@ -105,12 +115,9 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
     transform (with frequency prewarping, so the half-power point lands
     exactly on ``cutoff_hz``) and applied forward then backward.
     """
-    validate(signal)
-    if not signal.grid.uniform:
-        raise UnsupportedMethodError("butterdiff requires a uniform grid")
+    fs = 1.0 / _require_uniform(signal, "butterdiff")
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    fs = 1.0 / signal.grid.dt
     if not 0 < cutoff_hz < fs / 2:
         raise ValidationError(
             f"cutoff must lie in (0, {fs / 2}) Hz for dt={signal.grid.dt}, got {cutoff_hz}"
@@ -213,23 +220,13 @@ def savgoldiff(signal: Signal, window: int, degree: int,
     can optionally be Gaussian-smoothed afterwards, since neighboring
     implicit fits are independent and can jitter.
     """
-    validate(signal)
-    if not signal.grid.uniform:
-        raise UnsupportedMethodError("savgoldiff requires a uniform grid")
+    dt = _require_uniform(signal, "savgoldiff")
     n = len(signal)
     if window > n:
         raise ValidationError(f"window {window} exceeds signal length {n}")
     c_value, c_slope = savgol_coefficients(window, degree)
-    half = window // 2
-    padded = np.pad(signal.values, half, mode="reflect")
-    smoothed = np.convolve(padded, c_value[::-1], mode="valid")
-    deriv = np.convolve(padded, c_slope[::-1], mode="valid") / signal.grid.dt
-    if post_smooth_sigma:
-        radius = max(int(np.ceil(4 * post_smooth_sigma)), 1)
-        j = np.arange(-radius, radius + 1)
-        g = np.exp(-0.5 * (j / post_smooth_sigma) ** 2)
-        g /= g.sum()
-        deriv = np.convolve(np.pad(deriv, radius, mode="reflect"), g, mode="valid")
+    smoothed = _reflect_correlate(signal.values, c_value)
+    deriv = _gaussian_blur(_reflect_correlate(signal.values, c_slope) / dt, post_smooth_sigma)
     return DerivativeResult(
         smoothed=smoothed,
         derivative=deriv,

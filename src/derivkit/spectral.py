@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DerivativeResult,
-    Signal,
-    UnsupportedMethodError,
-    ValidationError,
-    validate,
-)
+from .core import DerivativeResult, Signal, ValidationError, _require_uniform
 
 #: Absolute tolerance (on the [-1, 1] reference interval) for cosine-spaced layouts.
 NODE_TOL = 1e-8
@@ -70,11 +64,24 @@ def _lowpass_mask(n: int, keep_modes: int) -> np.ndarray:
     return np.abs(_wavenumbers(n)) < keep_modes
 
 
-def _require_uniform(signal: Signal, what: str) -> float:
-    validate(signal)
-    if not signal.grid.uniform:
-        raise UnsupportedMethodError(f"{what} requires a uniform grid")
-    return signal.grid.dt
+def _fourier_pass(values: np.ndarray, dt: float, nu: int | None, keep_modes: int | None,
+                  smooth: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """FFT, optional ideal low-pass, then one inverse FFT per requested output.
+
+    Returns ``(smoothed, derivative)``: the low-passed values when ``smooth``
+    and their ``nu``-th derivative when ``nu`` is given, None otherwise.
+    """
+    n = len(values)
+    plan = SpectralPlan(n=n, domain_length=n * dt, nu=1 if nu is None else nu,
+                        keep_modes=keep_modes)
+    coef = np.fft.fft(values)
+    if keep_modes is not None:
+        coef = np.where(_lowpass_mask(n, keep_modes), coef, 0.0)
+    smoothed = np.fft.ifft(coef).real if smooth else None
+    if nu is None:
+        return smoothed, None
+    scale = (2 * np.pi / plan.domain_length) ** nu
+    return smoothed, np.fft.ifft(coef * _derivative_multiplier(n, nu)).real * scale
 
 
 def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = None) -> DerivativeResult:
@@ -85,18 +92,10 @@ def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = Non
     ideal low-pass to both outputs before differentiation.
     """
     dt = _require_uniform(signal, "fourier_derivative")
-    n = len(signal)
-    plan = SpectralPlan(n=n, domain_length=n * dt, nu=nu, keep_modes=keep_modes)
-    coef = np.fft.fft(signal.values)
-    if keep_modes is not None:
-        coef = np.where(_lowpass_mask(n, keep_modes), coef, 0.0)
-        smoothed = np.fft.ifft(coef).real
-    else:
-        smoothed = signal.values
-    scale = (2 * np.pi / plan.domain_length) ** nu
-    deriv = np.fft.ifft(coef * _derivative_multiplier(n, nu)).real * scale
+    smoothed, deriv = _fourier_pass(signal.values, dt, nu, keep_modes,
+                                    smooth=keep_modes is not None)
     return DerivativeResult(
-        smoothed=smoothed,
+        smoothed=signal.values if smoothed is None else smoothed,
         derivative=deriv,
         method="fourier",
         phi={"nu": nu, "keep_modes": keep_modes},
@@ -105,12 +104,8 @@ def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = Non
 
 def fourier_lowpass(signal: Signal, keep_modes: int) -> Signal:
     """Ideal low-pass: zero every FFT bin with |wavenumber| >= keep_modes."""
-    _require_uniform(signal, "fourier_lowpass")
-    n = len(signal)
-    SpectralPlan(n=n, domain_length=n * signal.grid.dt, nu=1, keep_modes=keep_modes)
-    coef = np.fft.fft(signal.values)
-    out = np.fft.ifft(np.where(_lowpass_mask(n, keep_modes), coef, 0.0)).real
-    return Signal(signal.grid, out)
+    dt = _require_uniform(signal, "fourier_lowpass")
+    return Signal(signal.grid, _fourier_pass(signal.values, dt, None, keep_modes)[0])
 
 
 def power_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray]:
@@ -238,17 +233,10 @@ def fourier_extension_derivative(signal: Signal, pad: int = 0, extension: str = 
         z[pad : pad + n] = y
 
     ext = np.concatenate([z, z[-2:0:-1]]) if extension == "even" else z
-    m = len(ext)
-    plan = SpectralPlan(n=m, domain_length=m * dt, nu=nu, keep_modes=keep_modes)
-    coef = np.fft.fft(ext)
-    if keep_modes is not None:
-        coef = np.where(_lowpass_mask(m, keep_modes), coef, 0.0)
-    smoothed = np.fft.ifft(coef).real[pad : pad + n]
-    scale = (2 * np.pi / plan.domain_length) ** nu
-    deriv = (np.fft.ifft(coef * _derivative_multiplier(m, nu)).real * scale)[pad : pad + n]
+    smoothed, deriv = _fourier_pass(ext, dt, nu, keep_modes)
     return DerivativeResult(
-        smoothed=smoothed,
-        derivative=deriv,
+        smoothed=smoothed[pad : pad + n],
+        derivative=deriv[pad : pad + n],
         method="fourier_extension",
         phi={"pad": pad, "extension": extension, "keep_modes": keep_modes, "nu": nu},
     )

@@ -77,7 +77,7 @@ def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("derivative length must match the signal")
     if not np.all(np.isfinite(xdot)):
         raise ValidationError("derivative must be finite")
-    return _cumtrapz(signal.grid.points, xdot), xdot
+    return _cumtrapz(np.diff(signal.grid.points), xdot), xdot
 
 
 def proxy_loss(derivative, signal: Signal, gamma: float) -> float:

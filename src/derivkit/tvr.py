@@ -20,14 +20,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .core import (
-    DerivativeResult,
-    Signal,
-    UnsupportedMethodError,
-    ValidationError,
-    validate,
-)
+from .core import DerivativeResult, Signal, ValidationError, _require_uniform
 from .fd import _first_diff_matrix
+from .smoothers import _gaussian_blur
 
 
 @dataclass(frozen=True)
@@ -79,12 +74,9 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     the one with the lowest true objective is returned; non-convergence
     within ``max_iter`` is reported through ``flags['converged']``.
     """
-    validate(signal)
-    if not signal.grid.uniform:
-        raise UnsupportedMethodError("tvrdiff requires a uniform grid")
+    dt = _require_uniform(signal, "tvrdiff")
     y = signal.values
     n = len(y)
-    dt = signal.grid.dt
     D1 = _first_diff_matrix(n, dt)
     E = _difference_operator(n, dt, spec.nu)
     Et = E.T.tocsr()
@@ -145,17 +137,6 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     )
 
 
-def _gaussian_smooth(values: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return values
-    radius = max(int(np.ceil(4 * sigma)), 1)
-    j = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (j / sigma) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(values, radius, mode="reflect")
-    return np.convolve(padded, kernel, mode="valid")
-
-
 def smooth_accel_tvr(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     """Second-derivative TVR followed by Gaussian softening of the corners."""
     if spec.nu != 2:
@@ -164,7 +145,7 @@ def smooth_accel_tvr(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     sigma = spec.soften_sigma or 0.0
     return DerivativeResult(
         smoothed=base.smoothed,
-        derivative=_gaussian_smooth(np.asarray(base.derivative), sigma),
+        derivative=_gaussian_blur(np.asarray(base.derivative), sigma),
         method="smooth_accel_tvr",
         phi={**base.phi, "soften_sigma": sigma},
         flags=base.flags,

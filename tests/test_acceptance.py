@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 from scipy.stats import spearmanr
 
 from derivkit import (
@@ -242,6 +243,39 @@ def test_c08b_tvr_matches_convex_oracle():
         problem.solve()
         r = tvrdiff(Signal(Grid(t), y), TvrSpec(gamma=gamma, nu=nu, tol=1e-9))
         assert r.flags["objective"] == pytest.approx(problem.value, rel=1e-5)
+
+
+def _tvr_instances():
+    """The instances of test_c08b and of the small-instance cvxpy test in test_tvr."""
+    rng = np.random.default_rng(11)
+    t = 0.05 * np.arange(40)
+    for nu in (1, 2):
+        yield nu, t, np.sin(2 * t) + 0.1 * rng.standard_normal(40), 5.0
+    rng = np.random.default_rng(3)
+    for nu in (1, 2):
+        for _ in range(3):
+            n = int(rng.integers(20, 41))
+            t = 0.05 * np.arange(n)
+            y = np.sin(t * 2) + 0.1 * rng.standard_normal(n)
+            yield nu, t, y, float(rng.uniform(0.5, 20.0))
+
+
+@pytest.mark.criterion(8, "TVR: plateau character and convex-solver agreement")
+def test_c08c_tvr_matches_dual_oracle():
+    # Dual of min ||y - x||^2 + w ||E x||_1 (w = gamma/n): min_{|z| <= w} ||E^T z/2 - y||^2,
+    # with x = y - E^T z/2 at the optimum; solved by bounded least squares, so
+    # criterion 8 has an oracle that needs no convex-modelling package.
+    for nu, t, y, gamma in _tvr_instances():
+        n = len(y)
+        E = _difference_operator(n, t[1] - t[0], nu).toarray()
+        w = gamma / n
+        z = lsq_linear(E.T / 2, y, bounds=(-w, w), method="trf", tol=1e-14).x
+        x = y - E.T @ z / 2
+        primal = np.sum((y - x) ** 2) + w * np.sum(np.abs(E @ x))
+        dual = np.sum(y ** 2) - np.sum((E.T @ z / 2 - y) ** 2)
+        assert primal - dual <= 1e-8 * primal
+        r = tvrdiff(Signal(Grid(t), y), TvrSpec(gamma=gamma, nu=nu, tol=1e-9))
+        assert r.flags["objective"] == pytest.approx(primal, rel=1e-5)
 
 
 @pytest.mark.criterion(9, "tuner: gamma heuristic, grid oracle, Pareto proxy")

@@ -68,6 +68,23 @@ class TestDiff:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("text", [
+        "",                              # empty file
+        "t,x\n0.0,1.0\n0.1,2.0\n",    # no y column
+        "t,y\n0.0,1.0\n0.1,abc\n",    # non-numeric cell
+        "t,y\n0.0,1.0\n0.1,2.0,3.0\n",  # ragged row
+    ], ids=["empty", "missing_column", "non_numeric", "ragged"])
+    def test_malformed_csv_exits_3(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main(["diff", str(path), "--method", "fd", "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+
+    def test_unreadable_path_exits_2(self, tmp_path):
+        code = main(["diff", str(tmp_path / "absent.csv"), "--method", "fd",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+
     def test_round_trip_smoothed_fd(self, tmp_path, sine_csv):
         out1 = tmp_path / "o1.csv"
         main(["diff", str(sine_csv), "--method", "butter",

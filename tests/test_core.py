@@ -11,6 +11,7 @@ from derivkit import (
     ValidationError,
     apply_method,
     cumtrapz,
+    method_names,
     total_variation,
     validate,
 )
@@ -45,6 +46,15 @@ class TestGrid:
             assert np.max(np.abs(out - ref)) <= 1e-8 * np.max(np.abs(ref))
         jittered = t0 + k + 1e-4 * np.random.default_rng(1).uniform(size=1000)
         assert not Grid(jittered).uniform
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_epoch_offset_every_method(self, method):
+        k = 0.01 * np.arange(1000)
+        y = np.sin(np.pi * k) + 0.05 * np.random.default_rng(0).standard_normal(1000)
+        ref = apply_method(method, Signal(Grid(k), y)).derivative
+        for t0 in (1e6, 1.7e9):
+            out = apply_method(method, Signal(Grid(t0 + k), y)).derivative
+            assert np.max(np.abs(out - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     def test_duplicate_timestamp_reports_index(self):
         with pytest.raises(ValidationError, match="index 3"):

@@ -13,7 +13,7 @@ from derivkit import (
     iterated_fd,
     stencil_coefficients,
 )
-from derivkit.fd import _safe_first_derivative, _window_plan
+from derivkit.fd import _edge_plan, _safe_first_derivative
 
 
 def brute_vandermonde(distances, nu):
@@ -142,20 +142,43 @@ class TestFdDerivative:
                                    rtol=1e-5, atol=1e-7)
 
 
+def _windows(n_points, nu, order):
+    """Per-point ``(lo, size)`` windows: the edge plan plus the implicit interior."""
+    h, edges = _edge_plan(n_points, nu, order)
+    plan = [(n - h, 2 * h + 1) for n in range(n_points)]
+    for n, lo, size in edges:
+        plan[n] = (lo, size)
+    return plan, h, [n for n, _, _ in edges]
+
+
 class TestWindowPlan:
     def test_order2_edges_are_one_sided_table_rows(self):
-        plan, h = _window_plan(10, 1, 2)
+        plan, h, edge_points = _windows(10, 1, 2)
         assert h == 1
+        assert edge_points == [0, 9]
         assert plan[0] == (0, 3)
         assert plan[-1] == (7, 3)
         assert plan[4] == (3, 3)
 
     def test_higher_order_shrinks_toward_edges(self):
-        plan, h = _window_plan(20, 1, 4)
+        plan, h, edge_points = _windows(20, 1, 4)
         assert h == 2
+        assert edge_points == [0, 1, 18, 19]
         assert plan[0] == (0, 3)    # one-sided, second order
         assert plan[1] == (0, 3)    # shrunk centered
         assert plan[2] == (0, 5)    # full centered
+
+
+    @pytest.mark.parametrize("nu, order", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 4)])
+    def test_batched_irregular_solve_matches_per_point_loop(self, nu, order):
+        rng = np.random.default_rng(20 + order)
+        t = np.cumsum(rng.uniform(0.005, 0.015, 300))
+        y = np.sin(7 * t) + 0.1 * rng.standard_normal(300)
+        plan, _, _ = _windows(300, nu, order)
+        ref = np.array([irregular_coefficients(t[lo : lo + size] - t[n], nu) @ y[lo : lo + size]
+                        for n, (lo, size) in enumerate(plan)])
+        out = fd_derivative(Signal(Grid(t), y), nu=nu, order=order).derivative
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestIteratedFd:

@@ -268,6 +268,16 @@ class TestDiscretize:
         np.testing.assert_allclose(Aab, Ab @ Aa, atol=1e-10)
         np.testing.assert_allclose(Qab, Ab @ Qa @ Ab.T + Qb, atol=1e-10)
 
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_integrator_chain_matches_discretize(self, nu):
+        steps = np.random.default_rng(40 + nu).uniform(0.005, 0.02, 160)
+        for q in (1e-2, 1.0, 1e2):
+            A, Q = kalman._integrator_chain(nu, steps, q)
+            A_ref, _, Q_ref = discretize(constant_derivative_continuous(nu, q), steps)
+            for new, old in ((A, A_ref), (Q, Q_ref)):
+                scale = np.max(np.abs(old), axis=(1, 2))
+                assert np.max(np.max(np.abs(new - old), axis=(1, 2)) / scale) <= 1e-12
+
 
 class TestKalmanIrregular:
     def test_uniform_steps_match_uniform_pipeline(self):
@@ -436,6 +446,17 @@ class TestRobustdiff:
         neighbors = 0.5 * (r.smoothed[149] + r.smoothed[151])
         local_resid = np.std(np.diff(r.smoothed[100:200]))
         assert abs(r.smoothed[150] - neighbors) < 3 * max(local_resid, 0.01)
+
+    @pytest.mark.parametrize("q", [1e-2, 1e-6, 1e-10])
+    def test_nu3_runs_on_irregular_grid(self, q):
+        # the expm round-trip of discretize gave per-step Q matrices that
+        # Cholesky rejected here; the closed-form chain keeps them definite
+        rng = np.random.default_rng(33)
+        t = np.cumsum(rng.uniform(0.005, 0.02, 160))
+        s = Signal(Grid(t), np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(160))
+        r = robustdiff(s, nu=3, q=q, r=1.0)
+        assert r.flags["converged"]
+        assert np.all(np.isfinite(r.derivative))
 
 
 def _rel(new, old):
