@@ -145,6 +145,9 @@ def cmd_tune(args) -> int:
         "huber_m": config.info["m"],
         "loss": config.info["loss"],
         "evaluations": config.info["evaluations"],
+        "distinct_evaluations": config.info["distinct_evaluations"],
+        "failed_evaluations": config.info["failed_evaluations"],
+        "failure_reasons": config.info["failure_reasons"],
         "seed": args.seed,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)

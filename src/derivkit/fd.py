@@ -223,15 +223,12 @@ def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> Derivati
 
 def _first_diff_matrix(n_points: int, dt: float) -> sp.csr_matrix:
     """Order-2 first-derivative matrix: centered interior, one-sided edge rows."""
-    rows, cols, vals = [], [], []
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [-3 / (2 * dt), 4 / (2 * dt), -1 / (2 * dt)]
     idx = np.arange(1, n_points - 1)
-    rows += list(np.repeat(idx, 2))
-    cols += [c for i in idx for c in (i - 1, i + 1)]
-    vals += [v for _ in idx for v in (-1 / (2 * dt), 1 / (2 * dt))]
-    rows += [n_points - 1] * 3
-    cols += [n_points - 3, n_points - 2, n_points - 1]
-    vals += [1 / (2 * dt), -4 / (2 * dt), 3 / (2 * dt)]
+    last = n_points - 1
+    rows = np.concatenate([[0, 0, 0], np.repeat(idx, 2), [last] * 3])
+    cols = np.concatenate([[0, 1, 2], np.column_stack([idx - 1, idx + 1]).ravel(),
+                           [last - 2, last - 1, last]])
+    vals = np.concatenate([[-3 / (2 * dt), 4 / (2 * dt), -1 / (2 * dt)],
+                           np.tile([-1 / (2 * dt), 1 / (2 * dt)], len(idx)),
+                           [1 / (2 * dt), -4 / (2 * dt), 3 / (2 * dt)]])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_points, n_points))

@@ -267,7 +267,7 @@ def _tvr_params(signal: Signal):
 
 
 def _tvr_run(signal, phi, nu):
-    spec = tvr.TvrSpec(gamma=phi["gamma"], nu=int(phi["nu"]), tol=1e-5, max_iter=6000)
+    spec = tvr.TvrSpec(gamma=phi["gamma"], nu=int(phi["nu"]))
     return tvr.tvrdiff(signal, spec)
 
 
@@ -279,8 +279,7 @@ def _satvr_params(signal: Signal):
 
 
 def _satvr_run(signal, phi, nu):
-    spec = tvr.TvrSpec(gamma=phi["gamma"], nu=2, soften_sigma=phi["soften_sigma"],
-                       tol=1e-5, max_iter=6000)
+    spec = tvr.TvrSpec(gamma=phi["gamma"], nu=2, soften_sigma=phi["soften_sigma"])
     return tvr.smooth_accel_tvr(signal, spec)
 
 

@@ -27,6 +27,8 @@ from .core import (
 
 #: median(|N(0,1)|): MAD of a standard normal, used to put MAD on a sigma scale.
 MAD_NORMALIZER = 0.6745
+#: How many failed evaluations :func:`autotune` reports the reasons of.
+FAILURE_REASONS = 3
 
 
 def _pair(est, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +268,10 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     space (log for positive reals, continuous-then-rounded for integers),
     starting from ``spec.starts`` log-uniform seeds. Deterministic for a
     fixed seed; the winner is the feasible parameter set with the lowest
-    loss, ties broken by start index.
+    loss, ties broken by start index. Evaluations that raise count as an
+    infinite loss; ``info`` reports the evaluation count, the number of
+    distinct canonical parameter sets, the number of failed evaluations and
+    the first few failure reasons.
     """
     from .methods import get_method  # deferred to avoid an import cycle
 
@@ -293,9 +298,11 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         return mspec.canonical(phi)
 
     failures: list[str] = []
+    distinct: set[tuple] = set()
 
     def objective(x: np.ndarray) -> float:
         phi = to_phi(x)
+        distinct.add(tuple(sorted(phi.items())))
         try:
             result = mspec.run(signal, phi, 1)
             loss = robust_proxy_loss(result.derivative, signal, gamma, m)
@@ -329,5 +336,7 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         bounds=bounds,
         scale=scale,
         info={"loss": best_loss, "gamma": gamma, "m": m,
-              "evaluations": total_evals, "seed": spec.seed},
+              "evaluations": total_evals, "distinct_evaluations": len(distinct),
+              "failed_evaluations": len(failures),
+              "failure_reasons": failures[:FAILURE_REASONS], "seed": spec.seed},
     )

@@ -129,6 +129,15 @@ class TestTune:
         assert payload["gamma"] == pytest.approx(2.77e-2, abs=1e-4)
         assert payload["huber_m"] == 6.0
 
+    def test_evaluation_counts_recorded(self, tmp_path, sine_csv):
+        out = tmp_path / "t.json"
+        main(["tune", str(sine_csv), "--method", "savgol", "--starts", "2",
+              "--max-evals", "15", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert 0 < payload["distinct_evaluations"] <= payload["evaluations"]
+        assert payload["failed_evaluations"] == 0
+        assert payload["failure_reasons"] == []
+
     def test_outliers_flag_switches_m(self, tmp_path, sine_csv):
         out = tmp_path / "t.json"
         main(["tune", str(sine_csv), "--method", "savgol", "--outliers",

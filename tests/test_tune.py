@@ -222,6 +222,36 @@ class TestAutotune:
                 assert value == int(value)
         assert config.phi["window"] % 2 == 1
 
+    def test_reports_failed_and_distinct_evaluations(self, monkeypatch):
+        from dataclasses import replace
+
+        from derivkit import NumericError, methods
+
+        base = methods.get_method("savgol")
+
+        def flaky(signal, phi, nu):
+            if phi["post_smooth_sigma"] > 5.0:
+                raise NumericError(f"post_smooth_sigma={phi['post_smooth_sigma']:g} refused")
+            return base.run(signal, phi, nu)
+
+        monkeypatch.setitem(methods._REGISTRY, "flaky_savgol",
+                            replace(base, name="flaky_savgol", run=flaky))
+        s, _ = noisy_sine(n=200, seed=5)
+        config = autotune("flaky_savgol", s, TuneSpec(starts=4, max_evals=40, seed=1))
+        info = config.info
+        assert 0 < info["failed_evaluations"] < info["evaluations"]
+        assert 0 < info["distinct_evaluations"] <= info["evaluations"]
+        assert 1 <= len(info["failure_reasons"]) <= 3
+        assert all("refused" in reason for reason in info["failure_reasons"])
+        assert config.phi["post_smooth_sigma"] <= 5.0
+
+    def test_integer_parameters_repeat_evaluations(self):
+        s, _ = noisy_sine(n=200, seed=6)
+        info = autotune("poly", s, TuneSpec(starts=2, max_evals=60, seed=0)).info
+        assert info["failed_evaluations"] == 0
+        assert info["failure_reasons"] == []
+        assert 0 < info["distinct_evaluations"] < info["evaluations"]
+
     def test_huber_m_default_switches_with_outliers(self):
         assert TuneSpec().resolved_m == 6.0
         assert TuneSpec(outliers=True).resolved_m == 2.0
