@@ -128,16 +128,17 @@ _L1_EPS = 1e-8
 class RobustSpec:
     """Loss choices for the joint MAP smoother.
 
-    ``huber_m_*`` give the quadratic-to-linear radius in units of the
-    noise-normalized residual; they are ignored for non-Huber losses.
+    ``huber_m_*`` give the quadratic-to-linear radius in units of the noise-normalized
+    residual; other losses ignore them. Reweighting stops once no state moves by more
+    than ``tol * (1 + max |state|)`` in an iteration, or after ``max_iter`` iterations.
     """
 
     process_loss: str = "quadratic"
     measurement_loss: str = "huber"
     huber_m_process: float = 2.0
     huber_m_measurement: float = 2.0
-    tol: float = 1e-8
-    max_iter: int = 100
+    tol: float = 1e-6
+    max_iter: int = 50
 
     def __post_init__(self):
         for name, loss in (("process_loss", self.process_loss),

@@ -305,8 +305,7 @@ def _robust_params(signal: Signal):
 
 
 def _robust_run(signal, phi, nu):
-    spec = kalman.RobustSpec(process_loss="quadratic", measurement_loss="huber",
-                             huber_m_measurement=phi["m"], tol=1e-6, max_iter=50)
+    spec = kalman.RobustSpec(huber_m_measurement=phi["m"])
     return kalman.robustdiff(signal, nu=int(phi["nu"]), q=phi["q"], r=phi["r"], spec=spec)
 
 

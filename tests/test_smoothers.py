@@ -1,9 +1,20 @@
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from rbf_reference import dense_rbf
+from scipy.linalg import get_lapack_funcs
 
+import derivkit
 from derivkit import (
     Grid,
     KernelSpec,
+    NumericError,
     Signal,
     SplineSpec,
     ValidationError,
@@ -17,6 +28,8 @@ from derivkit import (
     savgoldiff,
     splinediff,
 )
+from derivkit import smoothers
+from derivkit.methods import RBF_TRUNCATION_FACTOR
 from derivkit.smoothers import _kernel_weights, butter_single_pass
 
 
@@ -349,6 +362,104 @@ class TestRbfdiff:
         sl = slice(20, -20)
         err = np.sqrt(np.mean((np.asarray(r.derivative)[sl] - 2 * np.cos(2 * t)[sl]) ** 2))
         assert err < 0.4 * np.sqrt(np.mean(4 * np.cos(2 * t) ** 2))
+
+
+_RBF_GRIDS = {
+    "uniform": Grid.regular(400, 0.01),
+    # half of 6000 samples at dt = 0.005 dropped at random
+    "irregular": Grid(0.005 * np.sort(np.random.default_rng(40).choice(6000, 3000, replace=False))),
+}
+
+
+def _rbf_signal(kind):
+    g = _RBF_GRIDS[kind]
+    noise = 0.1 * np.random.default_rng(41).standard_normal(len(g))
+    return Signal(g, np.sin(3 * g.points) + noise)
+
+
+class TestRbfAgainstDense:
+    """The banded assembly against the dense N x N oracle."""
+
+    @pytest.mark.parametrize("damping", [1e-8, 0.1, 10.0])
+    @pytest.mark.parametrize("width", ["1.5dt", "8dt", "span/8"])
+    @pytest.mark.parametrize("kind", ["uniform", "irregular"])
+    def test_matches_dense_oracle(self, kind, width, damping):
+        s = _rbf_signal(kind)
+        span = s.grid.span
+        dt = span / (len(s) - 1)
+        sigma = {"1.5dt": 1.5 * dt, "8dt": 8 * dt, "span/8": span / 8}[width]
+        rho = RBF_TRUNCATION_FACTOR * sigma
+        ref = dense_rbf(s.grid.points, s.values, sigma, rho, damping)
+        out = rbfdiff(s, sigma=sigma, rho=rho, damping=damping)
+        for got, want, weights in ((out.smoothed, ref.smoothed, ref.A),
+                                   (out.derivative, ref.derivative, ref.Adot)):
+            err = np.max(np.abs(got - want))
+            if damping >= 0.1:
+                assert err <= 1e-12 * np.max(np.abs(want))
+            else:
+                # cond(M) reaches 1e8-1e13 here, so the coefficients are large
+                # and both products cancel: they are fixed only to the rounding
+                # of a sum, a few eps * (|W| |coef|), whatever its order.
+                bound = np.max(np.abs(weights) @ np.abs(ref.coef))
+                assert err <= 4 * np.finfo(float).eps * bound
+
+    def test_radius_below_smallest_gap_is_diagonal(self):
+        s = _rbf_signal("uniform")
+        ref = dense_rbf(s.grid.points, s.values, 0.002, 0.004, 0.1)
+        assert ref.half_bw == 0
+        out = rbfdiff(s, sigma=0.002, rho=0.004, damping=0.1)
+        np.testing.assert_allclose(out.smoothed, ref.smoothed, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(out.derivative, 0.0)
+
+    def test_failed_solve_reports_band_condition_estimate(self, monkeypatch):
+        s = _rbf_signal("uniform")
+
+        def lapack_with_failing_solve(names, arrays):
+            gbsv, gbcon = get_lapack_funcs(names, arrays)
+
+            def gbsv_nan(*args, **kwargs):
+                lu, piv, x, info = gbsv(*args, **kwargs)
+                return lu, piv, np.full_like(x, np.nan), info
+
+            return gbsv_nan, gbcon
+
+        monkeypatch.setattr(smoothers, "get_lapack_funcs", lapack_with_failing_solve)
+        with pytest.raises(NumericError, match="banded radial-basis solve failed") as exc:
+            rbfdiff(s, sigma=0.05, rho=0.25, damping=1e-3)
+        estimate = float(re.search(r"condition estimate ([^)]+)\)", str(exc.value)).group(1))
+        cond1 = np.linalg.cond(dense_rbf(s.grid.points, s.values, 0.05, 0.25, 1e-3).M, 1)
+        # LAPACK's 1-norm estimate is a lower bound, printed to three digits
+        assert cond1 / 10 <= estimate <= 1.01 * cond1
+
+    def test_singular_system_raises(self):
+        # sigma far above the span rounds every kernel entry to 1: A is all ones
+        s = Signal(Grid.regular(20, 0.01), np.arange(20.0))
+        with pytest.raises(NumericError, match="condition estimate inf"):
+            rbfdiff(s, sigma=1e9, rho=2e9, damping=0.0)
+
+    def test_1e5_irregular_samples_in_bounded_memory(self):
+        # The dense assembly needed 80 GB per N x N matrix here. The peak is
+        # the child's VmHWM: ru_maxrss keeps the high-water mark of the test
+        # process that started it, which the oracle cases above push past 600 MB.
+        script = textwrap.dedent("""
+            import re
+            from pathlib import Path
+            import numpy as np
+            from derivkit import Grid, Signal, apply_method
+            rng = np.random.default_rng(0)
+            t = 0.005 * np.sort(rng.choice(200_000, 100_000, replace=False))
+            y = np.sin(t) + 0.1 * rng.standard_normal(len(t))
+            out = apply_method("rbf", Signal(Grid(t), y))
+            finite = np.all(np.isfinite(out.smoothed)) and np.all(np.isfinite(out.derivative))
+            peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]
+            print(bool(finite), peak_kb)
+        """)
+        src = str(Path(derivkit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+        finite, peak_kb = proc.stdout.split()
+        assert finite == "True"
+        assert int(peak_kb) < 500 * 1024
 
 
 class TestConstantsMapToConstants:

@@ -103,6 +103,16 @@ class TestProxyLoss:
         assert proxy_loss(xdot, s, gamma=0.0) == pytest.approx(
             rmse(integral + mu, s.values), rel=1e-12)
 
+    @pytest.mark.parametrize("loss", [proxy_loss, robust_proxy_loss])
+    def test_epoch_offset_leaves_loss_unchanged(self, loss):
+        # 1.7e9 + t is stored to 2.4e-7, so the shifted grid's step is
+        # 0.01 * (1 + 1e-9): compare with a grid of that same step at t0 = 0
+        s, _ = noisy_sine(n=1000)
+        shifted = Signal(Grid(1.7e9 + s.grid.points), s.values)
+        same_step = Signal(Grid.regular(1000, shifted.grid.dt), s.values)
+        xdot = np.gradient(s.values, 0.01)
+        assert loss(xdot, shifted, 0.1) == pytest.approx(loss(xdot, same_step, 0.1), rel=1e-12)
+
 
 class TestRobustProxyLoss:
     def test_quadratic_branch_equals_proxy(self):
