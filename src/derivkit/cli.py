@@ -205,12 +205,11 @@ def cmd_bench(args) -> int:
             raise UsageError(f"bench config is missing key {key!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    optional = {key: cast(config[key]) for key, cast in (("cutoff_hz", float), ("T", float),
+                ("dt", float), ("starts", int), ("max_evals", int)) if key in config}
     table = benchmark_sweep(
         config["methods"], config["cases"], config["axis"], config["values"],
-        seeds=int(config["seeds"]), cutoff_hz=float(config.get("cutoff_hz", 3.0)),
-        T=float(config.get("T", 4.0)), dt=float(config.get("dt", 0.01)),
-        starts=int(config.get("starts", 3)), max_evals=int(config.get("max_evals", 30)),
-        workers=args.workers)
+        seeds=int(config["seeds"]), workers=args.workers, **optional)  # absent: its defaults
 
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -277,23 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="pick hyperparameters without ground truth")
     p.add_argument("input")
     p.add_argument("--method", required=True, choices=method_names())
-    p.add_argument("--cutoff-hz", type=float, default=3.0)
+    p.add_argument("--cutoff-hz", type=float, default=TuneSpec.cutoff_hz)
     p.add_argument("--outliers", action="store_true",
                    help="data contains outliers (Huber M becomes 2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--max-evals", type=int, default=200)
+    p.add_argument("--seed", type=int, default=TuneSpec.seed)
+    p.add_argument("--starts", type=int, default=TuneSpec.starts)
+    p.add_argument("--max-evals", type=int, default=TuneSpec.max_evals)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("simulate", help="generate benchmark data")
     p.add_argument("--case", required=True, choices=CASE_NAMES)
-    p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--t-span", type=float, default=4.0)
-    p.add_argument("--noise", default="normal", choices=NOISE_FAMILIES)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=SimulationCase.dt)
+    p.add_argument("--t-span", type=float, default=SimulationCase.T)
+    p.add_argument("--noise", default=NoiseSpec.family, choices=NOISE_FAMILIES)
+    p.add_argument("--scale", type=float, default=NoiseSpec.scale)
     p.add_argument("--outliers", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=NoiseSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

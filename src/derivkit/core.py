@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 #: Relative tolerance used to decide whether a grid is uniformly spaced.
 UNIFORM_RTOL = 1e-9
@@ -242,8 +243,24 @@ def _require_uniform(signal: Signal, what: str) -> float:
     return signal.grid.dt
 
 
-def _cumtrapz(steps, v: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of ``v`` over ``steps`` (per gap, or one common step); out[0] = 0."""
+def _solve_banded(k: int, ab: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve the band matrix ``ab[k + i - j, j] = M[i, j]`` by LAPACK ``gbsv`` on a
+    ``(3k+1, N)`` copy; a failed or non-finite solve raises NumericError: ``what``, then
+    ``gbcon``'s 1-norm condition estimate from the same LU (``inf`` when singular)."""
+    gbsv, gbcon = get_lapack_funcs(("gbsv", "gbcon"), (ab,))
+    lu = np.zeros((3 * k + 1, ab.shape[1]), order="F")  # k more rows for the LU's fill-in
+    lu[k:] = ab
+    lu, piv, x, info = gbsv(k, k, lu, rhs, overwrite_ab=True)
+    if info != 0 or not np.all(np.isfinite(x)):
+        rcond, _ = gbcon(k, k, lu, piv, np.abs(ab).sum(axis=0).max())
+        raise NumericError(f"{what} (condition estimate {1.0 / rcond if rcond else np.inf:.2e})")
+    return x
+
+
+def _cumtrapz(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid of ``v`` over ``grid``, out[0] = 0; uniform grids use ``dt``,
+    as differences of epoch timestamps would carry ``|t| * eps`` into every step."""
+    steps = grid.dt if grid.uniform else np.diff(grid.points)
     out = np.empty_like(v, dtype=float)
     out[0] = 0.0
     np.cumsum(0.5 * (v[1:] + v[:-1]) * steps, out=out[1:])
@@ -257,7 +274,7 @@ def cumtrapz(signal: Signal) -> np.ndarray:
     ``0.5 * (v[n] + v[n-1]) * (t[n] - t[n-1])``.
     """
     validate(signal)
-    return _cumtrapz(np.diff(signal.grid.points), signal.values)
+    return _cumtrapz(signal.grid, signal.values)
 
 
 def total_variation(v) -> float:

@@ -8,6 +8,8 @@ a stencil ``[s_0, ..., s_{S-1}]`` and derivative order ``nu``, solve
 Centered schemes are used on the interior and one-sided schemes of matching
 accuracy at the edges. Irregular grids solve one Vandermonde system per
 sample in units of the independent variable, batched over the interior.
+One plan holds every stencil, solved once per call: ``fd_derivative``,
+every ``iterated_fd`` pass and TVR's sparse difference matrix apply it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +61,7 @@ class Stencil:
             raise ValidationError("stencil offsets must be distinct")
 
 
-def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float) -> np.ndarray:
+def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float, stacklevel=3) -> np.ndarray:
     """Coefficients for each row of ``locs`` (``(..., S)``); warns on the worst-conditioned."""
     size = locs.shape[-1]
     V = np.ones(locs.shape[:-1] + (size, size))
@@ -72,7 +75,7 @@ def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float) -> np.ndarra
             f"stencil system condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}; "
             "coefficients may be inaccurate",
             ConditioningWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return np.linalg.solve(V, rhs)[..., 0]
 
@@ -133,6 +136,44 @@ def _edge_plan(n_points: int, nu: int, order: int):
     return h, edges
 
 
+class _FdPlan(NamedTuple):
+    """Points ``h <= n < N - h`` take the centered ``interior`` coefficients (one row, or
+    one per point on an irregular grid); ``edges`` lists ``(n, window, c)``: ``c @ y[window]``."""
+
+    h: int
+    interior: np.ndarray
+    edges: tuple
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        deriv = np.empty(len(y))
+        inner = slice(self.h, len(y) - self.h)
+        if self.interior.ndim == 1:
+            deriv[inner] = np.convolve(y, self.interior[::-1], mode="valid")
+        else:
+            deriv[inner] = np.vecdot(self.interior, sliding_window_view(y, 2 * self.h + 1))
+        for n, window, c in self.edges:
+            deriv[n] = c @ y[window]
+        return deriv
+
+
+def _fd_plan(n_points: int, nu: int, order: int, dt: float | None, t=None) -> _FdPlan:
+    """The plan on a uniform grid of step ``dt`` (stencils in steps, scaled by
+    ``dt^-nu``), or, for ``dt=None``, on the irregular points ``t``."""
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order}")
+    h, edges = _edge_plan(n_points, nu, order)
+    if dt is not None:
+        t, scale = np.arange(n_points, dtype=float), dt ** -nu
+        interior = _vandermonde_solve(np.arange(-h, h + 1.0), nu, scale, stacklevel=4)
+    else:
+        scale, windows = 1.0, sliding_window_view(t, 2 * h + 1)
+        interior = _vandermonde_solve(windows - t[h : n_points - h, None], nu, scale, stacklevel=4)
+    return _FdPlan(h, interior, tuple(
+        (n, slice(lo, lo + size),
+         _vandermonde_solve(t[lo : lo + size] - t[n], nu, scale, stacklevel=4))
+        for n, lo, size in edges))
+
+
 def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResult:
     """Pointwise finite-difference derivative; does no smoothing.
 
@@ -143,92 +184,51 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
     windows, in units of the independent variable.
     """
     validate(signal)
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    t = signal.grid.points
     y = signal.values
-    n_points = len(y)
-    h, edges = _edge_plan(n_points, nu, order)
-    uniform = signal.grid.uniform
-    scale = signal.grid.dt ** -nu if uniform else 1.0
-    inner = slice(h, n_points - h)
-
-    deriv = np.empty(n_points)
-    if uniform:
-        c = _vandermonde_solve(np.arange(-h, h + 1.0), nu, scale)
-        deriv[inner] = np.convolve(y, c[::-1], mode="valid")
-    else:
-        c = _vandermonde_solve(sliding_window_view(t, 2 * h + 1) - t[inner, None], nu, scale)
-        deriv[inner] = np.vecdot(c, sliding_window_view(y, 2 * h + 1))
-    for n, lo, size in edges:
-        locs = np.arange(lo - n, lo - n + size, dtype=float) if uniform else t[lo : lo + size] - t[n]
-        deriv[n] = _vandermonde_solve(locs, nu, scale) @ y[lo : lo + size]
-
-    return DerivativeResult(
-        smoothed=y,
-        derivative=deriv,
-        method="fd",
-        phi={"nu": nu, "order": order},
-    )
+    plan = _fd_plan(len(y), nu, order, signal.grid.dt, signal.grid.points)
+    return DerivativeResult(smoothed=y, derivative=plan.apply(y), method="fd",
+                            phi={"nu": nu, "order": order})
 
 
-def _safe_first_derivative(y: np.ndarray, dt: float, order: int) -> np.ndarray:
-    """First derivative whose coefficients all satisfy ``|c * dt| <= 1``.
-
-    Endpoints use the spaced stencils [0, 2, 4] / [0, -2, -4]; near-edge
-    points shrink the centered stencil. Used by the iterated-FD smoothing
-    pass, where large one-sided edge coefficients would amplify noise.
-    """
-    n_points = len(y)
-    h = _centered_halfwidth(1, order)
-    if n_points < max(2 * h + 1, 5):
-        raise ValidationError(f"iterated_fd needs at least {max(2 * h + 1, 5)} samples")
-    out = np.empty(n_points)
-    c_center = stencil_coefficients(Stencil(tuple(range(-h, h + 1)), 1), dt)
-    out[h : n_points - h] = np.convolve(y, c_center[::-1], mode="valid")
-    c_spaced = stencil_coefficients(Stencil((0, 2, 4), 1), dt)
-    out[0] = c_spaced @ y[(0, 2, 4),]
-    out[-1] = -(c_spaced @ y[(-1, -3, -5),])
-    for n in range(1, h):
-        c = stencil_coefficients(Stencil(tuple(range(-n, n + 1)), 1), dt)
-        out[n] = c @ y[: 2 * n + 1]
-        out[n_points - 1 - n] = c @ y[n_points - 2 * n - 1 :]
-    return out
+def _smoothing_plan(plan: _FdPlan, n_points: int, dt: float) -> _FdPlan:
+    """``plan`` (nu = 1) with endpoint stencils [0, 2, 4] / [0, -2, -4]: with the shrunk
+    centered ones near the edges, every coefficient satisfies ``|c * dt| <= 1``."""
+    c, last = _vandermonde_solve(np.array([0.0, 2.0, 4.0]), 1, dt ** -1), n_points - 1
+    ends = (0, [0, 2, 4], c), (last, [last, last - 2, last - 4], -c)
+    return plan._replace(edges=(ends[0], *plan.edges[1:-1], ends[1]))
 
 
 def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> DerivativeResult:
     """Smooth by repeated differentiate-then-integrate passes, then differentiate.
 
-    Each iteration applies a first-derivative pass (with edge-safe stencils),
-    cumulatively integrates with the trapezoid rule, and re-anchors the lost
-    integration constant as a mean offset. One round is equivalent to an IIR
-    low-pass filter; more iterations sharpen the cutoff. Uniform grids only.
+    Each iteration applies the ``fd`` first-derivative plan, with edge-safe
+    endpoint stencils, cumulatively integrates with the trapezoid rule, and
+    re-anchors the lost integration constant as a mean offset. One round is
+    equivalent to an IIR low-pass filter; more iterations sharpen the cutoff.
+    Uniform grids only; the stencils are solved once per call.
     """
     dt = _require_uniform(signal, "iterated_fd")
     if iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {iterations}")
+    if iterations and len(signal) < (needed := max(2 * _centered_halfwidth(1, order) + 1, 5)):
+        raise ValidationError(f"iterated_fd needs at least {needed} samples")
+    plan = _fd_plan(len(signal), 1, order, dt)
+    smoothing = _smoothing_plan(plan, len(signal), dt)
     z = np.array(signal.values)
     for _ in range(iterations):
-        d = _safe_first_derivative(z, dt, order)
-        integ = _cumtrapz(dt, d)
+        integ = _cumtrapz(signal.grid, smoothing.apply(z))
         z = integ + (np.mean(z) - np.mean(integ))
-    final = fd_derivative(Signal(signal.grid, z), nu=1, order=order)
-    return DerivativeResult(
-        smoothed=z,
-        derivative=final.derivative,
-        method="iterated_fd",
-        phi={"order": order, "iterations": iterations},
-    )
+    return DerivativeResult(smoothed=z, derivative=plan.apply(z), method="iterated_fd",
+                            phi={"order": order, "iterations": iterations})
 
 
 def _first_diff_matrix(n_points: int, dt: float) -> sp.csr_matrix:
-    """Order-2 first-derivative matrix: centered interior, one-sided edge rows."""
-    idx = np.arange(1, n_points - 1)
-    last = n_points - 1
-    rows = np.concatenate([[0, 0, 0], np.repeat(idx, 2), [last] * 3])
-    cols = np.concatenate([[0, 1, 2], np.column_stack([idx - 1, idx + 1]).ravel(),
-                           [last - 2, last - 1, last]])
-    vals = np.concatenate([[-3 / (2 * dt), 4 / (2 * dt), -1 / (2 * dt)],
-                           np.tile([-1 / (2 * dt), 1 / (2 * dt)], len(idx)),
-                           [1 / (2 * dt), -4 / (2 * dt), 3 / (2 * dt)]])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_points, n_points))
+    """The order-2 first-derivative plan as a sparse matrix (explicit zeros dropped)."""
+    h, interior, edges = _fd_plan(n_points, 1, 2, dt)
+    inner = np.arange(h, n_points - h)
+    rows = np.concatenate([np.repeat(inner, 2 * h + 1), *(np.full(len(c), n) for n, _, c in edges)])
+    cols = np.concatenate([(inner[:, None] + np.arange(-h, h + 1)).ravel(),
+                           *(np.arange(n_points)[window] for _, window, _ in edges)])
+    vals = np.concatenate([np.tile(interior, len(inner)), *(c for _, _, c in edges)])
+    keep = vals != 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n_points, n_points))

@@ -246,8 +246,9 @@ RBF_TRUNCATION_FACTOR = float(np.sqrt(2.0 * np.log(1e4)))
 
 def _rbf_params(signal: Signal):
     dt = signal.grid.span / (len(signal) - 1)
+    # capped in samples: the band holds ~2 rho / dt = 2 * 4.3 sigma / dt diagonals
     return (
-        ParamSpec("sigma", 1.5 * dt, signal.grid.span / 8, "log", 8 * dt),
+        ParamSpec("sigma", 1.5 * dt, min(signal.grid.span / 8, 64 * dt), "log", 8 * dt),
         ParamSpec("damping", 1e-8, 10.0, "log", 0.1),
     )
 

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import BSpline
-from scipy.linalg import get_lapack_funcs
 from scipy.signal import butter, sosfilt, sosfiltfilt
 from scipy.sparse.linalg import spsolve
 
@@ -25,6 +24,7 @@ from .core import (
     Signal,
     ValidationError,
     _require_uniform,
+    _solve_banded,
     validate,
 )
 from .fd import fd_derivative
@@ -312,13 +312,9 @@ def _curvature_factor(knots: np.ndarray, k: int, m: int) -> sp.csr_matrix:
     spans = np.unique(inner)
     npts = k2 + 1  # integrand is piecewise degree 2*k2; exact for Gauss order k2+1
     nodes, wts = np.polynomial.legendre.leggauss(npts)
-    pts, weights = [], []
-    for a, b in zip(spans[:-1], spans[1:]):
-        half = 0.5 * (b - a)
-        pts.append(0.5 * (a + b) + half * nodes)
-        weights.append(half * wts)
-    pts = np.concatenate(pts)
-    weights = np.concatenate(weights)
+    half = 0.5 * np.diff(spans)[:, None]
+    pts = (0.5 * (spans[:-1] + spans[1:])[:, None] + half * nodes).ravel()
+    weights = (half * wts).ravel()
     Bq = BSpline.design_matrix(pts, inner, k2)
     return (Bq.multiply(np.sqrt(weights)[:, None]) @ L).tocsr()
 
@@ -452,14 +448,7 @@ def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> D
     gaps = sliding_window_view(padded, 2 * b + 1).T - t
     band = np.where(np.abs(gaps) < rho, np.exp(-0.5 * (gaps / sigma) ** 2), 0.0)
     band[b] += damping
-    gbsv, gbcon = get_lapack_funcs(("gbsv", "gbcon"), (band,))
-    lu = np.zeros((3 * b + 1, n), order="F")  # b more rows for the LU's fill-in
-    lu[b:] = band
-    lu, piv, coef, info = gbsv(b, b, lu, signal.values, overwrite_ab=True)
-    if info != 0 or not np.all(np.isfinite(coef)):
-        rcond, _ = gbcon(b, b, lu, piv, np.abs(band).sum(axis=0).max())
-        raise NumericError("banded radial-basis solve failed "
-                           f"(condition estimate {1.0 / rcond if rcond else np.inf:.2e})")
+    coef = _solve_banded(b, band, signal.values, "banded radial-basis solve failed")
     windows = sliding_window_view(np.pad(coef, b), 2 * b + 1)
     gaps *= band  # over sigma^2, the kernel's derivative: zero on the diagonal, where damping sits
     return DerivativeResult(

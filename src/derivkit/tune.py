@@ -79,9 +79,7 @@ def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("derivative length must match the signal")
     if not np.all(np.isfinite(xdot)):
         raise ValidationError("derivative must be finite")
-    # differences of epoch timestamps would carry |t| * eps into every step
-    steps = signal.grid.dt if signal.grid.uniform else np.diff(signal.grid.points)
-    return _cumtrapz(steps, xdot), xdot
+    return _cumtrapz(signal.grid, xdot), xdot
 
 
 def proxy_loss(derivative, signal: Signal, gamma: float) -> float:

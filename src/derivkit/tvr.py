@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
 
-from .core import DerivativeResult, NumericError, Signal, ValidationError, _require_uniform
+from .core import DerivativeResult, Signal, ValidationError, _require_uniform, _solve_banded
 from .fd import _first_diff_matrix
 from .smoothers import _gaussian_blur
 
@@ -65,9 +64,9 @@ class TvrSpec:
             raise ValidationError("soften_sigma must be >= 0")
 
 
-def _difference_operator(n: int, dt: float, nu: int) -> sp.csr_matrix:
-    """Adjacent differences of the nu-th FD derivative: the TV argument."""
-    D = _first_diff_matrix(n, dt)
+def _difference_operator(n: int, dt: float, nu: int, D=None) -> sp.csr_matrix:
+    """The TV argument: adjacent differences of ``D^nu`` (``D`` is built unless given)."""
+    D = _first_diff_matrix(n, dt) if D is None else D
     Dnu = D
     for _ in range(nu - 1):
         Dnu = D @ Dnu
@@ -76,12 +75,11 @@ def _difference_operator(n: int, dt: float, nu: int) -> sp.csr_matrix:
 
 
 def _kkt_band(E: sp.csr_matrix) -> tuple[int, np.ndarray]:
-    """``[[I, E^T], [E, 0]]`` in the LAPACK band storage of ``gbsv``.
+    """``[[I, E^T], [E, 0]]`` in LAPACK band storage, ``band[k + i - j, j] = M[i, j]``.
 
     The unknowns are interleaved (``x_0, z_0, x_1, z_1, ...``) so that the
-    matrix has half-bandwidth ``k``; the rows ``0..k-1`` are the workspace of
-    the LU factorization and the ``z`` diagonal (row ``2k``, odd columns) is
-    left zero for the caller to fill.
+    matrix has half-bandwidth ``k`` and the band is ``(2k+1, n+m)``; the ``z``
+    diagonal (row ``k``, odd columns) is left zero for the caller to fill.
     """
     m, n = E.shape
     coo = E.tocoo()
@@ -89,8 +87,8 @@ def _kkt_band(E: sp.csr_matrix) -> tuple[int, np.ndarray]:
     cols = np.concatenate([2 * coo.row + 1, 2 * coo.col, 2 * np.arange(n)])
     vals = np.concatenate([coo.data, coo.data, np.ones(n)])
     k = int(np.max(np.abs(rows - cols)))
-    band = np.zeros((3 * k + 1, n + m), order="F")
-    band[2 * k + rows - cols, cols] = vals
+    band = np.zeros((2 * k + 1, n + m), order="F")
+    band[k + rows - cols, cols] = vals
     return k, band
 
 
@@ -124,9 +122,7 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
     abs_E = abs(E)
     lam = 0.5 * weight * scale
     k, kkt = _kkt_band(E)
-    gbsv = get_lapack_funcs("gbsv", (kkt,))
-    band = np.empty_like(kkt)
-    z_diag = (2 * k, slice(1, None, 2))
+    z_diag = (k, slice(1, None, 2))
     rhs = np.zeros(kkt.shape[1])
     # rounding error of one entry of E x, relative to (|E| |x|)_i
     rounding = np.finfo(float).eps * float(np.max(np.diff(E.indptr)))
@@ -167,13 +163,10 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
         s1, s2 = lam - z, lam + z
         res = residuals(x, z, mu1, mu2)
         r_p, r_d, r_c1, r_c2 = res
-        np.copyto(band, kkt)
-        band[z_diag] = -(mu1 / s1 + mu2 / s2)
+        kkt[z_diag] = -(mu1 / s1 + mu2 / s2)
         rhs[0::2] = -r_p
         rhs[1::2] = r_d - r_c1 / s1 + r_c2 / s2
-        _, _, sol, info = gbsv(k, k, band, rhs, overwrite_ab=True)
-        if info != 0:
-            raise NumericError(f"singular Newton system in tvrdiff (info {info})")
+        sol = _solve_banded(k, kkt, rhs, "singular Newton system in tvrdiff")
         dx, dz = sol[0::2], sol[1::2]
         dmu1 = (mu1 * dz - r_c1) / s1
         dmu2 = -(mu2 * dz + r_c2) / s2
@@ -209,12 +202,13 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     dt = _require_uniform(signal, "tvrdiff")
     y = signal.values
     n = len(y)
-    E = _difference_operator(n, dt, spec.nu)
+    D = _first_diff_matrix(n, dt)
+    E = _difference_operator(n, dt, spec.nu, D)
     x, obj, gap, converged, iterations = _interior_point(y, E, spec.gamma / n, spec.tol,
                                                          spec.max_iter)
     return DerivativeResult(
         smoothed=x,
-        derivative=_first_diff_matrix(n, dt) @ x,
+        derivative=D @ x,
         method="tvr",
         phi={"nu": spec.nu, "gamma": spec.gamma},
         flags={"converged": converged, "iterations": iterations, "objective": obj,

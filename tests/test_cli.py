@@ -194,6 +194,21 @@ class TestBench:
         assert summary["cells"] == 1
         assert "rmse_monotone_increasing" in summary
 
+    def test_optional_keys_default_to_sweep_defaults(self, tmp_path):
+        required = {"methods": ["savgol"], "cases": ["sine_sum"],
+                    "axis": "noise_scale", "values": [1.0], "seeds": 1}
+        spelled = {**required, "cutoff_hz": 3.0, "T": 4.0, "dt": 0.01,
+                   "starts": 3, "max_evals": 30}
+        tables = []
+        for name, config in (("bare", required), ("spelled", spelled)):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(config))
+            out_dir = tmp_path / name
+            assert main(["bench", "--config", str(cfg_path),
+                         "--out-dir", str(out_dir), "--workers", "1"]) == 0
+            tables.append((out_dir / "bench.csv").read_text())
+        assert tables[0] == tables[1]
+
     def test_missing_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": ["savgol"]}))

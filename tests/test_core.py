@@ -150,6 +150,15 @@ class TestCumtrapz:
         exact = a / 2 * (t**2 - t[0] ** 2) + b * (t - t[0])
         np.testing.assert_allclose(integral, exact, rtol=1e-12, atol=1e-12)
 
+    def test_epoch_offset_matches_same_step_at_zero(self):
+        # 1.7e9 + t is stored to 2.4e-7; differences of such timestamps were
+        # 6.5e-7 relative off. Compare with a t0 = 0 grid of the same step.
+        v = np.sin(0.01 * np.arange(1000)) + 0.3
+        shifted = Grid.regular(1000, 0.01, t0=1.7e9)
+        same_step = Grid.regular(1000, shifted.dt)
+        np.testing.assert_allclose(cumtrapz(Signal(shifted, v)), cumtrapz(Signal(same_step, v)),
+                                   rtol=1e-12, atol=0)
+
 
 class TestTotalVariation:
     def test_two_unit_steps(self):

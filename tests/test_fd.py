@@ -13,7 +13,9 @@ from derivkit import (
     iterated_fd,
     stencil_coefficients,
 )
-from derivkit.fd import _edge_plan, _safe_first_derivative
+from fd_reference import first_diff_table, safe_first_derivative
+
+from derivkit.fd import _edge_plan, _fd_plan, _first_diff_matrix, _smoothing_plan
 
 
 def brute_vandermonde(distances, nu):
@@ -53,6 +55,12 @@ class TestStencilCoefficients:
     def test_conditioning_warning(self):
         with pytest.warns(ConditioningWarning):
             irregular_coefficients([0.0, 1e-9, 1.0, 2.0, 3.0, 4.0, 5.0], 1)
+
+    def test_conditioning_warning_points_at_fd_derivative_caller(self):
+        t = np.concatenate([[0.0, 1e-12], np.arange(1.0, 30.0)])
+        with pytest.warns(ConditioningWarning) as record:
+            fd_derivative(Signal(Grid(t), np.sin(t)), nu=1, order=6)
+        assert record[0].filename == __file__
 
 
 class TestIrregularCoefficients:
@@ -216,12 +224,12 @@ class TestIteratedFd:
         # every scheme used by the smoothing pass satisfies |c * dt| <= 1
         dt = 0.05
         for order in (2, 4):
-            probe = np.zeros(24)
+            smoothing = _smoothing_plan(_fd_plan(24, 1, order, dt), 24, dt)
             rows = []
             for i in range(24):
                 e = np.zeros(24)
                 e[i] = 1.0
-                rows.append(_safe_first_derivative(e, dt, order))
+                rows.append(smoothing.apply(e))
             coeffs = np.array(rows).T  # row n = coefficients applied at point n
             assert np.max(np.abs(coeffs) * dt) <= 1.0 + 1e-12
 
@@ -232,3 +240,52 @@ class TestIteratedFd:
         noisy = clean + 0.1 * rng.standard_normal(200)
         out = iterated_fd(Signal(g, noisy), iterations=20).smoothed
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
+
+
+class TestPlanAgainstHandWrittenStencils:
+    """The one finite-difference plan against the stencils it replaced."""
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_smoothing_pass_matches_per_pass_stencils(self, order):
+        rng = np.random.default_rng(order)
+        dt = 0.01
+        first = max(2 * (order // 2) + 1, 5)
+        for n in range(first, 401):
+            y = rng.standard_normal(n)
+            smoothing = _smoothing_plan(_fd_plan(n, 1, order, dt), n, dt)
+            np.testing.assert_array_equal(smoothing.apply(y), safe_first_derivative(y, dt, order))
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_iterated_fd_matches_per_pass_loop(self, order):
+        rng = np.random.default_rng(30 + order)
+        g = Grid.regular(120, 0.01)
+        y = np.sin(4 * g.points) + 0.1 * rng.standard_normal(120)
+        z = y.copy()
+        for _ in range(7):
+            d = safe_first_derivative(z, 0.01, order)
+            integ = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * 0.01)])
+            z = integ + (np.mean(z) - np.mean(integ))
+        out = iterated_fd(Signal(g, y), order=order, iterations=7)
+        np.testing.assert_array_equal(out.smoothed, z)
+        np.testing.assert_array_equal(out.derivative,
+                                      fd_derivative(Signal(g, z), nu=1, order=order).derivative)
+
+    def test_too_short_for_smoothing_pass(self):
+        s = Signal(Grid.regular(4, 0.1), np.arange(4.0))
+        with pytest.raises(ValidationError, match="iterated_fd needs at least 5 samples"):
+            iterated_fd(s, order=2, iterations=1)
+        iterated_fd(s, order=2, iterations=0)  # the plain read-out needs only 3
+
+    @pytest.mark.parametrize("dt", [0.01, 0.001, 0.005, 1 / 3])
+    def test_first_diff_matrix_equals_hand_typed_table(self, dt):
+        got, want = _first_diff_matrix(50, dt), first_diff_table(50, dt)
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+    def test_first_diff_matrix_one_sided_rows_within_one_ulp(self):
+        # at dt = 0.37 the solved -1.5 * (1/dt) and the typed -3 / (2 dt) differ in the last bit
+        dt = 0.37
+        diff = abs(_first_diff_matrix(50, dt) - first_diff_table(50, dt)).toarray()
+        assert 0 < diff.max() <= np.spacing(4 / (2 * dt))
+        assert not diff[1:-1].any()

@@ -28,8 +28,8 @@ from derivkit import (
     savgoldiff,
     splinediff,
 )
-from derivkit import smoothers
-from derivkit.methods import RBF_TRUNCATION_FACTOR
+from derivkit import core
+from derivkit.methods import RBF_TRUNCATION_FACTOR, get_method
 from derivkit.smoothers import _kernel_weights, butter_single_pass
 
 
@@ -423,7 +423,7 @@ class TestRbfAgainstDense:
 
             return gbsv_nan, gbcon
 
-        monkeypatch.setattr(smoothers, "get_lapack_funcs", lapack_with_failing_solve)
+        monkeypatch.setattr(core, "get_lapack_funcs", lapack_with_failing_solve)
         with pytest.raises(NumericError, match="banded radial-basis solve failed") as exc:
             rbfdiff(s, sigma=0.05, rho=0.25, damping=1e-3)
         estimate = float(re.search(r"condition estimate ([^)]+)\)", str(exc.value)).group(1))
@@ -450,6 +450,46 @@ class TestRbfAgainstDense:
             t = 0.005 * np.sort(rng.choice(200_000, 100_000, replace=False))
             y = np.sin(t) + 0.1 * rng.standard_normal(len(t))
             out = apply_method("rbf", Signal(Grid(t), y))
+            finite = np.all(np.isfinite(out.smoothed)) and np.all(np.isfinite(out.derivative))
+            peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]
+            print(bool(finite), peak_kb)
+        """)
+        src = str(Path(derivkit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+        finite, peak_kb = proc.stdout.split()
+        assert finite == "True"
+        assert int(peak_kb) < 500 * 1024
+
+
+class TestRbfSigmaBound:
+    """The registry's sigma range: span/8, capped at 64 steps."""
+
+    @pytest.mark.parametrize("n", [16, 256, 400, 513])
+    def test_unchanged_up_to_513_samples(self, n):
+        g = Grid.regular(n, 0.01)
+        sigma = {p.name: p for p in get_method("rbf").build_params(Signal(g, np.zeros(n)))}["sigma"]
+        dt = g.span / (n - 1)
+        assert (sigma.lo, sigma.hi, sigma.default) == (1.5 * dt, g.span / 8, 8 * dt)
+
+    def test_capped_at_64_steps(self):
+        g = Grid.regular(10_000, 0.01)
+        sigma = {p.name: p for p in get_method("rbf").build_params(Signal(g, np.zeros(10_000)))}
+        dt = g.span / 9999
+        assert (sigma["sigma"].hi, sigma["sigma"].default) == (64 * dt, 8 * dt)
+
+    def test_upper_bound_on_1e4_irregular_samples_in_bounded_memory(self):
+        # at span/8 the half-bandwidth here would be ~5000 samples: a band wider than the matrix
+        script = textwrap.dedent("""
+            import re
+            from pathlib import Path
+            import numpy as np
+            from derivkit import Grid, Signal, apply_method, get_method
+            rng = np.random.default_rng(1)
+            t = 0.005 * np.sort(rng.choice(20_000, 10_000, replace=False))
+            s = Signal(Grid(t), np.sin(t) + 0.1 * rng.standard_normal(len(t)))
+            hi = {p.name: p for p in get_method("rbf").build_params(s)}["sigma"].hi
+            out = apply_method("rbf", s, {"sigma": hi})
             finite = np.all(np.isfinite(out.smoothed)) and np.all(np.isfinite(out.derivative))
             peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]
             print(bool(finite), peak_kb)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import lsq_linear
 from tvr_reference import admm_tvr
 
 from derivkit import (
     Grid,
     NoiseSpec,
+    NumericError,
     Signal,
     SimulationCase,
     TvrSpec,
@@ -18,6 +20,7 @@ from derivkit import (
     total_variation,
     tvrdiff,
 )
+from derivkit import core
 from derivkit.sims import CASE_NAMES
 from derivkit.tvr import _difference_operator
 
@@ -90,6 +93,11 @@ class TestTvrdiff:
             np.testing.assert_array_equal(r.smoothed, y)
             assert r.flags["converged"] is True
 
+    def test_two_samples_rejected(self):
+        # the order-2 difference matrix needs three samples
+        with pytest.raises(ValidationError, match="need at least 3 samples"):
+            tvrdiff(Signal(Grid.regular(2, 0.1), np.array([0.0, 1.0])), TvrSpec(gamma=1.0))
+
     def test_irregular_grid_rejected(self):
         g = Grid([0.0, 0.1, 0.3, 0.4, 0.41, 0.6])
         with pytest.raises(UnsupportedMethodError):
@@ -137,6 +145,22 @@ class TestTvrdiff:
         r = tvrdiff(signal, TvrSpec(gamma=100.0, tol=1e-12, max_iter=5))
         assert r.flags["converged"] is False
         assert r.flags["iterations"] == 5
+
+    def test_failed_newton_solve_reports_condition_estimate(self, monkeypatch):
+        signal, _, _ = noisy_triangle(n=120, seed=9)
+
+        def lapack_with_failing_solve(names, arrays):
+            gbsv, gbcon = get_lapack_funcs(names, arrays)
+
+            def gbsv_nan(*args, **kwargs):
+                lu, piv, x, info = gbsv(*args, **kwargs)
+                return lu, piv, np.full_like(x, np.nan), info
+
+            return gbsv_nan, gbcon
+
+        monkeypatch.setattr(core, "get_lapack_funcs", lapack_with_failing_solve)
+        with pytest.raises(NumericError, match="Newton system in tvrdiff.*condition estimate"):
+            tvrdiff(signal, TvrSpec(gamma=1.0))
 
 
 class TestSmoothAccelTvr:
