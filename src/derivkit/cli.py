@@ -81,8 +81,13 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """The text ``np.savetxt`` writes with ``fmt="%.17g"``, formatted a block of rows at a time."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in (rows[lo : lo + 2**14] for lo in range(0, len(rows), 2**14)):
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_manifest(out_path: str, payload: dict) -> None:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.polynomial import polyvander
 
 from .core import (
     ConditioningWarning,
@@ -63,10 +64,7 @@ class Stencil:
 
 def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float, stacklevel=3) -> np.ndarray:
     """Coefficients for each row of ``locs`` (``(..., S)``); warns on the worst-conditioned."""
-    size = locs.shape[-1]
-    V = np.ones(locs.shape[:-1] + (size, size))
-    V[..., 1:, :] = locs[..., None, :]
-    np.multiply.accumulate(V[..., 1:, :], axis=-2, out=V[..., 1:, :])
+    V = np.swapaxes(polyvander(locs, locs.shape[-1] - 1), -1, -2)
     rhs = np.zeros(locs.shape + (1,))
     rhs[..., nu, 0] = math.factorial(nu) * rhs_scale
     cond = np.max(np.linalg.cond(V))

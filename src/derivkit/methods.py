@@ -207,9 +207,7 @@ def _poly_canonical(phi):
 
 
 def _poly_run(signal, phi, nu):
-    window = int(phi["window"])
-    return smoothers.polydiff(signal, window=window, stride=max(window // 2, 1),
-                              degree=int(phi["degree"]))
+    return smoothers.polydiff(signal, window=int(phi["window"]), degree=int(phi["degree"]))
 
 
 def _spline_params(signal: Signal):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.polynomial import polyder, polyvander
 from scipy.interpolate import BSpline
 from scipy.signal import butter, sosfilt, sosfiltfilt
 from scipy.sparse.linalg import spsolve
@@ -150,9 +151,11 @@ def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int
 
     Fits use the actual timestamps, so irregular grids are fine. Windows
     advance by ``stride``; a final window is anchored to the tail so every
-    sample is covered. Overlapping fit evaluations are averaged uniformly
-    unless a weight kernel (center-heavy weighting within each window) is
-    given.
+    sample is covered. Each window is fitted as ``Polynomial.fit`` fits it
+    (``RankWarning`` included), by one batched SVD per block of windows
+    holding about N samples: memory is O(N * (degree + 1)) at any stride.
+    Overlapping fit evaluations are averaged uniformly unless a weight kernel
+    (center-heavy weighting within each window) is given.
     """
     validate(signal)
     n = len(signal)
@@ -166,26 +169,30 @@ def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int
     t = signal.grid.points
     y = signal.values
 
-    starts = list(range(0, n - window + 1, stride))
-    if starts[-1] != n - window:
-        starts.append(n - window)
-    if weight_kernel is None:
-        weights = np.ones(window)
-    else:
-        weights = _kernel_weights(weight_kernel.kind, window, weight_kernel.sigma)
-
-    acc_s = np.zeros(n)
-    acc_d = np.zeros(n)
-    acc_w = np.zeros(n)
-    for lo in starts:
-        sl = slice(lo, lo + window)
-        fit = np.polynomial.Polynomial.fit(t[sl], y[sl], degree)
-        acc_s[sl] += weights * fit(t[sl])
-        acc_d[sl] += weights * fit.deriv()(t[sl])
-        acc_w[sl] += weights
+    starts = np.unique(np.append(np.arange(0, n - window + 1, stride), n - window))
+    weights = (np.ones(window) if weight_kernel is None
+               else _kernel_weights(weight_kernel.kind, window, weight_kernel.sigma))
+    acc, full_rank = np.zeros((2, n)), True  # weighted fit values and slopes
+    for block in np.array_split(starts, -(-len(starts) * window // n)):
+        idx = block[:, None] + np.arange(window)
+        lo, hi = t[block] - (window == 1), t[block + window - 1] + (window == 1)  # fit's domain
+        scale = 2.0 / (hi - lo)  # onto [-1, 1], as Polynomial.fit maps it
+        V = polyvander(((-hi - lo) / (hi - lo))[:, None] + scale[:, None] * t[idx], degree)
+        norms = np.sqrt(np.square(V).sum(axis=-2))
+        U, sv, Vh = np.linalg.svd(V / norms[:, None, :], full_matrices=False)
+        keep = sv > window * np.finfo(float).eps * sv[:, :1]
+        full_rank &= bool(keep.all())
+        proj = np.divide(np.vecdot(U, y[idx, None], axis=-2), sv, out=np.zeros_like(sv), where=keep)
+        coef = np.vecdot(Vh, proj[..., None], axis=-2) / norms
+        slope = np.vecdot(V[..., : max(degree, 1)], polyder(coef, axis=-1)[:, None])
+        for total, part in zip(acc, (np.vecdot(V, coef[:, None]), slope * scale[:, None])):
+            total += np.bincount(idx.ravel(), (weights * part).ravel(), n)
+    if not full_rank:
+        warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    coverage = np.convolve(np.bincount(starts, minlength=n), weights)[:n]
     return DerivativeResult(
-        smoothed=acc_s / acc_w,
-        derivative=acc_d / acc_w,
+        smoothed=acc[0] / coverage,
+        derivative=acc[1] / coverage,
         method="polydiff",
         phi={"window": window, "stride": stride, "degree": degree},
     )
@@ -204,10 +211,7 @@ def savgol_coefficients(window: int, degree: int) -> tuple[np.ndarray, np.ndarra
         raise ValidationError(f"degree {degree} must be less than window {window}")
     if degree < 0:
         raise ValidationError("degree must be >= 0")
-    half = window // 2
-    offsets = np.arange(-half, half + 1, dtype=float)
-    V = np.vander(offsets, degree + 1, increasing=True)
-    P = np.linalg.pinv(V)
+    P = np.linalg.pinv(polyvander(np.arange(window) - window // 2, degree))
     row1 = P[1] if degree >= 1 else np.zeros(window)
     return P[0], row1
 

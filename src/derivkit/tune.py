@@ -101,23 +101,17 @@ def _huber(x: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _robust_location(resid: np.ndarray, radius: float) -> float:
-    """argmin_c sum Huber(resid + c, radius), by bisection on the influence sum."""
-    lo = -float(np.max(resid))
-    hi = -float(np.min(resid))
-    if lo > hi:
-        lo, hi = hi, lo
-    lo -= radius
-    hi += radius
-    for _ in range(200):
-        if hi - lo <= 1e-10:
-            break
-        mid = 0.5 * (lo + hi)
-        influence = float(np.sum(np.clip(resid + mid, -radius, radius)))
-        if influence > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """argmin_c sum Huber(resid + c, radius): the root of the influence sum
+    ``f(c) = sum clip(resid + c, -radius, radius)``, which rises from -N radius
+    to N radius and is linear between its 2N breakpoints ``-resid -+ radius``."""
+    r = np.sort(resid)
+    csum = np.concatenate([[0.0], np.cumsum(r)])
+    c = np.sort(np.concatenate([-r - radius, -r + radius]))
+    low = np.searchsorted(r, -radius - c, "right")  # r[:low] clip at -radius
+    high = np.searchsorted(r, radius - c, "left")  # r[high:] clip at +radius
+    f = radius * (len(r) - high - low) + csum[high] - csum[low] + (high - low) * c
+    k = int(np.argmax(f >= 0))
+    return float(c[k - 1] - f[k - 1] * (c[k] - c[k - 1]) / (f[k] - f[k - 1]))
 
 
 def robust_proxy_loss(derivative, signal: Signal, gamma: float, m: float = 6.0) -> float:
@@ -278,8 +272,9 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     spec = spec or TuneSpec()
     validate(signal)
     mspec = get_method(method)
-    params = [p for p in mspec.build_params(signal) if p.tunable]
-    fixed = {p.name: p.default for p in mspec.build_params(signal) if not p.tunable}
+    all_params = mspec.build_params(signal)
+    params = [p for p in all_params if p.tunable]
+    fixed = {p.name: p.default for p in all_params if not p.tunable}
     if not params:
         raise ValidationError(f"method {method!r} has no tunable parameters")
 
@@ -287,8 +282,8 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     gamma = spec.gamma if spec.gamma is not None else gamma_heuristic(spec.cutoff_hz, dt_eff)
     m = spec.resolved_m
 
-    lo_t = np.array([_transform(p.lo, "log" if p.scale == "log" else "linear") for p in params])
-    hi_t = np.array([_transform(p.hi, "log" if p.scale == "log" else "linear") for p in params])
+    lo_t = np.array([_transform(p.lo, p.scale) for p in params])
+    hi_t = np.array([_transform(p.hi, p.scale) for p in params])
 
     def to_phi(x: np.ndarray) -> dict[str, float]:
         phi = dict(fixed)
@@ -327,7 +322,6 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         raise NumericError(f"autotune failed for {method!r}: {detail}")
 
     phi = to_phi(best_x)
-    all_params = list(mspec.build_params(signal))
     bounds = {p.name: (p.lo, p.hi) for p in all_params}
     scale = {p.name: p.scale for p in all_params}
     return MethodConfig(

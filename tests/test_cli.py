@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from derivkit.cli import main
+from derivkit import Signal, apply_method, power_spectrum
+from derivkit.cli import _write_csv, main
 
 
 def read_csv(path):
@@ -235,3 +236,43 @@ class TestSpectrum:
         path = tmp_path / "in.csv"
         write_signal_csv(path, t, np.sin(t))
         assert main(["spectrum", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+
+
+class TestCsvWriter:
+    """Output files hold the bytes ``np.savetxt(fmt="%.17g")`` writes."""
+
+    @staticmethod
+    def savetxt_bytes(path, header, columns):
+        np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
+        return path.read_bytes()
+
+    def test_special_values_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(9)
+        columns = [rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300, 20_000)
+                   for _ in range(3)]
+        columns[1][:6] = [-np.inf, np.inf, -0.0, 1e-300, np.nan, 0.0]
+        _write_csv(str(tmp_path / "out.csv"), ["a", "b", "c"], columns)
+        assert (tmp_path / "out.csv").read_bytes() == self.savetxt_bytes(
+            tmp_path / "ref.csv", ["a", "b", "c"], columns)
+
+    def test_diff_output(self, tmp_path, sine_csv):
+        out = tmp_path / "out.csv"
+        assert main(["diff", str(sine_csv), "--method", "poly", "--out", str(out)]) == 0
+        _, data = read_csv(sine_csv)
+        r = apply_method("poly", Signal.from_arrays(data[:, 0], data[:, 1]))
+        assert out.read_bytes() == self.savetxt_bytes(
+            tmp_path / "ref.csv", ["t", "y", "x_hat", "dxdt"],
+            [data[:, 0], data[:, 1], r.smoothed, r.derivative])
+
+    def test_spectrum_with_minus_inf_bins(self, tmp_path):
+        t = 0.01 * np.arange(64)
+        path = tmp_path / "in.csv"
+        write_signal_csv(path, t, np.where(np.arange(64) % 2, -1.0, 1.0))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", str(path), "--out", str(out)]) == 0
+        _, data = read_csv(path)
+        freqs, db = power_spectrum(Signal.from_arrays(data[:, 0], data[:, 1]))
+        assert np.isneginf(db).any()
+        assert out.read_bytes() == self.savetxt_bytes(tmp_path / "ref.csv",
+                                                      ["freq_hz", "power_db"], [freqs, db])

@@ -3,10 +3,12 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from poly_reference import loop_polydiff
 from rbf_reference import dense_rbf
 from scipy.linalg import get_lapack_funcs
 
@@ -197,6 +199,80 @@ class TestPolydiff:
             polydiff(s, window=60, degree=2)
         with pytest.raises(ValidationError):
             polydiff(s, window=3, degree=3)
+
+
+class TestPolydiffAgainstLoop:
+    """The batched fit against the per-window ``Polynomial.fit`` loop it replaced."""
+
+    GRIDS = {
+        "uniform": lambda n, rng: Grid.regular(n, 0.01),
+        # half of 2n uniform samples dropped: gaps of 1 to ~10 steps
+        "irregular": lambda n, rng: Grid(0.01 * np.sort(rng.choice(2 * n, n, replace=False))),
+        "epoch": lambda n, rng: Grid.regular(n, 0.01, t0=1.7e9),
+    }
+
+    @staticmethod
+    def _run(fn):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", np.exceptions.RankWarning)
+            out = fn()
+        return out, any(w.category is np.exceptions.RankWarning for w in caught)
+
+    @pytest.mark.parametrize("degree", range(9))
+    @pytest.mark.parametrize("kind", sorted(GRIDS))
+    def test_matches_loop(self, kind, degree):
+        n = 120
+        rng = np.random.default_rng(degree)
+        g = self.GRIDS[kind](n, rng)
+        s = Signal(g, np.sin(3 * (g.points - g.points[0])) + 0.1 * rng.standard_normal(n))
+        kernel = KernelSpec(kind="gaussian", window=3, sigma=5.0)
+        for window in sorted({degree + 1, 2 * (degree + 1), 25, n}):
+            # square and nearly square systems carry the loop's own rounding
+            tol = 1e-12 if window >= 2 * (degree + 1) else 1e-9
+            for stride in sorted({1, max(window // 2, 1), window}):
+                for wk in (None, kernel):
+                    weights = None if wk is None else _kernel_weights("gaussian", window, 5.0)
+                    got, warned = self._run(lambda: polydiff(s, window, stride, degree, wk))
+                    ref, ref_warned = self._run(
+                        lambda: loop_polydiff(g.points, s.values, window, stride, degree, weights))
+                    assert warned == ref_warned
+                    for a, b in zip((got.smoothed, got.derivative), ref):
+                        np.testing.assert_allclose(a, b, rtol=0, atol=tol * np.max(np.abs(b)),
+                                                   err_msg=f"window={window} stride={stride}")
+
+    def test_rank_deficient_window_warns(self):
+        # three samples one ulp apart: the mapped Vandermonde matrix loses rank
+        u = np.spacing(1.0)
+        t = np.array([0.0, 0.5, 1.0, 1.0 + u, 1.0 + 2 * u, 1.5, 2.0, 2.5])
+        s = Signal(Grid(t), np.cos(t))
+        got, warned = self._run(lambda: polydiff(s, window=4, stride=1, degree=3))
+        ref, ref_warned = self._run(lambda: loop_polydiff(t, s.values, 4, 1, 3))
+        assert warned and ref_warned
+        for a, b in zip((got.smoothed, got.derivative), ref):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.max(np.abs(b)))
+
+    def test_stride_one_memory_stays_per_block(self):
+        # One stack of all 2e4 windows would hold ~0.9 GB; a block holds about N samples.
+        script = textwrap.dedent("""
+            import re
+            from pathlib import Path
+            import numpy as np
+            from derivkit import Grid, Signal, polydiff
+            def peak_kb():
+                return int(re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1])
+            rng = np.random.default_rng(0)
+            s = Signal(Grid.regular(20_000, 0.01), rng.standard_normal(20_000))
+            polydiff(Signal(Grid.regular(400, 0.01), s.values[:400]), 160, stride=1, degree=8)
+            before = peak_kb()
+            out = polydiff(s, window=160, stride=1, degree=8)
+            print(bool(np.all(np.isfinite(out.derivative))), peak_kb() - before)
+        """)
+        src = str(Path(derivkit.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+        finite, grown_kb = proc.stdout.split()
+        assert finite == "True"
+        assert int(grown_kb) < 32 * 1024
 
 
 class TestSavgol:

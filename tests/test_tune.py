@@ -168,6 +168,17 @@ class TestRobustProxyLoss:
             assert d_plain <= bound
             assert d_robust <= bound
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e3, 1e6])
+    def test_independent_of_data_units(self, scale):
+        # the Huber location is solved exactly, not bisected to an absolute width
+        s, deriv = noisy_sine(n=400, sigma=0.05, seed=8)
+        rng = np.random.default_rng(8)
+        y = np.array(s.values)
+        y[rng.choice(400, 20, replace=False)] += 3 * rng.standard_normal(20)
+        base = robust_proxy_loss(deriv, Signal(s.grid, y), gamma=0.5, m=2.0)
+        scaled = robust_proxy_loss(scale * deriv, Signal(s.grid, scale * y), gamma=0.5, m=2.0)
+        assert scaled / scale == pytest.approx(base, rel=1e-12)
+
     def test_robust_location_matches_brute_force(self):
         rng = np.random.default_rng(6)
         resid = rng.standard_normal(200)
