@@ -243,6 +243,14 @@ def _require_uniform(signal: Signal, what: str) -> float:
     return signal.grid.dt
 
 
+def _band(rows, cols, vals, size: int) -> tuple[int, np.ndarray]:
+    """Sum the triplets ``M[rows, cols] += vals`` of a ``size x size`` matrix into the band
+    storage ``_solve_banded`` reads, ``band[k + i - j, j] = M[i, j]``; returns ``(k, band)``."""
+    k = int(np.max(np.abs(rows - cols)))
+    band = np.bincount((k + rows - cols) * size + cols, vals, (2 * k + 1) * size)
+    return k, band.reshape(2 * k + 1, size)
+
+
 def _solve_banded(k: int, ab: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve the band matrix ``ab[k + i - j, j] = M[i, j]`` by LAPACK ``gbsv`` on a
     ``(3k+1, N)`` copy; a failed or non-finite solve raises NumericError: ``what``, then

@@ -12,18 +12,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder, polyvander
 from scipy.interpolate import BSpline
 from scipy.signal import butter, sosfilt, sosfiltfilt
-from scipy.sparse.linalg import spsolve
 
 from .core import (
     DerivativeResult,
     NumericError,
     Signal,
     ValidationError,
+    _band,
     _require_uniform,
     _solve_banded,
     validate,
@@ -281,90 +280,89 @@ def _full_knots(t: np.ndarray, k: int, interior: np.ndarray) -> np.ndarray:
 
 def _site_interior_knots(t: np.ndarray, k: int) -> np.ndarray:
     """Interior knots making the design matrix square (interpolation capacity)."""
-    n = len(t)
-    if k % 2 == 1:
-        trim = (k + 1) // 2
-        return t[trim : n - trim] if n > 2 * trim else t[0:0]
-    mids = 0.5 * (t[:-1] + t[1:])
-    trim = k // 2
-    return mids[trim : len(mids) - trim] if len(mids) > 2 * trim else t[0:0]
+    sites = t if k % 2 else 0.5 * (t[:-1] + t[1:])  # odd degree: the samples; even: midpoints
+    return sites[(k + 1) // 2 : len(sites) - (k + 1) // 2]
 
 
-def _derivative_transform(knots: np.ndarray, k: int, m: int) -> sp.csr_matrix:
-    """Sparse map from spline coefficients to their derivative's coefficients."""
-    denom = knots[k + 1 : k + m] - knots[1:m]
-    rows = np.repeat(np.arange(m - 1), 2)
-    cols = np.ravel(np.column_stack([np.arange(m - 1), np.arange(1, m)]))
-    with np.errstate(divide="ignore"):
-        scale = np.where(denom > 0, k / denom, 0.0)
-    vals = np.ravel(np.column_stack([-scale, scale]))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m - 1, m))
+def _basis_rows(x: np.ndarray, knots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k+1 nonzero B-spline values at each ``x`` and the column of the first."""
+    B = BSpline.design_matrix(x, knots, k)
+    return B.indices[:: k + 1], B.data.reshape(-1, k + 1)
 
 
-def _curvature_factor(knots: np.ndarray, k: int, m: int) -> sp.csr_matrix:
-    """Sparse K with K^T K = the curvature penalty (integral of squared S'').
-
-    Rows are second-derivative basis values at Gauss points scaled by the
-    square-rooted quadrature weights. Keeping the penalty in factored form
-    lets huge smoothing weights be applied without squaring their scale.
+def _curvature_rows(knots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of K, with K^T K = the curvature penalty (integral of squared S''), as
+    ``_basis_rows`` gives them: second derivatives of the basis at Gauss points,
+    scaled by the square-rooted quadrature weights, found by raising degree-(k-2)
+    basis values twice. Keeping the penalty in factored form lets huge smoothing
+    weights be applied without squaring their scale.
     """
-    L1 = _derivative_transform(knots, k, m)
-    L2 = _derivative_transform(knots[1:-1], k - 1, m - 1)
-    L = (L2 @ L1).tocsr()
-    inner = knots[2:-2]
-    k2 = k - 2
-    spans = np.unique(inner)
-    npts = k2 + 1  # integrand is piecewise degree 2*k2; exact for Gauss order k2+1
-    nodes, wts = np.polynomial.legendre.leggauss(npts)
+    spans = np.unique(knots[2:-2])
+    nodes, wts = np.polynomial.legendre.leggauss(k - 1)  # exact for the degree 2(k-2) integrand
     half = 0.5 * np.diff(spans)[:, None]
     pts = (0.5 * (spans[:-1] + spans[1:])[:, None] + half * nodes).ravel()
-    weights = (half * wts).ravel()
-    Bq = BSpline.design_matrix(pts, inner, k2)
-    return (Bq.multiply(np.sqrt(weights)[:, None]) @ L).tocsr()
+    first, rows = _basis_rows(pts, knots[2:-2], k - 2)
+    rows = rows * np.sqrt(half * wts).reshape(-1, 1)
+    # (sum c_j B_j,d)' = sum d (c_j+1 - c_j) / (t_j+d+1 - t_j+1) B_j,d-1, on t = knots[k-d:d-k]
+    for d in (k - 1, k):
+        j = first[:, None] + np.arange(d)
+        scaled = rows * d / (knots[j + k + 1] - knots[j + k - d + 1])
+        rows = np.pad(scaled, ((0, 0), (1, 0))) - np.pad(scaled, ((0, 0), (0, 1)))
+    return first, rows
 
 
-def _spsolve_checked(M: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", sp.linalg.MatrixRankWarning)
-        try:
-            out = spsolve(M.tocsc(), rhs)
-        except (RuntimeError, sp.linalg.MatrixRankWarning) as exc:
-            raise NumericError("singular spline system") from exc
-    if not np.all(np.isfinite(out)):
-        raise NumericError("singular spline system")
-    return out
+def _fold_runs(first: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each run of more than k + 1 rows with one first column by the k + 1 rows of
+    its QR factor R, the last column (the right-hand side) rotated along: the least-squares
+    solution and conditioning stay, and the band no longer widens with the longest run
+    (bound mode's first fits put every sample on the same k + 1 coefficients)."""
+    starts = np.flatnonzero(np.diff(first, prepend=-1))
+    sizes = np.diff(starts, append=len(first))
+    short = np.repeat(sizes <= k + 1, sizes)
+    firsts, folded = [first[short]], [rows[short]]
+    for size in np.unique(sizes[sizes > k + 1]):
+        at = starts[sizes == size]
+        firsts.append(np.repeat(first[at], k + 1))
+        R = np.linalg.qr(rows[at[:, None] + np.arange(size)], mode="r")
+        folded.append(R[:, : k + 1].reshape(-1, k + 2))
+    return np.concatenate(firsts), np.concatenate(folded)
 
 
 def _solve_spline(t, y, k, interior, lam):
+    """Least-squares coefficients of ``A alpha ~ [y; 0]``, ``A = [B; sqrt(lam) K]``, from the
+    augmented system ``[[I, A], [A^T, 0]] [r; alpha] = [y; 0]``: neither ``B^T B`` nor ``K^T K``
+    is formed, so the solve is conditioned like ``A``, not its square. Each residual ``r_i``
+    is ordered just past the middle of the k+1 coefficients its row touches, which makes the
+    system banded (half-bandwidth 9 at k = 3)."""
     knots = _full_knots(t, k, interior)
     m = len(knots) - k - 1
-    B = BSpline.design_matrix(t, knots, k)
-    rhs = B.T @ y
+    first, rows = _basis_rows(t, knots, k)
+    first, rows = _fold_runs(first, np.column_stack([rows, y]), k)
     if lam > 0:
-        # Augmented quasi-definite system: equivalent to the normal equations
-        # (B^T B + lam K^T K) alpha = B^T y, but the penalty enters through
-        # sqrt(lam) * K, so extreme lam does not wash out the data term.
-        K = _curvature_factor(knots, k, m)
-        root = np.sqrt(lam)
-        M = sp.bmat([[B.T @ B, root * K.T],
-                     [root * K, -sp.eye(K.shape[0])]], format="csc")
-        full = _spsolve_checked(M, np.concatenate([rhs, np.zeros(K.shape[0])]))
-        alpha = full[:m]
-    else:
-        alpha = _spsolve_checked((B.T @ B).tocsc(), rhs)
-    return BSpline(knots, alpha, k)
+        k_first, k_rows = _curvature_rows(knots, k)
+        first = np.concatenate([first, k_first])
+        rows = np.vstack([rows, np.pad(np.sqrt(lam) * k_rows, ((0, 0), (0, 1)))])
+    # where[i]: place of unknown i (coefficients, then residuals); ties put the coefficient first
+    where = np.argsort(np.argsort(np.concatenate([np.arange(m), first + k / 2]), kind="stable"))
+    cols = where[first[:, None] + np.arange(k + 1)].ravel()
+    at, vals = np.repeat(where[m:], k + 1), rows[:, :-1].ravel()
+    half, band = _band(np.concatenate([where[m:], at, cols]), np.concatenate([where[m:], cols, at]),
+                       np.concatenate([np.ones(len(first)), vals, vals]), len(where))
+    rhs = np.bincount(where[m:], rows[:, -1], len(where))
+    return BSpline(knots, _solve_banded(half, band, rhs, "singular spline system")[where[:m]], k)
 
 
 def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     """Smoothing-spline fit with an analytic derivative.
 
-    In ``lambda`` mode knots sit at the data sites and the banded system
-    ``(B^T B + lam * R) alpha = B^T y`` is solved directly. In ``bound`` mode
-    the fit starts from a global polynomial and inserts knots greedily at the
-    worst-residual samples until the residual bound ``s`` is met; if the knot
-    budget is exhausted first the best effort is returned with
-    ``flags['bound_met'] = False``. The whole fit can be iterated on its own
-    output to remove noise more gently.
+    The coefficients solve the least-squares problem ``[B; sqrt(lam) K] alpha ~
+    [y; 0]`` (``K^T K`` the curvature penalty) through its augmented system,
+    which is banded and never forms ``B^T B``. In ``lambda`` mode knots sit at
+    the data sites. In ``bound`` mode the fit starts from a global polynomial
+    and inserts knots greedily at the worst-residual samples until the residual
+    bound ``s`` is met; if the knot budget is exhausted first the best effort is
+    returned with ``flags['bound_met'] = False``. The whole fit can be iterated
+    on its own output to remove noise more gently.
     """
     validate(signal)
     t = signal.grid.points
@@ -374,7 +372,6 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
         raise ValidationError(f"need at least degree+2 = {k + 2} samples, got {n}")
     y = np.array(signal.values)
     flags: dict[str, object] = {}
-    fit = None
     for _ in range(spec.iterations):
         if spec.mode == "lambda":
             fit = _solve_spline(t, y, k, _site_interior_knots(t, k), spec.lam)
@@ -405,7 +402,6 @@ def _fit_bound_mode(t, y, k, bound):
             return fit, True
         if len(interior) >= max_interior:
             return fit, False
-        inserted = False
         for idx in np.argsort(-np.abs(resid)):
             cand = t[idx]
             if cand <= t[0] or cand >= t[-1] or cand in interior:
@@ -416,9 +412,8 @@ def _fit_bound_mode(t, y, k, bound):
             except NumericError:
                 continue
             interior = trial
-            inserted = True
             break
-        if not inserted:
+        else:
             return fit, False
 
 

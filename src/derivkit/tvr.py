@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .core import DerivativeResult, Signal, ValidationError, _require_uniform, _solve_banded
+from .core import (DerivativeResult, Signal, ValidationError, _band, _require_uniform,
+                   _solve_banded)
 from .fd import _first_diff_matrix
 from .smoothers import _gaussian_blur
 
@@ -75,21 +76,15 @@ def _difference_operator(n: int, dt: float, nu: int, D=None) -> sp.csr_matrix:
 
 
 def _kkt_band(E: sp.csr_matrix) -> tuple[int, np.ndarray]:
-    """``[[I, E^T], [E, 0]]`` in LAPACK band storage, ``band[k + i - j, j] = M[i, j]``.
-
-    The unknowns are interleaved (``x_0, z_0, x_1, z_1, ...``) so that the
-    matrix has half-bandwidth ``k`` and the band is ``(2k+1, n+m)``; the ``z``
-    diagonal (row ``k``, odd columns) is left zero for the caller to fill.
-    """
+    """``[[I, E^T], [E, 0]]`` as ``core._band`` stores it, the unknowns interleaved
+    (``x_0, z_0, x_1, z_1, ...``) to keep the band narrow; the ``z`` diagonal (row ``k``,
+    odd columns) is left zero for the caller to fill."""
     m, n = E.shape
     coo = E.tocoo()
     rows = np.concatenate([2 * coo.col, 2 * coo.row + 1, 2 * np.arange(n)])
     cols = np.concatenate([2 * coo.row + 1, 2 * coo.col, 2 * np.arange(n)])
     vals = np.concatenate([coo.data, coo.data, np.ones(n)])
-    k = int(np.max(np.abs(rows - cols)))
-    band = np.zeros((2 * k + 1, n + m), order="F")
-    band[k + rows - cols, cols] = vals
-    return k, band
+    return _band(rows, cols, vals, n + m)
 
 
 def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from poly_reference import loop_polydiff
 from rbf_reference import dense_rbf
+from scipy.interpolate import BSpline
 from scipy.linalg import get_lapack_funcs
+from spline_reference import _curvature_factor as sparse_curvature_factor
+from spline_reference import _solve_spline as superlu_solve_spline
 
 import derivkit
 from derivkit import (
@@ -30,7 +33,7 @@ from derivkit import (
     savgoldiff,
     splinediff,
 )
-from derivkit import core
+from derivkit import core, smoothers
 from derivkit.methods import RBF_TRUNCATION_FACTOR, get_method
 from derivkit.smoothers import _kernel_weights, butter_single_pass
 
@@ -385,6 +388,152 @@ class TestSplinediff:
                           SplineSpec(mode="lambda", lam=1e-5, iterations=4))
         tv = lambda v: np.sum(np.abs(np.diff(v)))
         assert tv(many.derivative) < tv(one.derivative)
+
+
+def _spline_grids(n, rng):
+    """Uniform, jittered (steps within 0.4-1.6 dt) and epoch-stamped grids on [0, 3]."""
+    base = np.linspace(0.0, 3.0, n)
+    jitter = rng.uniform(-0.3, 0.3, n) * base[1]
+    jitter[[0, -1]] = 0.0
+    return {"uniform": base, "jittered": base + jitter, "epoch": 1.7e9 + base}
+
+
+def _dense(first, rows, m):
+    out = np.zeros((len(first), m))
+    for i, (f, r) in enumerate(zip(first, rows)):
+        out[i, f : f + len(r)] = r
+    return out
+
+
+def _dense_lstsq(t, y, knots, k, lam):
+    """Coefficients of ``[B; sqrt(lam) K] alpha ~ [y; 0]`` by dense SVD least squares."""
+    A, rhs = BSpline.design_matrix(t, knots, k).toarray(), y
+    if lam > 0:
+        K = sparse_curvature_factor(knots, k, len(knots) - k - 1).toarray()
+        A, rhs = np.vstack([A, np.sqrt(lam) * K]), np.concatenate([y, np.zeros(len(K))])
+    return np.linalg.lstsq(A, rhs, rcond=None)[0]
+
+
+def _oracle_bound_fit(monkeypatch, t, y, k, bound):
+    """Bound mode's greedy fit with every solve made by the sparse SuperLU oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothers, "_solve_spline", superlu_solve_spline)
+        return smoothers._fit_bound_mode(t, y, k, bound)
+
+
+def _bound_signal(n, seed):
+    t = np.linspace(0.0, 4.0, n)
+    return t, np.sin(2 * np.pi * 0.8 * t) + 0.1 * np.random.default_rng(seed).standard_normal(n)
+
+
+_LAMS = (0.0, 1e-9, 1e-3, 1.0, 1e3, 1e9)
+
+
+class TestSplineAgainstSparse:
+    """The banded augmented least-squares solve against the SuperLU solve it replaced."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_lambda_mode_matches_superlu(self, k):
+        for n in (12, 60, 400):
+            rng = np.random.default_rng(10 * n + k)
+            for name, t in _spline_grids(n, rng).items():
+                y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                interior = smoothers._site_interior_knots(t, k)
+                for lam in _LAMS:
+                    got = smoothers._solve_spline(t, y, k, interior, lam)
+                    ref = superlu_solve_spline(t, y, k, interior, lam)
+                    for nu in (0, 1):
+                        scale = np.max(np.abs(ref(t, nu=nu)))
+                        err = np.max(np.abs(got(t, nu=nu) - ref(t, nu=nu)))
+                        assert err <= 1e-10 * scale, (name, n, lam, nu, err / scale)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_no_farther_than_superlu_from_dense_least_squares(self, k):
+        # includes sorted uniform draws, whose near-coincident samples make
+        # degree-5 interpolation ill-conditioned enough to separate the solves
+        for n in (12, 60, 400):
+            rng = np.random.default_rng(10 * n + k)
+            grids = _spline_grids(n, rng)
+            grids["random"] = np.sort(rng.uniform(0.0, 3.0, n))
+            for name, t in grids.items():
+                y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                interior = smoothers._site_interior_knots(t, k)
+                for lam in _LAMS:
+                    got = smoothers._solve_spline(t, y, k, interior, lam)
+                    ref = superlu_solve_spline(t, y, k, interior, lam)
+                    best = _dense_lstsq(t, y, got.t, k, lam)
+                    scale = np.max(np.abs(best))
+                    ours = np.max(np.abs(got.c - best)) / scale
+                    theirs = np.max(np.abs(ref.c - best)) / scale
+                    assert ours <= 2 * theirs + 1e-13, (name, n, lam, ours, theirs)
+
+    @pytest.mark.parametrize("k, n, seed", [(4, 400, 0), (4, 400, 1), (5, 60, 1), (5, 400, 1)])
+    def test_ill_conditioned_bound_mode_knots(self, monkeypatch, k, n, seed):
+        t, y = _bound_signal(n, seed)
+        fit, _ = _oracle_bound_fit(monkeypatch, t, y, k, 0.015 * n)
+        assert np.linalg.cond(BSpline.design_matrix(t, fit.t, k).toarray()) >= 1e8
+        interior = fit.t[k + 1 : -k - 1]
+        best = _dense_lstsq(t, y, fit.t, k, 0.0)
+        scale = np.max(np.abs(best))
+        ours = np.max(np.abs(smoothers._solve_spline(t, y, k, interior, 0.0).c - best)) / scale
+        theirs = np.max(np.abs(superlu_solve_spline(t, y, k, interior, 0.0).c - best)) / scale
+        assert ours <= 2 * theirs + 1e-13, (ours, theirs)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_curvature_rows_match_sparse_factor(self, k):
+        for n in (12, 60, 400):
+            rng = np.random.default_rng(10 * n + k)
+            grids = _spline_grids(n, rng)
+            grids["random"] = np.sort(rng.uniform(0.0, 3.0, n))
+            for name, t in grids.items():
+                knot_sets = (smoothers._site_interior_knots(t, k),
+                             np.sort(rng.choice(t[1:-1], max(1, n // 5), replace=False)))
+                for interior in knot_sets:
+                    knots = smoothers._full_knots(t, k, interior)
+                    m = len(knots) - k - 1
+                    ref = sparse_curvature_factor(knots, k, m).toarray()
+                    got = _dense(*smoothers._curvature_rows(knots, k), m)
+                    assert got.shape == ref.shape
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_bound_mode_picks_the_oracles_knots(self, monkeypatch, k):
+        # bounds at the noise level; far below rounding (s = 1e-20) the greedy
+        # order is set by rounding noise and differs between any two solvers
+        for n, irregular in ((60, False), (60, True), (150, False), (150, True)):
+            t, y = _bound_signal(2 * n if irregular else n, k)
+            if irregular:  # a random half of a grid twice as fine
+                keep = np.sort(np.random.default_rng(n).choice(2 * n, n, replace=False))
+                t, y = t[keep], y[keep]
+            for bound in (0.015 * n, 0.008 * n):
+                got, got_met = smoothers._fit_bound_mode(t, y, k, bound)
+                ref, ref_met = _oracle_bound_fit(monkeypatch, t, y, k, bound)
+                np.testing.assert_array_equal(got.t, ref.t)
+                assert got_met == ref_met
+
+    def test_singular_system_raises(self):
+        # five knots within one sample gap: the cubic B-spline on them sees no data
+        t = np.linspace(0.0, 1.0, 40)
+        interior = np.array([0.300, 0.301, 0.302, 0.303, 0.304])
+        with pytest.raises(NumericError, match="singular spline system"):
+            smoothers._solve_spline(t, np.sin(t), 3, interior, 0.0)
+
+    def test_long_runs_fold_to_a_narrow_band(self, monkeypatch):
+        # bound mode's first fit has no interior knot: every sample lies on the
+        # same k + 1 coefficients, which would make the band as wide as the data
+        seen = []
+
+        def recording_band(*args):
+            seen.append(core._band(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(smoothers, "_band", recording_band)
+        t = np.linspace(0.0, 1.0, 2000)
+        y = np.cos(3 * t)
+        fit = smoothers._solve_spline(t, y, 3, t[0:0], 0.0)
+        assert seen[-1][0] <= 2 * (3 + 1)
+        ref = np.polynomial.polynomial.Polynomial.fit(t, y, 3)
+        np.testing.assert_allclose(fit(t), ref(t), atol=1e-12)
 
 
 class TestRbfdiff:
