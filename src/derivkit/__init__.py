@@ -61,7 +61,6 @@ from .smoothers import (
     splinediff,
 )
 from .spectral import (
-    SpectralPlan,
     cheb_nodes,
     chebyshev_derivative,
     fourier_derivative,

@@ -95,7 +95,7 @@ def _write_manifest(out_path: str, payload: dict) -> None:
     manifest["tool_version"] = __version__
     manifest["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(str(out_path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -244,7 +244,7 @@ def cmd_bench(args) -> int:
             table, config["methods"], config["cases"], config["values"]),
     }
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(str(csv_path), {"command": "bench", "input": args.config,
                                     "method": ",".join(config["methods"]),

@@ -313,6 +313,14 @@ def _filter(A, c, C, Q, R, x0, P0, ys) -> KalmanTrack:
     return KalmanTrack(xs, Ps, xps, Pps, A)
 
 
+def _model_stacks(model: LinearGaussianModel, measurements, inputs) -> tuple:
+    """``(A, c, C, Q, R, x0, P0, ys)`` of a time-invariant model, as :func:`_filter` takes them."""
+    ys = _shape_measurements(measurements, model.measurement_dim)
+    us = _shape_inputs(inputs, len(ys), model.input_dim)
+    return (model.A[None], us @ model.B.T, model.C, model.Q[None], model.R[None],
+            model.x0, model.P0, ys)
+
+
 def kalman_filter(model: LinearGaussianModel, measurements, inputs=None) -> KalmanTrack:
     """Run the forward Kalman recursion.
 
@@ -321,10 +329,7 @@ def kalman_filter(model: LinearGaussianModel, measurements, inputs=None) -> Kalm
     Returns both a posteriori and a priori tracks for later smoothing; the
     ``transitions`` field is a read-only broadcast of ``model.A``.
     """
-    ys = _shape_measurements(measurements, model.measurement_dim)
-    us = _shape_inputs(inputs, len(ys), model.input_dim)
-    return _filter(model.A[None], us @ model.B.T, model.C, model.Q[None], model.R[None],
-                   model.x0, model.P0, ys)
+    return _filter(*_model_stacks(model, measurements, inputs))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results are checked
@@ -377,16 +382,20 @@ def constant_derivative_model(nu: int, dt: float, q: float, r: float,
                                R=np.array([[r]]), x0=x0, P0=10.0 * np.eye(d))
 
 
+def _check_chain(nu: int, q: float) -> None:
+    if nu not in (1, 2, 3):
+        raise ValidationError(f"nu must be 1, 2, or 3, got {nu}")
+    if q <= 0:
+        raise ValidationError("q must be positive")
+
+
 def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form ``(A, Q)`` stacks of the nu-fold integrator chain, one per step.
 
     ``A[i, j] = h^(j-i) / (j-i)!`` on and above the diagonal, and
     ``Q[i, j] = q h^p / ((nu-i)! (nu-j)! p)`` with ``p = 2 nu + 1 - i - j``.
     """
-    if nu not in (1, 2, 3):
-        raise ValidationError(f"nu must be 1, 2, or 3, got {nu}")
-    if q <= 0:
-        raise ValidationError("q must be positive")
+    _check_chain(nu, q)
     h = np.asarray(steps, dtype=float)[:, None, None]
     i, j = np.indices((nu + 1, nu + 1))
     fact = np.array([math.factorial(k) for k in range(nu + 1)], dtype=float)
@@ -399,10 +408,7 @@ def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]
 
 def constant_derivative_continuous(nu: int, q: float) -> ContinuousModel:
     """Continuous counterpart of the constant-derivative model (integrator chain)."""
-    if nu not in (1, 2, 3):
-        raise ValidationError(f"nu must be 1, 2, or 3, got {nu}")
-    if q <= 0:
-        raise ValidationError("q must be positive")
+    _check_chain(nu, q)
     d = nu + 1
     Ac = np.diag(np.ones(d - 1), k=1)
     Qc = np.zeros((d, d))
@@ -573,11 +579,7 @@ def robust_map_smooth(model: LinearGaussianModel, measurements, inputs=None,
     Huber or l1 losses trade closed-form optimality for outlier robustness.
     Non-convergence returns the best iterate found, flagged via ``converged``.
     """
-    spec = spec or RobustSpec()
-    ys = _shape_measurements(measurements, model.measurement_dim)
-    us = _shape_inputs(inputs, len(ys), model.input_dim)
-    return _robust_map_core(model.A[None], us @ model.B.T, model.C, model.Q[None],
-                            model.R[None], model.x0, model.P0, ys, spec)
+    return _robust_map_core(*_model_stacks(model, measurements, inputs), spec or RobustSpec())
 
 
 def _naive_model(signal: Signal, nu: int, q: float, r: float):

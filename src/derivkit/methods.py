@@ -9,13 +9,14 @@ frequency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import fd, kalman, smoothers, spectral, tvr
-from .core import DerivativeResult, Signal, ValidationError
+from .core import DerivativeResult, Grid, Signal, ValidationError
 
 
 @dataclass(frozen=True)
@@ -57,24 +58,39 @@ def get_method(name: str) -> MethodSpec:
     return _REGISTRY[name]
 
 
+def _bounded_params(spec: MethodSpec, signal: Signal) -> tuple[ParamSpec, ...]:
+    """``spec``'s parameters on ``signal``, each default clamped into its bounds.
+
+    The bounds depend on the signal's length only; a signal too short for some
+    interval to hold a value raises ValidationError with the shortest length
+    (at the same mean step) that leaves every interval nonempty.
+    """
+    params = spec.build_params(signal)
+    if any(p.lo > p.hi for p in params):
+        n, step = len(signal), signal.grid.span / (len(signal) - 1)
+        need = next(m for m in itertools.count(n + 1) if all(
+            p.lo <= p.hi for p in spec.build_params(Signal(Grid.regular(m, step), np.zeros(m)))))
+        raise ValidationError(f"method {spec.name!r} needs at least {need} samples, got {n}")
+    return tuple(replace(p, default=min(max(p.default, p.lo), p.hi)) for p in params)
+
+
 def describe(name: str) -> str:
     """One-line parameter schema, used by CLI usage errors."""
-    from .core import Grid
-
     spec = get_method(name)
     ref = Signal(Grid.regular(256, 0.01), np.zeros(256))
     parts = [
         f"{p.name}={p.default:g} ({p.scale} in [{p.lo:g}, {p.hi:g}])"
-        for p in spec.build_params(ref)
+        for p in _bounded_params(spec, ref)
     ]
     return f"{spec.name}: {spec.description}; parameters: " + ", ".join(parts)
 
 
 def apply_method(name: str, signal: Signal, phi: dict | None = None, nu: int = 1
                  ) -> DerivativeResult:
-    """Run a registered method with defaults filled in for missing parameters."""
+    """Run a registered method with defaults, clamped into their bounds, filled in for
+    missing parameters."""
     spec = get_method(name)
-    params = {p.name: p for p in spec.build_params(signal)}
+    params = {p.name: p for p in _bounded_params(spec, signal)}
     merged = {n: p.default for n, p in params.items()}
     for key, value in (phi or {}).items():
         if key not in params:
@@ -284,14 +300,14 @@ def _satvr_run(signal, phi, nu):
 
 def _rts_params(signal: Signal):
     return (
+        # rtsdiff depends on q and r only through q / r, so r stays at its default
         ParamSpec("q", 1e-10, 1e10, "log", 1e2),
-        ParamSpec("r", 1e-6, 1e6, "log", 1.0, tunable=False),
         ParamSpec("nu", 1, 3, "integer", 2, tunable=False),
     )
 
 
 def _rts_run(signal, phi, nu):
-    return kalman.rtsdiff(signal, nu=int(phi["nu"]), q=phi["q"], r=phi["r"])
+    return kalman.rtsdiff(signal, nu=int(phi["nu"]), q=phi["q"])
 
 
 def _robust_params(signal: Signal):

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class SimulationCase:
     name: str
     T: float = 4.0
     dt: float = 0.01
-    params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in CASE_NAMES:
@@ -49,14 +47,12 @@ class SimulationCase:
             raise ValidationError("dt must be positive")
         if self.T / self.dt < 16:
             raise ValidationError("span must cover at least 16 samples")
-        object.__setattr__(self, "params", dict(self.params))
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     family: str = "normal"
     scale: float = 1.0
-    outliers: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -66,13 +62,13 @@ class NoiseSpec:
             raise ValidationError("scale must be >= 0")
 
 
-def cruise_control_matrices(dt: float, mg: float = 10000.0, fr: float = 0.9,
-                            ki: float = 0.05, kp: float = 0.25):
+def cruise_control_matrices(dt: float):
     """Discrete matrices of the proportional-integral cruise controller.
 
     State is [position, velocity, acceleration, cumulative position error];
     inputs are [hill slope, desired velocity]; position is measured.
     """
+    mg, fr, ki, kp = 10000.0, 0.9, 0.05, 0.25
     A = np.array([
         [1.0, dt, dt * dt / 2.0, 0.0],
         [0.0, 1.0, dt, 0.0],
@@ -119,7 +115,7 @@ _SIM_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, Grid]] = {}
 
 def simulate(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
     """Return (truth values, truth derivative, grid) for a benchmark case."""
-    key = (case.name, case.T, case.dt, tuple(sorted(case.params.items())))
+    key = (case.name, case.T, case.dt)
     hit = _SIM_CACHE.get(key)
     if hit is not None:
         x, xdot, grid = hit
@@ -134,23 +130,18 @@ def _simulate_uncached(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Gr
     n = int(round(case.T / case.dt))
     t = case.dt * np.arange(n)
     grid = Grid(t)
-    p = case.params
 
     if case.name == "sine_sum":
-        amps = p.get("amps", (0.5, 0.35, 0.25))
-        freqs = p.get("freqs", (1.0, np.sqrt(2.0), np.sqrt(5.0)))
-        phases = p.get("phases", (0.0, 0.7, 1.9))
         x = np.zeros(n)
         xdot = np.zeros(n)
-        for a, f, ph in zip(amps, freqs, phases):
+        for a, f, ph in zip((0.5, 0.35, 0.25), (1.0, np.sqrt(2.0), np.sqrt(5.0)), (0.0, 0.7, 1.9)):
             w = 2 * np.pi * f
             x += a * np.sin(w * t + ph)
             xdot += a * w * np.cos(w * t + ph)
         return x, xdot, grid
 
     if case.name == "triangles":
-        amp = p.get("amplitude", 0.8)
-        period = p.get("period", 2.0)
+        amp, period = 0.8, 2.0
         phase = (t / period) % 1.0
         rising = phase < 0.5
         x = np.where(rising, amp * (4 * phase - 1), amp * (3 - 4 * phase))
@@ -159,21 +150,17 @@ def _simulate_uncached(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Gr
         return x, xdot, grid
 
     if case.name == "cruise_control":
-        A, B, _ = cruise_control_matrices(case.dt, mg=p.get("mg", 10000.0),
-                                          fr=p.get("fr", 0.9), ki=p.get("ki", 0.05),
-                                          kp=p.get("kp", 0.25))
-        vd = p.get("vd", 0.5)
+        A, B, _ = cruise_control_matrices(case.dt)
         states = np.zeros((n, 4))
         x = np.zeros(4)
         for i in range(1, n):
-            u = np.array([hill_profile(t[i - 1 : i])[0], vd])
+            u = np.array([hill_profile(t[i - 1 : i])[0], 0.5])  # desired velocity 0.5
             x = A @ x + B @ u
             states[i] = x
         return states[:, 0], states[:, 1], grid
 
     if case.name == "lti_second_order":
-        zeta = p.get("zeta", 0.2)
-        omega = p.get("omega_n", 2 * np.pi)
+        zeta, omega = 0.2, 2 * np.pi
 
         def f(_, s):
             return np.array([s[1], -2 * zeta * omega * s[1] - omega**2 * (s[0] - 1.0)])
@@ -182,10 +169,7 @@ def _simulate_uncached(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Gr
         return states[:, 0], states[:, 1], grid
 
     if case.name == "lorenz_x":
-        sig = p.get("sigma", 10.0)
-        rho = p.get("rho", 28.0)
-        beta = p.get("beta", 8.0 / 3.0)
-        scale = p.get("scale", 1.0 / 20.0)
+        sig, rho, beta, scale = 10.0, 28.0, 8.0 / 3.0, 1.0 / 20.0
 
         def f(_, s):
             return np.array([sig * (s[1] - s[0]),
@@ -196,9 +180,7 @@ def _simulate_uncached(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Gr
         return scale * states[:, 0], scale * sig * (states[:, 1] - states[:, 0]), grid
 
     # logistic_growth
-    rate = p.get("r", 2.0)
-    capacity = p.get("K", 1.0)
-    x_init = p.get("x0", 0.05)
+    rate, capacity, x_init = 2.0, 1.0, 0.05
 
     def f(_, s):
         return np.array([rate * s[0] * (1.0 - s[0] / capacity)])

@@ -27,7 +27,7 @@ from .core import (
     _solve_banded,
     validate,
 )
-from .fd import fd_derivative
+from .fd import _fd_plan
 
 _KERNEL_KINDS = ("mean", "gaussian", "friedrichs", "median")
 
@@ -99,11 +99,10 @@ def kernel_smooth(signal: Signal, spec: KernelSpec) -> Signal:
 
 def kerneldiff(signal: Signal, spec: KernelSpec) -> DerivativeResult:
     """Kernel smoothing followed by second-order finite differences."""
-    smoothed = kernel_smooth(signal, spec)
-    step = fd_derivative(smoothed, nu=1, order=2)
+    smoothed = kernel_smooth(signal, spec).values
     return DerivativeResult(
-        smoothed=smoothed.values,
-        derivative=step.derivative,
+        smoothed=smoothed,
+        derivative=_fd_plan(len(smoothed), 1, 2, signal.grid.dt).apply(smoothed),
         method="kerneldiff",
         phi={"kind": spec.kind, "window": spec.window, "sigma": spec.sigma},
     )
@@ -127,11 +126,11 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
     # Generous odd-extension padding: initial-condition transients decay over
     # several filter time constants before they can reach the data.
     padlen = int(min(len(signal) - 2, max(24, np.ceil(4 * fs / cutoff_hz))))
-    smoothed = sosfiltfilt(sos, signal.values, padlen=padlen)
-    step = fd_derivative(Signal(signal.grid, smoothed), nu=1, order=2)
+    # a C-contiguous copy of sosfiltfilt's reversed view: np.convolve rounds differently on it
+    smoothed = np.ascontiguousarray(sosfiltfilt(sos, signal.values, padlen=padlen))
     return DerivativeResult(
         smoothed=smoothed,
-        derivative=step.derivative,
+        derivative=_fd_plan(len(smoothed), 1, 2, signal.grid.dt).apply(smoothed),
         method="butterdiff",
         phi={"order": order, "cutoff_hz": cutoff_hz},
     )
@@ -362,7 +361,9 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     and inserts knots greedily at the worst-residual samples until the residual
     bound ``s`` is met; if the knot budget is exhausted first the best effort is
     returned with ``flags['bound_met'] = False``. The whole fit can be iterated
-    on its own output to remove noise more gently.
+    on its own output to remove noise more gently. ``flags['spline']`` holds the
+    final fit's knots and coefficients as lists: ``BSpline(knots, coefficients,
+    degree)`` rebuilds it.
     """
     validate(signal)
     t = signal.grid.points
@@ -381,7 +382,7 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
         y = fit(t)
     if spec.mode == "bound":
         flags["knots"] = int(len(fit.t) - 2 * (k + 1))
-    flags["spline"] = fit
+    flags["spline"] = {"knots": fit.t.tolist(), "coefficients": fit.c.tolist()}
     return DerivativeResult(
         smoothed=fit(t),
         derivative=fit(t, nu=1),

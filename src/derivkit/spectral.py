@@ -10,36 +10,12 @@ high modes to low ones during differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DerivativeResult, Signal, ValidationError, _require_uniform
 
 #: Absolute tolerance (on the [-1, 1] reference interval) for cosine-spaced layouts.
 NODE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SpectralPlan:
-    """Validated parameters for a Fourier transform pass."""
-
-    n: int
-    domain_length: float
-    nu: int
-    keep_modes: int | None = None
-
-    def __post_init__(self):
-        if self.n < 4:
-            raise ValidationError(f"spectral methods need n >= 4, got {self.n}")
-        if self.domain_length <= 0:
-            raise ValidationError("domain length must be positive")
-        if self.nu < 1:
-            raise ValidationError(f"derivative order must be >= 1, got {self.nu}")
-        if self.keep_modes is not None and not (1 <= self.keep_modes <= self.n / 2):
-            raise ValidationError(
-                f"keep_modes must lie in [1, {self.n // 2}], got {self.keep_modes}"
-            )
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -72,15 +48,19 @@ def _fourier_pass(values: np.ndarray, dt: float, nu: int | None, keep_modes: int
     and their ``nu``-th derivative when ``nu`` is given, None otherwise.
     """
     n = len(values)
-    plan = SpectralPlan(n=n, domain_length=n * dt, nu=1 if nu is None else nu,
-                        keep_modes=keep_modes)
+    if n < 4:
+        raise ValidationError(f"spectral methods need n >= 4, got {n}")
+    if nu is not None and nu < 1:
+        raise ValidationError(f"derivative order must be >= 1, got {nu}")
+    if keep_modes is not None and not (1 <= keep_modes <= n / 2):
+        raise ValidationError(f"keep_modes must lie in [1, {n // 2}], got {keep_modes}")
     coef = np.fft.fft(values)
     if keep_modes is not None:
         coef = np.where(_lowpass_mask(n, keep_modes), coef, 0.0)
     smoothed = np.fft.ifft(coef).real if smooth else None
     if nu is None:
         return smoothed, None
-    scale = (2 * np.pi / plan.domain_length) ** nu
+    scale = (2 * np.pi / (n * dt)) ** nu
     return smoothed, np.fft.ifft(coef * _derivative_multiplier(n, nu)).real * scale
 
 

@@ -24,6 +24,7 @@ from .core import (
     total_variation,
     validate,
 )
+from .methods import _bounded_params, get_method
 
 #: median(|N(0,1)|): MAD of a standard normal, used to put MAD on a sigma scale.
 MAD_NORMALIZER = 0.6745
@@ -130,8 +131,7 @@ def robust_proxy_loss(derivative, signal: Signal, gamma: float, m: float = 6.0) 
     resid = integral - signal.values
     sigma_mad = float(np.median(np.abs(resid - np.median(resid)))) / MAD_NORMALIZER
     if sigma_mad == 0.0:
-        mu = float(np.mean(-resid))
-        return rmse(integral + mu, signal.values) + gamma * total_variation(xdot)
+        return proxy_loss(derivative, signal, gamma)
     radius = m * sigma_mad
     c = _robust_location(resid, radius)
     fidelity = math.sqrt(2.0 / len(resid) * float(np.sum(_huber(resid + c, radius))))
@@ -267,12 +267,10 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     distinct canonical parameter sets, the number of failed evaluations and
     the first few failure reasons.
     """
-    from .methods import get_method  # deferred to avoid an import cycle
-
     spec = spec or TuneSpec()
     validate(signal)
     mspec = get_method(method)
-    all_params = mspec.build_params(signal)
+    all_params = _bounded_params(mspec, signal)
     params = [p for p in all_params if p.tunable]
     fixed = {p.name: p.default for p in all_params if not p.tunable}
     if not params:

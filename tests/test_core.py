@@ -1,6 +1,9 @@
+import functools
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derivkit import (
@@ -8,13 +11,32 @@ from derivkit import (
     Grid,
     MethodConfig,
     Signal,
+    UnsupportedMethodError,
     ValidationError,
     apply_method,
+    autotune,
     cumtrapz,
+    get_method,
     method_names,
     total_variation,
     validate,
 )
+
+
+@functools.cache
+def _epoch_reference(irregular: bool):
+    """200 samples from t = 0 at step 0.01 (jittered by up to 0.4 steps when irregular),
+    and every registry method's default derivative there (None: needs a uniform grid)."""
+    rng = np.random.default_rng(0)
+    k = 0.01 * (np.arange(200) + (0.4 * rng.uniform(size=200) if irregular else 0.0))
+    y = np.sin(2 * np.pi * k) + 0.05 * rng.standard_normal(200)
+    refs = {}
+    for method in method_names():
+        try:
+            refs[method] = apply_method(method, Signal(Grid(k), y)).derivative
+        except UnsupportedMethodError:
+            refs[method] = None
+    return k, y, refs
 
 
 class TestGrid:
@@ -55,6 +77,26 @@ class TestGrid:
         for t0 in (1e6, 1.7e9):
             out = apply_method(method, Signal(Grid(t0 + k), y)).derivative
             assert np.max(np.abs(out - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("irregular", [False, True], ids=["uniform", "irregular"])
+    @settings(max_examples=20, deadline=None)
+    @given(t0=st.floats(0.0, 1e10))
+    @example(t0=1e10)
+    @example(t0=1.7e9)
+    def test_epoch_offset_property(self, irregular, t0):
+        # shifting the timestamps by t0 rounds each by ulp(t0), a relative
+        # step error of ulp(t0) / dt; nothing else may change
+        k, y, refs = _epoch_reference(irregular)
+        grid = Grid(t0 + k)
+        assert grid.uniform == (not irregular)
+        bound = 10 * np.spacing(t0) / 0.01 + 1e-12
+        for method, ref in refs.items():
+            if ref is None:
+                with pytest.raises(UnsupportedMethodError):
+                    apply_method(method, Signal(grid, y))
+                continue
+            out = apply_method(method, Signal(grid, y)).derivative
+            assert np.max(np.abs(out - ref)) <= bound * np.max(np.abs(ref)), method
 
     def test_duplicate_timestamp_reports_index(self):
         with pytest.raises(ValidationError, match="index 3"):
@@ -111,6 +153,36 @@ class TestMethodConfig:
     def test_valid(self):
         cfg = MethodConfig("m", {"a": 2.0}, {"a": (0, 10)}, {"a": "integer"})
         assert cfg.phi["a"] == 2.0
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("method", method_names())
+    def test_defaults_run_or_length_is_rejected(self, method):
+        rng = np.random.default_rng(3)
+        for n in (5, 8, 16, 40, 64, 65, 200, 400):
+            for dt in (1e-3, 0.01, 1.0):
+                signal = Signal(Grid.regular(n, dt), rng.standard_normal(n))
+                if any(p.lo > p.hi for p in get_method(method).build_params(signal)):
+                    for call in (apply_method, autotune):
+                        with pytest.raises(ValidationError,
+                                           match=rf"'{method}' needs at least \d+ samples, got {n}"):
+                            call(method, signal)
+                else:
+                    assert len(apply_method(method, signal).derivative) == n
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_phi_and_flags_are_json_safe(self, method):
+        t = 0.01 * np.arange(200)
+        noise = 0.05 * np.random.default_rng(4).standard_normal(200)
+        signal = Signal(Grid(t), np.sin(2 * np.pi * t) + noise)
+        result = apply_method(method, signal)
+        json.dumps({"phi": result.phi, "flags": result.flags})
+
+    def test_rts_takes_no_r(self):
+        # rtsdiff depends on q and r only through q / r
+        signal = Signal(Grid.regular(50, 0.01), np.zeros(50))
+        with pytest.raises(ValidationError, match="unknown parameter 'r'"):
+            apply_method("rts", signal, {"r": 2.0})
 
 
 class TestCumtrapz:

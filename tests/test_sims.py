@@ -95,6 +95,11 @@ class TestSimulate:
 
 
 class TestAddNoise:
+    def test_outliers_is_not_a_noise_setting(self):
+        # outliers come from add_outliers, not from the noise spec
+        with pytest.raises(TypeError):
+            NoiseSpec(outliers=True)
+
     def test_zero_scale_exact(self):
         x, _, grid = simulate(SimulationCase("sine_sum"))
         out = add_noise(Signal(grid, x), NoiseSpec(scale=0.0, seed=1))
