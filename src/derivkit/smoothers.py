@@ -15,11 +15,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder, polyvander
 from scipy.interpolate import BSpline
+from scipy.optimize import brentq
 from scipy.signal import butter, sosfilt, sosfiltfilt
 
 from .core import (
     DerivativeResult,
-    NumericError,
     Signal,
     ValidationError,
     _band,
@@ -108,6 +108,19 @@ def kerneldiff(signal: Signal, spec: KernelSpec) -> DerivativeResult:
     )
 
 
+def _butter_design(signal: Signal, order: int, cutoff_hz: float, what: str):
+    """Second-order sections of the order-``order`` Butterworth low-pass at ``cutoff_hz``
+    for the signal's uniform grid, and its sampling rate; ``what`` names the caller."""
+    fs = 1.0 / _require_uniform(signal, what)
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order}")
+    if not 0 < cutoff_hz < fs / 2:
+        raise ValidationError(
+            f"cutoff must lie in (0, {fs / 2}) Hz for dt={signal.grid.dt}, got {cutoff_hz}"
+        )
+    return butter(order, cutoff_hz, fs=fs, output="sos"), fs
+
+
 def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> DerivativeResult:
     """Zero-phase Butterworth smoothing followed by second-order differences.
 
@@ -115,14 +128,7 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
     transform (with frequency prewarping, so the half-power point lands
     exactly on ``cutoff_hz``) and applied forward then backward.
     """
-    fs = 1.0 / _require_uniform(signal, "butterdiff")
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    if not 0 < cutoff_hz < fs / 2:
-        raise ValidationError(
-            f"cutoff must lie in (0, {fs / 2}) Hz for dt={signal.grid.dt}, got {cutoff_hz}"
-        )
-    sos = butter(order, cutoff_hz, fs=fs, output="sos")
+    sos, fs = _butter_design(signal, order, cutoff_hz, "butterdiff")
     # Generous odd-extension padding: initial-condition transients decay over
     # several filter time constants before they can reach the data.
     padlen = int(min(len(signal) - 2, max(24, np.ceil(4 * fs / cutoff_hz))))
@@ -138,9 +144,7 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
 
 def butter_single_pass(signal: Signal, order: int, cutoff_hz: float) -> np.ndarray:
     """One forward pass of the same Butterworth design (for gain measurements)."""
-    fs = 1.0 / signal.grid.dt
-    sos = butter(order, cutoff_hz, fs=fs, output="sos")
-    return sosfilt(sos, signal.values)
+    return sosfilt(_butter_design(signal, order, cutoff_hz, "butter_single_pass")[0], signal.values)
 
 
 def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int = 3,
@@ -246,8 +250,8 @@ class SplineSpec:
     """Smoothing-spline parameters.
 
     ``lambda`` mode penalizes integrated squared curvature with weight
-    ``lam``; ``bound`` mode instead grows the knot set greedily until the
-    residual sum of squares drops below ``s``.
+    ``lam``. ``bound`` mode is Reinsch's spline: the smoothest fit whose
+    residual sum of squares is at most ``s``. Either penalty needs degree >= 2.
     """
 
     degree: int = 3
@@ -269,18 +273,16 @@ class SplineSpec:
             raise ValidationError("bound s is unused in lambda mode; leave it at 0")
         if self.mode == "bound" and self.lam != 0.0:
             raise ValidationError("lam is unused in bound mode; leave it at 0")
-        if self.mode == "lambda" and self.lam > 0 and self.degree < 2:
+        if (self.mode == "bound" or self.lam > 0) and self.degree < 2:
             raise ValidationError("curvature penalty needs degree >= 2")
 
 
-def _full_knots(t: np.ndarray, k: int, interior: np.ndarray) -> np.ndarray:
+def _site_knots(t: np.ndarray, k: int) -> np.ndarray:
+    """Knots at the samples (odd degree) or their midpoints (even degree), the ends repeated
+    k + 1 times: the design matrix is square, so lam = 0 interpolates."""
+    sites = t if k % 2 else 0.5 * (t[:-1] + t[1:])
+    interior = sites[(k + 1) // 2 : len(sites) - (k + 1) // 2]
     return np.concatenate([np.full(k + 1, t[0]), interior, np.full(k + 1, t[-1])])
-
-
-def _site_interior_knots(t: np.ndarray, k: int) -> np.ndarray:
-    """Interior knots making the design matrix square (interpolation capacity)."""
-    sites = t if k % 2 else 0.5 * (t[:-1] + t[1:])  # odd degree: the samples; even: midpoints
-    return sites[(k + 1) // 2 : len(sites) - (k + 1) // 2]
 
 
 def _basis_rows(x: np.ndarray, knots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,60 +312,83 @@ def _curvature_rows(knots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return first, rows
 
 
-def _fold_runs(first: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Replace each run of more than k + 1 rows with one first column by the k + 1 rows of
-    its QR factor R, the last column (the right-hand side) rotated along: the least-squares
-    solution and conditioning stay, and the band no longer widens with the longest run
-    (bound mode's first fits put every sample on the same k + 1 coefficients)."""
-    starts = np.flatnonzero(np.diff(first, prepend=-1))
-    sizes = np.diff(starts, append=len(first))
-    short = np.repeat(sizes <= k + 1, sizes)
-    firsts, folded = [first[short]], [rows[short]]
-    for size in np.unique(sizes[sizes > k + 1]):
-        at = starts[sizes == size]
-        firsts.append(np.repeat(first[at], k + 1))
-        R = np.linalg.qr(rows[at[:, None] + np.arange(size)], mode="r")
-        folded.append(R[:, : k + 1].reshape(-1, k + 2))
-    return np.concatenate(firsts), np.concatenate(folded)
-
-
-def _solve_spline(t, y, k, interior, lam):
-    """Least-squares coefficients of ``A alpha ~ [y; 0]``, ``A = [B; sqrt(lam) K]``, from the
-    augmented system ``[[I, A], [A^T, 0]] [r; alpha] = [y; 0]``: neither ``B^T B`` nor ``K^T K``
-    is formed, so the solve is conditioned like ``A``, not its square. Each residual ``r_i``
-    is ordered just past the middle of the k+1 coefficients its row touches, which makes the
-    system banded (half-bandwidth 9 at k = 3)."""
-    knots = _full_knots(t, k, interior)
+def _solve_spline(t, y, k, lam):
+    """The spline at ``_site_knots`` whose coefficients solve ``A alpha ~ [y; 0]``,
+    ``A = [B; sqrt(lam) K]``, from the augmented system ``[[I, A], [A^T, 0]] [r; alpha] =
+    [y; 0]``: neither ``B^T B`` nor ``K^T K`` is formed, so the solve is conditioned like
+    ``A``, not its square. Each residual ``r_i`` is ordered just past the middle of the k+1
+    coefficients its row touches, which makes the system banded (half-bandwidth 9 at k = 3)."""
+    knots = _site_knots(t, k)
     m = len(knots) - k - 1
     first, rows = _basis_rows(t, knots, k)
-    first, rows = _fold_runs(first, np.column_stack([rows, y]), k)
     if lam > 0:
         k_first, k_rows = _curvature_rows(knots, k)
         first = np.concatenate([first, k_first])
-        rows = np.vstack([rows, np.pad(np.sqrt(lam) * k_rows, ((0, 0), (0, 1)))])
+        rows = np.vstack([rows, np.sqrt(lam) * k_rows])
     # where[i]: place of unknown i (coefficients, then residuals); ties put the coefficient first
     where = np.argsort(np.argsort(np.concatenate([np.arange(m), first + k / 2]), kind="stable"))
     cols = where[first[:, None] + np.arange(k + 1)].ravel()
-    at, vals = np.repeat(where[m:], k + 1), rows[:, :-1].ravel()
+    at, vals = np.repeat(where[m:], k + 1), rows.ravel()
     half, band = _band(np.concatenate([where[m:], at, cols]), np.concatenate([where[m:], cols, at]),
                        np.concatenate([np.ones(len(first)), vals, vals]), len(where))
-    rhs = np.bincount(where[m:], rows[:, -1], len(where))
+    rhs = np.bincount(where[m : m + len(y)], y, len(where))
     return BSpline(knots, _solve_banded(half, band, rhs, "singular spline system")[where[:m]], k)
+
+
+def _reinsch_fit(t, y, k, s):
+    """Reinsch's spline, ``_solve_spline``'s fit at the lam where its residual sum of squares
+    RSS(lam) is ``s``, as (fit, lam, RSS <= s). RSS rises with lam from the interpolant's
+    (lam = 0, returned if no lam tried meets ``s``) to the least-squares line's (returned,
+    knot-free, with lam None, if it meets ``s``). Since d log RSS / d log lam <= 2, the
+    feasible end of a final bracket 1e-7 wide in log lam is within 2e-7 relative of ``s``."""
+    x = t - t.mean()
+    slope = (x @ y) / (x @ x)
+    if np.sum((y - y.mean() - slope * x) ** 2) <= s:
+        # a line's B-spline coefficients are its values at the Greville abscissae
+        greville = x[0] + (t[-1] - t[0]) * np.arange(k + 1) / k
+        return BSpline(np.repeat(t[[0, -1]], k + 1), y.mean() + slope * greville, k), None, True
+    fits = {}  # lam -> (fit, RSS)
+
+    def excess(log_lam):
+        lam = float(np.exp(log_lam))
+        if lam not in fits:
+            fit = _solve_spline(t, y, k, lam)
+            fits[lam] = fit, float(np.sum((y - fit(t)) ** 2))
+        return fits[lam][1] - s
+
+    # with step h, the fit goes from interpolant to line as lam goes from h^3 to
+    # span^4 / h; start halfway, at h span^2, and step by 1e3 until RSS crosses s
+    step = np.log(1e3)
+    lo = np.log((t[-1] - t[0]) ** 3 / (len(t) - 1))
+    below = excess(lo) <= 0
+    for _ in range(12):
+        hi = lo + (step if below else -step)
+        if (excess(hi) <= 0) != below:
+            brentq(excess, min(lo, hi), max(lo, hi), xtol=1e-7)
+            break
+        lo = hi
+    else:
+        if not below:
+            fit = _solve_spline(t, y, k, 0.0)
+            return fit, 0.0, bool(np.sum((y - fit(t)) ** 2) <= s)
+    lam = max(lam for lam, (_, rss) in fits.items() if rss <= s)
+    return fits[lam][0], lam, True
 
 
 def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     """Smoothing-spline fit with an analytic derivative.
 
-    The coefficients solve the least-squares problem ``[B; sqrt(lam) K] alpha ~
-    [y; 0]`` (``K^T K`` the curvature penalty) through its augmented system,
-    which is banded and never forms ``B^T B``. In ``lambda`` mode knots sit at
-    the data sites. In ``bound`` mode the fit starts from a global polynomial
-    and inserts knots greedily at the worst-residual samples until the residual
-    bound ``s`` is met; if the knot budget is exhausted first the best effort is
-    returned with ``flags['bound_met'] = False``. The whole fit can be iterated
-    on its own output to remove noise more gently. ``flags['spline']`` holds the
-    final fit's knots and coefficients as lists: ``BSpline(knots, coefficients,
-    degree)`` rebuilds it.
+    Knots sit at the data sites. The coefficients solve the least-squares
+    problem ``[B; sqrt(lam) K] alpha ~ [y; 0]`` (``K^T K`` the curvature
+    penalty) through its augmented system, which is banded and never forms
+    ``B^T B``. ``lambda`` mode takes ``lam``; ``bound`` mode finds it: the fit
+    is Reinsch's spline, the smoothest with residual sum of squares <= ``s``,
+    and ``flags['lam']`` is its lam (None when the least-squares line meets
+    ``s`` and is returned). ``flags['bound_met']`` is False only when ``s`` is
+    below the interpolant's residual; the interpolant is then returned. The
+    whole fit can be iterated on its own output to remove noise more gently.
+    ``flags['spline']`` holds the final fit's knots and coefficients as lists:
+    ``BSpline(knots, coefficients, degree)`` rebuilds it.
     """
     validate(signal)
     t = signal.grid.points
@@ -375,13 +400,10 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     flags: dict[str, object] = {}
     for _ in range(spec.iterations):
         if spec.mode == "lambda":
-            fit = _solve_spline(t, y, k, _site_interior_knots(t, k), spec.lam)
+            fit = _solve_spline(t, y, k, spec.lam)
         else:
-            fit, met = _fit_bound_mode(t, y, k, spec.s)
-            flags["bound_met"] = met
+            fit, flags["lam"], flags["bound_met"] = _reinsch_fit(t, y, k, spec.s)
         y = fit(t)
-    if spec.mode == "bound":
-        flags["knots"] = int(len(fit.t) - 2 * (k + 1))
     flags["spline"] = {"knots": fit.t.tolist(), "coefficients": fit.c.tolist()}
     return DerivativeResult(
         smoothed=fit(t),
@@ -391,31 +413,6 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
              "s": spec.s, "iterations": spec.iterations},
         flags=flags,
     )
-
-
-def _fit_bound_mode(t, y, k, bound):
-    max_interior = len(_site_interior_knots(t, k))
-    interior: list[float] = []
-    fit = _solve_spline(t, y, k, np.array(interior), 0.0)
-    while True:
-        resid = y - fit(t)
-        if float(resid @ resid) <= bound:
-            return fit, True
-        if len(interior) >= max_interior:
-            return fit, False
-        for idx in np.argsort(-np.abs(resid)):
-            cand = t[idx]
-            if cand <= t[0] or cand >= t[-1] or cand in interior:
-                continue
-            trial = sorted(interior + [cand])
-            try:
-                fit = _solve_spline(t, y, k, np.array(trial), 0.0)
-            except NumericError:
-                continue
-            interior = trial
-            break
-        else:
-            return fit, False
 
 
 def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> DerivativeResult:

@@ -17,7 +17,7 @@ from scipy.interpolate import BSpline
 from scipy.sparse.linalg import spsolve
 
 from derivkit.core import NumericError
-from derivkit.smoothers import _full_knots
+from derivkit.smoothers import _site_knots
 
 
 def _derivative_transform(knots: np.ndarray, k: int, m: int) -> sp.csr_matrix:
@@ -65,8 +65,8 @@ def _spsolve_checked(M: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_spline(t, y, k, interior, lam):
-    knots = _full_knots(t, k, interior)
+def _solve_spline(t, y, k, lam):
+    knots = _site_knots(t, k)
     m = len(knots) - k - 1
     B = BSpline.design_matrix(t, knots, k)
     rhs = B.T @ y

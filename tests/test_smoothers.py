@@ -22,6 +22,7 @@ from derivkit import (
     NumericError,
     Signal,
     SplineSpec,
+    UnsupportedMethodError,
     ValidationError,
     butterdiff,
     fd_derivative,
@@ -154,6 +155,16 @@ class TestButterdiff:
             butterdiff(s, order=2, cutoff_hz=50.0)
         with pytest.raises(ValidationError):
             butterdiff(s, order=2, cutoff_hz=0.0)
+
+    def test_single_pass_checks_as_butterdiff_does(self):
+        s = Signal(Grid.regular(100, 0.01), np.zeros(100))
+        with pytest.raises(ValidationError, match="cutoff must lie in"):
+            butter_single_pass(s, order=2, cutoff_hz=50.0)
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            butter_single_pass(s, order=0, cutoff_hz=5.0)
+        irregular = Signal(Grid(np.cumsum(np.linspace(0.005, 0.015, 100))), np.zeros(100))
+        with pytest.raises(UnsupportedMethodError, match="butter_single_pass requires a uniform grid"):
+            butter_single_pass(irregular, order=2, cutoff_hz=5.0)
 
 
 class TestPolydiff:
@@ -374,11 +385,20 @@ class TestSplinediff:
         assert resid <= bound
 
     def test_bound_mode_infeasible_flag(self):
-        rng = np.random.default_rng(12)
-        t = np.linspace(0, 1, 40)
-        y = rng.standard_normal(40)
-        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="bound", s=1e-20))
-        assert "bound_met" in r.flags
+        # bound_met is False exactly when s is below the interpolant's residual sum of squares
+        for k in (2, 3, 4, 5):
+            for n in (12, 60, 400):
+                rng = np.random.default_rng(10 * n + k)
+                for name, t in _spline_grids(n, rng).items():
+                    y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                    interpolant = smoothers._solve_spline(t, y, k, 0.0)
+                    floor = np.sum((y - interpolant(t)) ** 2)
+                    for s in (0.0, 0.5 * floor, floor):
+                        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                        assert r.flags["bound_met"] == (s >= floor), (k, n, name, s, floor)
+                        if not r.flags["bound_met"]:
+                            assert r.flags["lam"] == 0.0
+                            np.testing.assert_array_equal(r.smoothed, interpolant(t))
 
     def test_iterations_smooth_more(self):
         rng = np.random.default_rng(13)
@@ -406,6 +426,10 @@ def _dense(first, rows, m):
     return out
 
 
+def _full_knots(t, k, interior):
+    return np.concatenate([np.full(k + 1, t[0]), interior, np.full(k + 1, t[-1])])
+
+
 def _dense_lstsq(t, y, knots, k, lam):
     """Coefficients of ``[B; sqrt(lam) K] alpha ~ [y; 0]`` by dense SVD least squares."""
     A, rhs = BSpline.design_matrix(t, knots, k).toarray(), y
@@ -413,13 +437,6 @@ def _dense_lstsq(t, y, knots, k, lam):
         K = sparse_curvature_factor(knots, k, len(knots) - k - 1).toarray()
         A, rhs = np.vstack([A, np.sqrt(lam) * K]), np.concatenate([y, np.zeros(len(K))])
     return np.linalg.lstsq(A, rhs, rcond=None)[0]
-
-
-def _oracle_bound_fit(monkeypatch, t, y, k, bound):
-    """Bound mode's greedy fit with every solve made by the sparse SuperLU oracle."""
-    with monkeypatch.context() as patch:
-        patch.setattr(smoothers, "_solve_spline", superlu_solve_spline)
-        return smoothers._fit_bound_mode(t, y, k, bound)
 
 
 def _bound_signal(n, seed):
@@ -439,10 +456,9 @@ class TestSplineAgainstSparse:
             rng = np.random.default_rng(10 * n + k)
             for name, t in _spline_grids(n, rng).items():
                 y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
-                interior = smoothers._site_interior_knots(t, k)
                 for lam in _LAMS:
-                    got = smoothers._solve_spline(t, y, k, interior, lam)
-                    ref = superlu_solve_spline(t, y, k, interior, lam)
+                    got = smoothers._solve_spline(t, y, k, lam)
+                    ref = superlu_solve_spline(t, y, k, lam)
                     for nu in (0, 1):
                         scale = np.max(np.abs(ref(t, nu=nu)))
                         err = np.max(np.abs(got(t, nu=nu) - ref(t, nu=nu)))
@@ -458,27 +474,14 @@ class TestSplineAgainstSparse:
             grids["random"] = np.sort(rng.uniform(0.0, 3.0, n))
             for name, t in grids.items():
                 y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
-                interior = smoothers._site_interior_knots(t, k)
                 for lam in _LAMS:
-                    got = smoothers._solve_spline(t, y, k, interior, lam)
-                    ref = superlu_solve_spline(t, y, k, interior, lam)
+                    got = smoothers._solve_spline(t, y, k, lam)
+                    ref = superlu_solve_spline(t, y, k, lam)
                     best = _dense_lstsq(t, y, got.t, k, lam)
                     scale = np.max(np.abs(best))
                     ours = np.max(np.abs(got.c - best)) / scale
                     theirs = np.max(np.abs(ref.c - best)) / scale
                     assert ours <= 2 * theirs + 1e-13, (name, n, lam, ours, theirs)
-
-    @pytest.mark.parametrize("k, n, seed", [(4, 400, 0), (4, 400, 1), (5, 60, 1), (5, 400, 1)])
-    def test_ill_conditioned_bound_mode_knots(self, monkeypatch, k, n, seed):
-        t, y = _bound_signal(n, seed)
-        fit, _ = _oracle_bound_fit(monkeypatch, t, y, k, 0.015 * n)
-        assert np.linalg.cond(BSpline.design_matrix(t, fit.t, k).toarray()) >= 1e8
-        interior = fit.t[k + 1 : -k - 1]
-        best = _dense_lstsq(t, y, fit.t, k, 0.0)
-        scale = np.max(np.abs(best))
-        ours = np.max(np.abs(smoothers._solve_spline(t, y, k, interior, 0.0).c - best)) / scale
-        theirs = np.max(np.abs(superlu_solve_spline(t, y, k, interior, 0.0).c - best)) / scale
-        assert ours <= 2 * theirs + 1e-13, (ours, theirs)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_curvature_rows_match_sparse_factor(self, k):
@@ -487,54 +490,97 @@ class TestSplineAgainstSparse:
             grids = _spline_grids(n, rng)
             grids["random"] = np.sort(rng.uniform(0.0, 3.0, n))
             for name, t in grids.items():
-                knot_sets = (smoothers._site_interior_knots(t, k),
-                             np.sort(rng.choice(t[1:-1], max(1, n // 5), replace=False)))
-                for interior in knot_sets:
-                    knots = smoothers._full_knots(t, k, interior)
+                knot_sets = (smoothers._site_knots(t, k),
+                             _full_knots(t, k, np.sort(rng.choice(t[1:-1], max(1, n // 5),
+                                                                   replace=False))))
+                for knots in knot_sets:
                     m = len(knots) - k - 1
                     ref = sparse_curvature_factor(knots, k, m).toarray()
                     got = _dense(*smoothers._curvature_rows(knots, k), m)
                     assert got.shape == ref.shape
                     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
+
+
+def _line_rss(t, y):
+    """Residual sum of squares and slope of the least-squares line."""
+    x = t - t.mean()
+    slope = (x @ y) / (x @ x)
+    return np.sum((y - y.mean() - slope * x) ** 2), slope
+
+
+class TestBoundMode:
+    """Bound mode is Reinsch's spline: the lambda-mode fit at the lam where RSS(lam) = s."""
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_bound_mode_picks_the_oracles_knots(self, monkeypatch, k):
-        # bounds at the noise level; far below rounding (s = 1e-20) the greedy
-        # order is set by rounding noise and differs between any two solvers
+    def test_meets_the_bound_as_the_lambda_fit_at_its_lam(self, monkeypatch, k):
+        banded, solves = smoothers._solve_spline, []
+        monkeypatch.setattr(smoothers, "_solve_spline",
+                            lambda *args: solves.append(args) or banded(*args))
+        for n in (12, 60, 400):
+            rng = np.random.default_rng(10 * n + k)
+            for name, t in _spline_grids(n, rng).items():
+                y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                line, _ = _line_rss(t, y)
+                for s in (1e-4 * line, 0.01 * n, 0.5 * line, 0.9 * line):
+                    solves.clear()
+                    r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                    rss = np.sum((r.smoothed - y) ** 2)
+                    case = (name, n, s, rss / s, len(solves))
+                    assert r.flags["bound_met"] and r.flags["lam"] > 0, case
+                    assert (1 - 1e-6) * s <= rss <= s, case
+                    assert len(solves) <= 20, case
+                    fit = banded(t, y, k, r.flags["lam"])
+                    np.testing.assert_array_equal(fit.c, r.flags["spline"]["coefficients"])
+                    np.testing.assert_array_equal(fit(t), r.smoothed)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_the_line_when_it_meets_the_bound(self, k):
+        for n in (12, 60, 400):
+            rng = np.random.default_rng(10 * n + k)
+            for name, t in _spline_grids(n, rng).items():
+                y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                line, slope = _line_rss(t, y)
+                for s in ((1 + 1e-9) * line, 10 * line):
+                    r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                    assert r.flags["lam"] is None and r.flags["bound_met"], (name, n)
+                    assert len(r.flags["spline"]["knots"]) == 2 * (k + 1)
+                    assert np.sum((r.smoothed - y) ** 2) <= s
+                    np.testing.assert_allclose(r.derivative, slope, rtol=1e-9)
+                    fitted = y.mean() + slope * (t - t.mean())
+                    np.testing.assert_allclose(r.smoothed, fitted, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_bound_mode_matches_the_superlu_oracle(self, monkeypatch, k):
         for n, irregular in ((60, False), (60, True), (150, False), (150, True)):
             t, y = _bound_signal(2 * n if irregular else n, k)
             if irregular:  # a random half of a grid twice as fine
                 keep = np.sort(np.random.default_rng(n).choice(2 * n, n, replace=False))
                 t, y = t[keep], y[keep]
             for bound in (0.015 * n, 0.008 * n):
-                got, got_met = smoothers._fit_bound_mode(t, y, k, bound)
-                ref, ref_met = _oracle_bound_fit(monkeypatch, t, y, k, bound)
-                np.testing.assert_array_equal(got.t, ref.t)
-                assert got_met == ref_met
+                got = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=bound))
+                with monkeypatch.context() as patch:
+                    patch.setattr(smoothers, "_solve_spline", superlu_solve_spline)
+                    ref = splinediff(Signal(Grid(t), y),
+                                     SplineSpec(degree=k, mode="bound", s=bound))
+                assert got.flags["lam"] == pytest.approx(ref.flags["lam"], rel=1e-5)
+                for field in ("smoothed", "derivative"):
+                    want = getattr(ref, field)
+                    np.testing.assert_allclose(getattr(got, field), want, rtol=0,
+                                               atol=1e-6 * np.max(np.abs(want)))
 
-    def test_singular_system_raises(self):
-        # five knots within one sample gap: the cubic B-spline on them sees no data
-        t = np.linspace(0.0, 1.0, 40)
-        interior = np.array([0.300, 0.301, 0.302, 0.303, 0.304])
-        with pytest.raises(NumericError, match="singular spline system"):
-            smoothers._solve_spline(t, np.sin(t), 3, interior, 0.0)
+    def test_degree_one_has_no_curvature_penalty(self):
+        with pytest.raises(ValidationError, match="curvature penalty needs degree >= 2"):
+            SplineSpec(degree=1, mode="bound", s=1.0)
 
-    def test_long_runs_fold_to_a_narrow_band(self, monkeypatch):
-        # bound mode's first fit has no interior knot: every sample lies on the
-        # same k + 1 coefficients, which would make the band as wide as the data
-        seen = []
-
-        def recording_band(*args):
-            seen.append(core._band(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(smoothers, "_band", recording_band)
-        t = np.linspace(0.0, 1.0, 2000)
-        y = np.cos(3 * t)
-        fit = smoothers._solve_spline(t, y, 3, t[0:0], 0.0)
-        assert seen[-1][0] <= 2 * (3 + 1)
-        ref = np.polynomial.polynomial.Polynomial.fit(t, y, 3)
-        np.testing.assert_allclose(fit(t), ref(t), atol=1e-12)
+    def test_long_noisy_quintic(self):
+        # degree 5 on a long noisy record of sin(t), dt = 0.01
+        n = 4000
+        t = 0.01 * np.arange(n)
+        y = np.sin(t) + 0.1 * np.random.default_rng(1).standard_normal(n)
+        r = splinediff(Signal(Grid.regular(n, 0.01), y), SplineSpec(degree=5, mode="bound",
+                                                                      s=0.012 * n))
+        assert np.sqrt(np.mean((r.derivative - np.cos(t)) ** 2)) <= 0.1
 
 
 class TestRbfdiff:
