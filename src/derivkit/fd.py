@@ -8,8 +8,10 @@ a stencil ``[s_0, ..., s_{S-1}]`` and derivative order ``nu``, solve
 Centered schemes are used on the interior and one-sided schemes of matching
 accuracy at the edges. Irregular grids solve one Vandermonde system per
 sample in units of the independent variable, batched over the interior.
-One plan holds every stencil, solved once per call: ``fd_derivative``,
-every ``iterated_fd`` pass and TVR's sparse difference matrix apply it.
+One plan holds every stencil: ``fd_derivative``, every ``iterated_fd`` pass
+and TVR's sparse difference matrix apply it. Uniform plans are solved once
+per (N, nu, order, dt) and kept read-only in a small cache; irregular plans
+are solved once per call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -155,22 +158,39 @@ class _FdPlan(NamedTuple):
         return deriv
 
 
+def _read_only(plan: _FdPlan) -> _FdPlan:
+    """``plan`` with its coefficient arrays made read-only, for sharing from a cache."""
+    for c in (plan.interior, *(c for _, _, c in plan.edges)):
+        c.flags.writeable = False
+    return plan
+
+
 def _fd_plan(n_points: int, nu: int, order: int, dt: float | None, t=None) -> _FdPlan:
     """The plan on a uniform grid of step ``dt`` (stencils in steps, scaled by
-    ``dt^-nu``), or, for ``dt=None``, on the irregular points ``t``."""
+    ``dt^-nu``; cached, read-only), or, for ``dt=None``, on the irregular points ``t``."""
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    h, edges = _edge_plan(n_points, nu, order)
     if dt is not None:
-        t, scale = np.arange(n_points, dtype=float), dt ** -nu
-        interior = _vandermonde_solve(np.arange(-h, h + 1.0), nu, scale, stacklevel=4)
-    else:
-        scale, windows = 1.0, sliding_window_view(t, 2 * h + 1)
-        interior = _vandermonde_solve(windows - t[h : n_points - h, None], nu, scale, stacklevel=4)
+        return _uniform_plan(n_points, nu, order, dt)
+    h, edges = _edge_plan(n_points, nu, order)
+    scale, windows = 1.0, sliding_window_view(t, 2 * h + 1)
+    interior = _vandermonde_solve(windows - t[h : n_points - h, None], nu, scale, stacklevel=4)
     return _FdPlan(h, interior, tuple(
         (n, slice(lo, lo + size),
          _vandermonde_solve(t[lo : lo + size] - t[n], nu, scale, stacklevel=4))
         for n, lo, size in edges))
+
+
+@lru_cache(maxsize=32)
+def _uniform_plan(n_points: int, nu: int, order: int, dt: float) -> _FdPlan:
+    """``_fd_plan`` on a uniform grid, built once per (N, nu, order, dt)."""
+    h, edges = _edge_plan(n_points, nu, order)
+    scale = dt ** -nu
+    interior = _vandermonde_solve(np.arange(-h, h + 1.0), nu, scale, stacklevel=5)
+    return _read_only(_FdPlan(h, interior, tuple(
+        (n, slice(lo, lo + size),
+         _vandermonde_solve(np.arange(lo - n, lo - n + size, 1.0), nu, scale, stacklevel=5))
+        for n, lo, size in edges)))
 
 
 def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResult:
@@ -189,6 +209,13 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
                             phi={"nu": nu, "order": order})
 
 
+@lru_cache(maxsize=32)
+def _iterated_plans(n_points: int, order: int, dt: float) -> tuple[_FdPlan, _FdPlan]:
+    """``iterated_fd``'s read-only derivative plan and its smoothing plan."""
+    plan = _fd_plan(n_points, 1, order, dt)
+    return plan, _read_only(_smoothing_plan(plan, n_points, dt))
+
+
 def _smoothing_plan(plan: _FdPlan, n_points: int, dt: float) -> _FdPlan:
     """``plan`` (nu = 1) with endpoint stencils [0, 2, 4] / [0, -2, -4]: with the shrunk
     centered ones near the edges, every coefficient satisfies ``|c * dt| <= 1``."""
@@ -204,15 +231,14 @@ def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> Derivati
     endpoint stencils, cumulatively integrates with the trapezoid rule, and
     re-anchors the lost integration constant as a mean offset. One round is
     equivalent to an IIR low-pass filter; more iterations sharpen the cutoff.
-    Uniform grids only; the stencils are solved once per call.
+    Uniform grids only; the stencils are solved once per (N, order, dt).
     """
     dt = _require_uniform(signal, "iterated_fd")
     if iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {iterations}")
     if iterations and len(signal) < (needed := max(2 * _centered_halfwidth(1, order) + 1, 5)):
         raise ValidationError(f"iterated_fd needs at least {needed} samples")
-    plan = _fd_plan(len(signal), 1, order, dt)
-    smoothing = _smoothing_plan(plan, len(signal), dt)
+    plan, smoothing = _iterated_plans(len(signal), order, dt)
     z = np.array(signal.values)
     for _ in range(iterations):
         integ = _cumtrapz(signal.grid, smoothing.apply(z))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,7 +24,7 @@ from .core import (
     DerivativeResult,
     Signal,
     ValidationError,
-    _band,
+    _band_index,
     _require_uniform,
     _solve_banded,
     validate,
@@ -207,6 +209,13 @@ def savgol_coefficients(window: int, degree: int) -> tuple[np.ndarray, np.ndarra
     polynomial at the window center; the second row gives its slope per
     sample step.
     """
+    c_value, c_slope = _savgol_rows(window, degree)
+    return c_value.copy(), c_slope.copy()
+
+
+@lru_cache(maxsize=128)
+def _savgol_rows(window: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """``savgol_coefficients``' rows, cached and read-only."""
     if window < 3 or window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 3, got {window}")
     if degree >= window:
@@ -214,8 +223,10 @@ def savgol_coefficients(window: int, degree: int) -> tuple[np.ndarray, np.ndarra
     if degree < 0:
         raise ValidationError("degree must be >= 0")
     P = np.linalg.pinv(polyvander(np.arange(window) - window // 2, degree))
-    row1 = P[1] if degree >= 1 else np.zeros(window)
-    return P[0], row1
+    rows = P[0], P[1] if degree >= 1 else np.zeros(window)
+    for row in rows:
+        row.flags.writeable = False
+    return rows
 
 
 def savgoldiff(signal: Signal, window: int, degree: int,
@@ -231,7 +242,7 @@ def savgoldiff(signal: Signal, window: int, degree: int,
     n = len(signal)
     if window > n:
         raise ValidationError(f"window {window} exceeds signal length {n}")
-    c_value, c_slope = savgol_coefficients(window, degree)
+    c_value, c_slope = _savgol_rows(window, degree)
     smoothed = _reflect_correlate(signal.values, c_value)
     deriv = _gaussian_blur(_reflect_correlate(signal.values, c_slope) / dt, post_smooth_sigma)
     return DerivativeResult(
@@ -312,26 +323,61 @@ def _curvature_rows(knots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return first, rows
 
 
+class _SplineSystem(NamedTuple):
+    """``_solve_spline``'s system for one grid and degree, all but ``y`` and ``sqrt(lam)``:
+    ``where`` places the m coefficients, then one residual per row of ``A``; ``index`` is
+    the flat band position (half-bandwidth ``half``) of each entry of ``[[I, A], [A^T, 0]]``,
+    in the order ``I``, ``A^T``, ``A``, where ``A``'s entries are ``b_vals`` then
+    ``sqrt(lam) * k_vals`` (empty without a penalty)."""
+
+    knots: np.ndarray
+    where: np.ndarray
+    half: int
+    index: np.ndarray
+    b_vals: np.ndarray
+    k_vals: np.ndarray
+
+
+@lru_cache(maxsize=1)  # one system: at N = 1e5 it holds ~25 MB at degree 3, ~56 MB at 5
+def _spline_system(grid: bytes, k: int, penalized: bool) -> _SplineSystem:
+    """The read-only system on the sample times whose float64 bytes are ``grid``."""
+    t = np.frombuffer(grid)
+    knots = _site_knots(t, k)
+    m = len(knots) - k - 1
+    first, rows = _basis_rows(t, knots, k)
+    k_vals = np.empty(0)
+    if penalized:
+        k_first, k_rows = _curvature_rows(knots, k)
+        first, k_vals = np.concatenate([first, k_first]), k_rows.ravel()
+    # where[i]: place of unknown i (coefficients, then residuals); ties put the coefficient first
+    where = np.argsort(np.argsort(np.concatenate([np.arange(m), first + k / 2]), kind="stable"))
+    cols = where[first[:, None] + np.arange(k + 1)].ravel()
+    at = np.repeat(where[m:], k + 1)
+    half, index = _band_index(np.concatenate([where[m:], at, cols]),
+                              np.concatenate([where[m:], cols, at]), len(where))
+    # kept in the smallest unsigned type that holds it: the index is most of what is cached
+    index = index.astype(np.min_scalar_type(index.max()))
+    system = _SplineSystem(knots, where, half, index, rows.ravel(), k_vals)
+    for part in (knots, where, index, system.b_vals, k_vals):
+        part.flags.writeable = False
+    return system
+
+
 def _solve_spline(t, y, k, lam):
     """The spline at ``_site_knots`` whose coefficients solve ``A alpha ~ [y; 0]``,
     ``A = [B; sqrt(lam) K]``, from the augmented system ``[[I, A], [A^T, 0]] [r; alpha] =
     [y; 0]``: neither ``B^T B`` nor ``K^T K`` is formed, so the solve is conditioned like
     ``A``, not its square. Each residual ``r_i`` is ordered just past the middle of the k+1
-    coefficients its row touches, which makes the system banded (half-bandwidth 9 at k = 3)."""
-    knots = _site_knots(t, k)
-    m = len(knots) - k - 1
-    first, rows = _basis_rows(t, knots, k)
-    if lam > 0:
-        k_first, k_rows = _curvature_rows(knots, k)
-        first = np.concatenate([first, k_first])
-        rows = np.vstack([rows, np.sqrt(lam) * k_rows])
-    # where[i]: place of unknown i (coefficients, then residuals); ties put the coefficient first
-    where = np.argsort(np.argsort(np.concatenate([np.arange(m), first + k / 2]), kind="stable"))
-    cols = where[first[:, None] + np.arange(k + 1)].ravel()
-    at, vals = np.repeat(where[m:], k + 1), rows.ravel()
-    half, band = _band(np.concatenate([where[m:], at, cols]), np.concatenate([where[m:], cols, at]),
-                       np.concatenate([np.ones(len(first)), vals, vals]), len(where))
-    rhs = np.bincount(where[m : m + len(y)], y, len(where))
+    coefficients its row touches, which makes the system banded (half-bandwidth 9 at k = 3).
+    The system is assembled once per grid, degree and ``lam > 0`` (``_spline_system``); a
+    call scales the curvature rows, fills the band and solves."""
+    knots, where, half, index, b_vals, k_vals = _spline_system(
+        np.asarray(t, dtype=float).tobytes(), k, lam > 0)
+    m, size = len(knots) - k - 1, len(where)
+    vals = np.concatenate([b_vals, np.sqrt(lam) * k_vals])
+    band = np.bincount(index, np.concatenate([np.ones(size - m), vals, vals]),
+                       (2 * half + 1) * size).reshape(2 * half + 1, size)
+    rhs = np.bincount(where[m : m + len(y)], y, size)
     return BSpline(knots, _solve_banded(half, band, rhs, "singular spline system")[where[:m]], k)
 
 
@@ -339,8 +385,11 @@ def _reinsch_fit(t, y, k, s):
     """Reinsch's spline, ``_solve_spline``'s fit at the lam where its residual sum of squares
     RSS(lam) is ``s``, as (fit, lam, RSS <= s). RSS rises with lam from the interpolant's
     (lam = 0, returned if no lam tried meets ``s``) to the least-squares line's (returned,
-    knot-free, with lam None, if it meets ``s``). Since d log RSS / d log lam <= 2, the
-    feasible end of a final bracket 1e-7 wide in log lam is within 2e-7 relative of ``s``."""
+    knot-free, with lam None, if it meets ``s``). The search stops at the first feasible
+    fit within 1e-7 relative of ``s``: where RSS(lam) is flat to rounding, as near the
+    line's RSS, a bracket on lam would narrow to no gain. Otherwise, since d log RSS /
+    d log lam <= 2, the feasible end of a final bracket 1e-7 wide in log lam is within 2e-7
+    relative of ``s``."""
     x = t - t.mean()
     slope = (x @ y) / (x @ x)
     if np.sum((y - y.mean() - slope * x) ** 2) <= s:
@@ -354,16 +403,19 @@ def _reinsch_fit(t, y, k, s):
         if lam not in fits:
             fit = _solve_spline(t, y, k, lam)
             fits[lam] = fit, float(np.sum((y - fit(t)) ** 2))
-        return fits[lam][1] - s
+        slack = s - fits[lam][1]
+        return 0.0 if 0 <= slack <= 1e-7 * s else -slack  # 0 ends the search
 
     # with step h, the fit goes from interpolant to line as lam goes from h^3 to
     # span^4 / h; start halfway, at h span^2, and step by 1e3 until RSS crosses s
     step = np.log(1e3)
     lo = np.log((t[-1] - t[0]) ** 3 / (len(t) - 1))
-    below = excess(lo) <= 0
+    below = (f := excess(lo)) <= 0
     for _ in range(12):
+        if f == 0:
+            break
         hi = lo + (step if below else -step)
-        if (excess(hi) <= 0) != below:
+        if ((f := excess(hi)) <= 0) != below:
             brentq(excess, min(lo, hi), max(lo, hi), xtol=1e-7)
             break
         lo = hi

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ from .methods import _bounded_params, get_method
 MAD_NORMALIZER = 0.6745
 #: How many failed evaluations :func:`autotune` reports the reasons of.
 FAILURE_REASONS = 3
+#: The signal the running :func:`autotune` call validated on entry; its losses skip
+#: re-validating it (signals are immutable).
+_VALIDATED: ContextVar[Signal | None] = ContextVar("_VALIDATED", default=None)
 
 
 def _pair(est, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +78,8 @@ def gamma_heuristic(f_hz: float, dt: float) -> float:
 
 
 def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
-    validate(signal)
+    if signal is not _VALIDATED.get():
+        validate(signal)
     xdot = np.asarray(derivative, dtype=float)
     if xdot.shape != signal.values.shape:
         raise ValidationError("derivative length must match the signal")
@@ -266,6 +271,12 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     infinite loss; ``info`` reports the evaluation count, the number of
     distinct canonical parameter sets, the number of failed evaluations and
     the first few failure reasons.
+
+    The signal is validated once, on entry. Each distinct canonical parameter
+    set is run and scored once; a repeat is served from a memo of its loss
+    (or failure reason) and still counts as an evaluation, and a repeated
+    failure as a failed evaluation, so the counts mean what they would if
+    every evaluation ran the method.
     """
     spec = spec or TuneSpec()
     validate(signal)
@@ -291,30 +302,39 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         return mspec.canonical(phi)
 
     failures: list[str] = []
-    distinct: set[tuple] = set()
+    memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
 
     def objective(x: np.ndarray) -> float:
         phi = to_phi(x)
-        distinct.add(tuple(sorted(phi.items())))
-        try:
-            result = mspec.run(signal, phi, 1)
-            loss = robust_proxy_loss(result.derivative, signal, gamma, m)
-        except (ValidationError, NumericError) as exc:
-            failures.append(f"{phi}: {exc}")
-            return math.inf
-        return loss if math.isfinite(loss) else math.inf
+        key = tuple(sorted(phi.items()))
+        if key not in memo:
+            try:
+                result = mspec.run(signal, phi, 1)
+                loss = robust_proxy_loss(result.derivative, signal, gamma, m)
+            except (ValidationError, NumericError) as exc:
+                memo[key] = math.inf, f"{phi}: {exc}"
+            else:
+                memo[key] = (loss if math.isfinite(loss) else math.inf), None
+        loss, failure = memo[key]
+        if failure is not None:
+            failures.append(failure)
+        return loss
 
     rng = seeded_stream(spec.seed, "autotune", method)
     best_x = None
     best_loss = math.inf
     total_evals = 0
-    for _ in range(spec.starts):
-        x0 = rng.uniform(lo_t, hi_t)
-        steps = 0.15 * (hi_t - lo_t)
-        x, loss, used = _nelder_mead(objective, x0, steps, spec.max_evals)
-        total_evals += used
-        if loss < best_loss:
-            best_loss, best_x = loss, x
+    token = _VALIDATED.set(signal)
+    try:
+        for _ in range(spec.starts):
+            x0 = rng.uniform(lo_t, hi_t)
+            steps = 0.15 * (hi_t - lo_t)
+            x, loss, used = _nelder_mead(objective, x0, steps, spec.max_evals)
+            total_evals += used
+            if loss < best_loss:
+                best_loss, best_x = loss, x
+    finally:
+        _VALIDATED.reset(token)
     if best_x is None or not math.isfinite(best_loss):
         detail = "; ".join(failures[-3:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")
@@ -328,7 +348,7 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         bounds=bounds,
         scale=scale,
         info={"loss": best_loss, "gamma": gamma, "m": m,
-              "evaluations": total_evals, "distinct_evaluations": len(distinct),
+              "evaluations": total_evals, "distinct_evaluations": len(memo),
               "failed_evaluations": len(failures),
               "failure_reasons": failures[:FAILURE_REASONS], "seed": spec.seed},
     )

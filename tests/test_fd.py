@@ -15,7 +15,14 @@ from derivkit import (
 )
 from fd_reference import first_diff_table, safe_first_derivative
 
-from derivkit.fd import _edge_plan, _fd_plan, _first_diff_matrix, _smoothing_plan
+from derivkit.fd import (
+    _edge_plan,
+    _fd_plan,
+    _first_diff_matrix,
+    _iterated_plans,
+    _smoothing_plan,
+    _uniform_plan,
+)
 
 
 def brute_vandermonde(distances, nu):
@@ -289,3 +296,37 @@ class TestPlanAgainstHandWrittenStencils:
         diff = abs(_first_diff_matrix(50, dt) - first_diff_table(50, dt)).toarray()
         assert 0 < diff.max() <= np.spacing(4 / (2 * dt))
         assert not diff[1:-1].any()
+
+
+class TestPlanCache:
+    """Uniform plans are built once per (N, nu, order, dt) and shared read-only."""
+
+    @pytest.mark.parametrize("plan", [_fd_plan(40, 1, 4, 0.01), _fd_plan(40, 2, 2, 0.1),
+                                      *_iterated_plans(40, 2, 0.01)])
+    def test_cached_arrays_are_read_only(self, plan):
+        for c in (plan.interior, *(c for _, _, c in plan.edges)):
+            with pytest.raises(ValueError, match="read-only"):
+                c[0] = 1.0
+
+    def test_repeat_is_served_from_the_cache(self):
+        assert _fd_plan(41, 1, 2, 0.01) is _fd_plan(41, 1, 2, 0.01)
+        assert _iterated_plans(41, 2, 0.01)[0] is _fd_plan(41, 1, 2, 0.01)
+
+    def test_same_length_other_step_is_another_plan(self):
+        a, b = _fd_plan(40, 1, 2, 0.01), _fd_plan(40, 1, 2, 0.02)
+        assert a is not b
+        np.testing.assert_array_equal(b.interior, a.interior / 2)
+        assert _iterated_plans(40, 2, 0.01) is not _iterated_plans(40, 2, 0.02)
+
+    def test_cached_plan_equals_a_fresh_build(self):
+        for n, nu, order, dt in ((40, 1, 2, 0.01), (40, 2, 4, 0.3), (200, 1, 8, 1 / 3)):
+            cached, built = _fd_plan(n, nu, order, dt), _uniform_plan.__wrapped__(n, nu, order, dt)
+            np.testing.assert_array_equal(cached.interior, built.interior)
+            for (n1, w1, c1), (n2, w2, c2) in zip(cached.edges, built.edges, strict=True):
+                assert (n1, w1) == (n2, w2)
+                np.testing.assert_array_equal(c1, c2)
+
+    def test_irregular_plans_are_not_cached(self):
+        t = np.cumsum(np.random.default_rng(0).uniform(0.5, 1.5, 30))
+        a, b = _fd_plan(30, 1, 2, None, t), _fd_plan(30, 1, 2, None, t)
+        assert a is not b and a.interior.flags.writeable

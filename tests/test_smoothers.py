@@ -330,6 +330,23 @@ class TestSavgol:
         with pytest.raises(ValidationError):
             savgol_coefficients(5, 5)
 
+    def test_cached_rows_are_read_only(self):
+        for row in smoothers._savgol_rows(9, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+
+    def test_caller_owns_the_coefficients(self):
+        rng = np.random.default_rng(7)
+        s = Signal(Grid.regular(100, 0.01), rng.standard_normal(100))
+        before = savgoldiff(s, window=11, degree=3)
+        c_value, c_slope = savgol_coefficients(11, 3)
+        c_value[:] = 0.0
+        c_slope[:] = 0.0
+        after = savgoldiff(s, window=11, degree=3)
+        np.testing.assert_array_equal(after.smoothed, before.smoothed)
+        np.testing.assert_array_equal(after.derivative, before.derivative)
+        assert savgol_coefficients(11, 3)[0].any()
+
 
 class TestSplinediff:
     def test_interpolation_at_zero_lambda(self):
@@ -502,6 +519,58 @@ class TestSplineAgainstSparse:
 
 
 
+class TestSplineSystemCache:
+    """``_solve_spline`` assembles its system once per grid, degree and lam > 0."""
+
+    def test_epoch_shift_is_another_system_equal_to_a_fresh_build(self):
+        n, k = 200, 3
+        y = np.sin(np.linspace(0.0, 3.0, n))
+        for t0 in (0.0, 1.7e9):
+            t = t0 + np.linspace(0.0, 3.0, n)
+            smoothers._spline_system.cache_clear()
+            fresh = smoothers._solve_spline(t, y, k, 1e-3)
+            again = smoothers._solve_spline(t, y, k, 1e-3)
+            info = smoothers._spline_system.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            np.testing.assert_array_equal(again.c, fresh.c)
+            np.testing.assert_array_equal(again.t, fresh.t)
+            cached = smoothers._spline_system(t.tobytes(), k, True)
+            built = smoothers._spline_system.__wrapped__(t.tobytes(), k, True)
+            for a, b in zip(cached, built, strict=True):
+                np.testing.assert_array_equal(a, b)
+        # the two grids differ only past 1e9: the shifted one missed the cache
+        smoothers._spline_system.cache_clear()
+        smoothers._solve_spline(np.linspace(0.0, 3.0, n), y, k, 1e-3)
+        smoothers._solve_spline(1.7e9 + np.linspace(0.0, 3.0, n), y, k, 1e-3)
+        assert smoothers._spline_system.cache_info().misses == 2
+
+    def test_holds_at_most_one_system(self):
+        y = np.sin(np.linspace(0.0, 3.0, 100))
+        for t in (np.linspace(0.0, 3.0, 100), np.linspace(1.0, 4.0, 100)):
+            for lam in (0.0, 1e-3):
+                smoothers._solve_spline(t, y, 3, lam)
+                assert smoothers._spline_system.cache_info().currsize <= 1
+
+    def test_cached_arrays_are_read_only(self):
+        t = np.linspace(0.0, 3.0, 50)
+        fit = smoothers._solve_spline(t, np.cos(t), 3, 1e-2)
+        system = smoothers._spline_system(t.tobytes(), 3, True)
+        for part in (system.knots, system.where, system.index, system.b_vals, system.k_vals):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
+        assert fit(t).shape == t.shape
+
+    def test_lam_only_scales_the_curvature_rows(self):
+        rng = np.random.default_rng(3)
+        t = np.sort(rng.uniform(0.0, 3.0, 80))
+        y = np.sin(t) + 0.1 * rng.standard_normal(80)
+        for lam in (1e-6, 1e-2, 1e3):
+            smoothers._spline_system.cache_clear()
+            fresh = smoothers._solve_spline(t, y, 4, lam)
+            smoothers._solve_spline(t, y, 4, 7.0)  # warm, at another lam
+            np.testing.assert_array_equal(smoothers._solve_spline(t, y, 4, lam).c, fresh.c)
+
+
 def _line_rss(t, y):
     """Residual sum of squares and slope of the least-squares line."""
     x = t - t.mean()
@@ -568,6 +637,26 @@ class TestBoundMode:
                     want = getattr(ref, field)
                     np.testing.assert_allclose(getattr(got, field), want, rtol=0,
                                                atol=1e-6 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_ends_early_where_rss_is_flat(self, monkeypatch, k):
+        # s within 1e-9 of the line's RSS, where RSS(lam) is flat to rounding at large lam
+        banded, solves = smoothers._solve_spline, []
+        monkeypatch.setattr(smoothers, "_solve_spline",
+                            lambda *args: solves.append(args) or banded(*args))
+        for n in (12, 60, 400):
+            rng = np.random.default_rng(10 * n + k)
+            for name, t in _spline_grids(n, rng).items():
+                y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                line, _ = _line_rss(t, y)
+                for s in ((1 - 1e-9) * line, (1 - 1e-13) * line):
+                    solves.clear()
+                    r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                    rss = np.sum((r.smoothed - y) ** 2)
+                    case = (name, n, s, rss / s, len(solves))
+                    assert r.flags["bound_met"], case
+                    assert rss <= s * (1 + 1e-6), case
+                    assert len(solves) <= 16, case
 
     def test_degree_one_has_no_curvature_penalty(self):
         with pytest.raises(ValidationError, match="curvature penalty needs degree >= 2"):

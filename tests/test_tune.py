@@ -265,6 +265,68 @@ class TestAutotune:
         assert 1 <= len(info["failure_reasons"]) <= 3
         assert all("refused" in reason for reason in info["failure_reasons"])
         assert config.phi["post_smooth_sigma"] <= 5.0
+        # the counts before repeats were served from the memo: a repeat still counts
+        assert (info["evaluations"], info["distinct_evaluations"],
+                info["failed_evaluations"]) == (169, 121, 97)
+        assert info["failure_reasons"] == [
+            f"{{'window': {w}, 'degree': {d}, 'post_smooth_sigma': 29.236385567705568}}: "
+            "post_smooth_sigma=29.2364 refused" for w, d in ((13, 6), (31, 6), (13, 7))]
+
+    def test_runs_the_method_once_per_distinct_phi(self, monkeypatch):
+        from dataclasses import replace
+
+        from derivkit import methods
+
+        base, runs = methods.get_method("poly"), []
+
+        def counted(signal, phi, nu):
+            runs.append(tuple(sorted(phi.items())))
+            return base.run(signal, phi, nu)
+
+        monkeypatch.setitem(methods._REGISTRY, "poly", replace(base, run=counted))
+        s, _ = noisy_sine(n=200, seed=6)
+        info = autotune("poly", s, TuneSpec(starts=2, max_evals=60, seed=0)).info
+        assert len(runs) == len(set(runs)) == info["distinct_evaluations"]
+        assert info["distinct_evaluations"] < info["evaluations"]
+
+    def test_validates_the_signal_once(self, monkeypatch):
+        from derivkit import core, tune
+
+        calls = []
+        monkeypatch.setattr(tune, "validate", lambda signal: calls.append(signal) or
+                            core.validate(signal))
+        s, deriv = noisy_sine(n=200, seed=6)
+        autotune("fourier", s, TuneSpec(starts=2, max_evals=30, seed=0))
+        assert calls == [s]
+        robust_proxy_loss(deriv, s, 0.1)
+        proxy_loss(deriv, s, 0.1)
+        assert calls == [s] * 3
+
+    # Recorded before tuner evaluations were memoized: tuned phi, loss bits and
+    # counts, on one N = 400 noisy sine with starts=3, max_evals=80, seed=0.
+    GOLDEN = {
+        "butter": ({"cutoff_hz": 6.399510804536913, "order": 2}, "0x1.970ef7f1cba51p-4",
+                   78, 66, 0),
+        "fd": ({"order": 4}, "0x1.7474991d25e5fp-2", 95, 3, 0),
+        "fourier": ({"keep_modes": 69.0, "pad": 50}, "0x1.9fe751253dbcep-4", 141, 29, 0),
+        "iterated_fd": ({"iterations": 14.0, "order": 2}, "0x1.9dde016b0d1d2p-4", 141, 28, 0),
+        "kernel": ({"sigma": 2.693323951882363, "window": 13}, "0x1.a01b4c495b98bp-4",
+                   241, 222, 0),
+        "poly": ({"degree": 4, "window": 73}, "0x1.b46f0c13ebc18p-4", 202, 61, 0),
+        "savgol": ({"degree": 4, "post_smooth_sigma": 2.8065479472713477, "window": 5},
+                   "0x1.9a48c99dd1021p-4", 241, 239, 0),
+        "spline": ({"degree": 3, "iterations": 1, "lam": 4.571738363171909e-05},
+                   "0x1.96b0ecd275f31p-4", 92, 82, 0),
+    }
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN))
+    def test_golden_tuned_phi_and_counts(self, method):
+        s, _ = noisy_sine()
+        config = autotune(method, s, TuneSpec(starts=3, max_evals=80, seed=0))
+        info = config.info
+        got = (config.phi, info["loss"].hex(), info["evaluations"],
+               info["distinct_evaluations"], info["failed_evaluations"])
+        assert got == self.GOLDEN[method]
 
     def test_integer_parameters_repeat_evaluations(self):
         s, _ = noisy_sine(n=200, seed=6)
