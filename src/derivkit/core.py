@@ -4,6 +4,10 @@ Signals are dense arrays of 64-bit reals on strictly increasing sample
 grids. Uniform spacing is detected at construction time; irregular grids
 are first-class and are never silently resampled. All containers are
 immutable after construction and safe to share across threads.
+
+A Grid or Signal is checked once, when it is built; library functions that
+receive one trust it and do not check it again. :func:`validate` is for
+callers who want to re-check a signal themselves.
 """
 
 from __future__ import annotations
@@ -225,7 +229,11 @@ def _check_signal_values(grid: Grid, vals: np.ndarray) -> None:
 
 
 def validate(signal: Signal) -> None:
-    """Re-check every Grid/Signal invariant, raising at the first violation."""
+    """Re-check every Grid/Signal invariant, raising at the first violation.
+
+    Construction already checks all of them and the containers are immutable, so
+    the library never calls this; it is for callers who want to re-check.
+    """
     pts = np.asarray(signal.grid.points, dtype=float)
     _check_grid_points(pts)
     if signal.grid.uniform:
@@ -236,8 +244,7 @@ def validate(signal: Signal) -> None:
 
 
 def _require_uniform(signal: Signal, what: str) -> float:
-    """Validate ``signal`` and return its step; ``what`` names the caller in the error."""
-    validate(signal)
+    """Return the step of a uniform ``signal``; ``what`` names the caller in the error."""
     if not signal.grid.uniform:
         raise UnsupportedMethodError(f"{what} requires a uniform grid")
     return signal.grid.dt
@@ -287,7 +294,6 @@ def cumtrapz(signal: Signal) -> np.ndarray:
     Works on irregular grids: each increment is
     ``0.5 * (v[n] + v[n-1]) * (t[n] - t[n-1])``.
     """
-    validate(signal)
     return _cumtrapz(signal.grid, signal.values)
 
 

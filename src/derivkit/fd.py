@@ -34,7 +34,6 @@ from .core import (
     ValidationError,
     _cumtrapz,
     _require_uniform,
-    validate,
 )
 
 #: Condition number ``|V|_1 |V^-1|_1`` (the 1-norm: largest absolute column sum)
@@ -202,7 +201,6 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
     Irregular grids take one batched Vandermonde solve over the interior
     windows, in units of the independent variable.
     """
-    validate(signal)
     y = signal.values
     plan = _fd_plan(len(y), nu, order, signal.grid.dt, signal.grid.points)
     return DerivativeResult(smoothed=y, derivative=plan.apply(y), method="fd",

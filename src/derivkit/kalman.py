@@ -24,13 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .core import (
-    DerivativeResult,
-    NumericError,
-    Signal,
-    ValidationError,
-    validate,
-)
+from .core import DerivativeResult, NumericError, Signal, ValidationError
 
 _PSD_SLACK = 1e-10
 
@@ -467,7 +461,6 @@ def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=N
     prediction (from the seed into the first sample) spans the first gap.
     Returns the filter track and the smoothed states and covariances.
     """
-    validate(signal)
     C = _as_matrix(C, "C")
     R = _as_matrix(R, "R")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -604,7 +597,6 @@ def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> Deri
     Works on uniform and irregular grids: the integrator chain's closed-form
     transition and noise matrices are evaluated at every step.
     """
-    validate(signal)
     A, c, C, Q, R, x0, P0 = _naive_model(signal, nu, q, r)
     xr, _ = rts_smooth(_filter(A, c, C, Q, R, x0, P0, signal.values[:, None]))
     return DerivativeResult(
@@ -622,7 +614,6 @@ def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
     Unlike :func:`rtsdiff`, the absolute scales of ``q`` and ``r`` matter
     here: they interact with the Huber radii through the normalized residuals.
     """
-    validate(signal)
     spec = spec or RobustSpec()
     result = _robust_map_core(*_naive_model(signal, nu, q, r), signal.values[:, None], spec)
     return DerivativeResult(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,23 +111,15 @@ def _rk4(f, x0: np.ndarray, t: np.ndarray, substeps: int = 10) -> np.ndarray:
     return out
 
 
-_SIM_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, Grid]] = {}
-
-
 def simulate(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
-    """Return (truth values, truth derivative, grid) for a benchmark case."""
-    key = (case.name, case.T, case.dt)
-    hit = _SIM_CACHE.get(key)
-    if hit is not None:
-        x, xdot, grid = hit
-        return x.copy(), xdot.copy(), grid
-    x, xdot, grid = _simulate_uncached(case)
-    if len(_SIM_CACHE) < 64:
-        _SIM_CACHE[key] = (x.copy(), xdot.copy(), grid)
-    return x, xdot, grid
+    """Return (truth values, truth derivative, grid) for a benchmark case; the
+    arrays are copies the caller owns."""
+    x, xdot, grid = _simulate(case)
+    return x.copy(), xdot.copy(), grid
 
 
-def _simulate_uncached(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
+@lru_cache(maxsize=64)
+def _simulate(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
     n = int(round(case.T / case.dt))
     t = case.dt * np.arange(n)
     grid = Grid(t)

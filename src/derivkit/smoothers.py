@@ -27,7 +27,6 @@ from .core import (
     _band_index,
     _require_uniform,
     _solve_banded,
-    validate,
 )
 from .fd import _fd_plan
 
@@ -161,7 +160,6 @@ def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int
     Overlapping fit evaluations are averaged uniformly unless a weight kernel
     (center-heavy weighting within each window) is given.
     """
-    validate(signal)
     n = len(signal)
     if window > n:
         raise ValidationError(f"window {window} exceeds signal length {n}")
@@ -442,7 +440,6 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     ``flags['spline']`` holds the final fit's knots and coefficients as lists:
     ``BSpline(knots, coefficients, degree)`` rebuilds it.
     """
-    validate(signal)
     t = signal.grid.points
     n = len(t)
     k = spec.degree
@@ -478,7 +475,6 @@ def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> D
     dramatically smaller condition number. The derivative reuses the
     coefficients with analytic kernel derivatives.
     """
-    validate(signal)
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if rho <= sigma:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .core import (
     ValidationError,
     _cumtrapz,
     total_variation,
-    validate,
 )
 from .methods import _bounded_params, get_method
 
@@ -31,9 +29,6 @@ from .methods import _bounded_params, get_method
 MAD_NORMALIZER = 0.6745
 #: How many failed evaluations :func:`autotune` reports the reasons of.
 FAILURE_REASONS = 3
-#: The signal the running :func:`autotune` call validated on entry; its losses skip
-#: re-validating it (signals are immutable).
-_VALIDATED: ContextVar[Signal | None] = ContextVar("_VALIDATED", default=None)
 
 
 def _pair(est, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +73,6 @@ def gamma_heuristic(f_hz: float, dt: float) -> float:
 
 
 def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
-    if signal is not _VALIDATED.get():
-        validate(signal)
     xdot = np.asarray(derivative, dtype=float)
     if xdot.shape != signal.values.shape:
         raise ValidationError("derivative length must match the signal")
@@ -272,14 +265,12 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     distinct canonical parameter sets, the number of failed evaluations and
     the first few failure reasons.
 
-    The signal is validated once, on entry. Each distinct canonical parameter
-    set is run and scored once; a repeat is served from a memo of its loss
-    (or failure reason) and still counts as an evaluation, and a repeated
-    failure as a failed evaluation, so the counts mean what they would if
-    every evaluation ran the method.
+    Each distinct canonical parameter set is run and scored once; a repeat is
+    served from a memo of its loss (or failure reason) and still counts as an
+    evaluation, and a repeated failure as a failed evaluation, so the counts
+    mean what they would if every evaluation ran the method.
     """
     spec = spec or TuneSpec()
-    validate(signal)
     mspec = get_method(method)
     all_params = _bounded_params(mspec, signal)
     params = [p for p in all_params if p.tunable]
@@ -287,7 +278,7 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     if not params:
         raise ValidationError(f"method {method!r} has no tunable parameters")
 
-    dt_eff = signal.grid.dt if signal.grid.uniform else signal.grid.span / (len(signal) - 1)
+    dt_eff = signal.grid.span / (len(signal) - 1)
     gamma = spec.gamma if spec.gamma is not None else gamma_heuristic(spec.cutoff_hz, dt_eff)
     m = spec.resolved_m
 
@@ -324,17 +315,13 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     best_x = None
     best_loss = math.inf
     total_evals = 0
-    token = _VALIDATED.set(signal)
-    try:
-        for _ in range(spec.starts):
-            x0 = rng.uniform(lo_t, hi_t)
-            steps = 0.15 * (hi_t - lo_t)
-            x, loss, used = _nelder_mead(objective, x0, steps, spec.max_evals)
-            total_evals += used
-            if loss < best_loss:
-                best_loss, best_x = loss, x
-    finally:
-        _VALIDATED.reset(token)
+    for _ in range(spec.starts):
+        x0 = rng.uniform(lo_t, hi_t)
+        steps = 0.15 * (hi_t - lo_t)
+        x, loss, used = _nelder_mead(objective, x0, steps, spec.max_evals)
+        total_evals += used
+        if loss < best_loss:
+            best_loss, best_x = loss, x
     if best_x is None or not math.isfinite(best_loss):
         detail = "; ".join(failures[-3:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -9,15 +10,24 @@ from hypothesis import strategies as st
 from derivkit import (
     DerivativeResult,
     Grid,
+    KernelSpec,
     MethodConfig,
     Signal,
+    TuneSpec,
     UnsupportedMethodError,
     ValidationError,
     apply_method,
     autotune,
+    constant_derivative_continuous,
     cumtrapz,
+    fourier_lowpass,
     get_method,
+    kalman_irregular,
+    kernel_smooth,
     method_names,
+    power_spectrum,
+    proxy_loss,
+    robust_proxy_loss,
     total_variation,
     validate,
 )
@@ -129,6 +139,47 @@ class TestSignal:
 
     def test_validate_passes_for_good_signal(self):
         validate(Signal(Grid.regular(8, 0.5), np.arange(8.0)))
+
+    def test_cannot_change_after_construction(self):
+        s = Signal(Grid.regular(8, 0.5), np.arange(8.0))
+        with pytest.raises(ValueError):
+            s.values[0] = 99.0
+        for obj, name in ((s, "values"), (s, "grid"), (s.grid, "dt"), (s.grid, "uniform")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+        bad = np.arange(8.0)
+        bad[3] = np.nan
+        with pytest.raises(ValidationError, match="index 3"):
+            dataclasses.replace(s, values=bad)  # a rebuilt signal is checked again
+
+
+class TestCheckedWhenBuilt:
+    def test_library_never_rechecks_a_signal(self, monkeypatch):
+        from derivkit import core
+
+        rng = np.random.default_rng(3)
+        t = 0.01 * np.arange(400)
+        y = np.sin(2 * np.pi * t) + 0.05 * rng.standard_normal(400)
+        uniform = Signal(Grid(t), y)
+        irregular = Signal(Grid(t + 0.004 * rng.uniform(size=400)), y)
+        assert uniform.grid.uniform and not irregular.grid.uniform
+        calls = []
+        monkeypatch.setattr(core, "_check_grid_points", lambda pts: calls.append(len(pts)))
+        for method in method_names():
+            apply_method(method, uniform)
+        for method in ("fd", "poly", "spline", "rbf", "rts", "robust"):
+            apply_method(method, irregular)
+        autotune("fourier", uniform, TuneSpec(starts=2, max_evals=30))
+        derivative = np.cos(2 * np.pi * t)
+        proxy_loss(derivative, uniform, 0.1)
+        robust_proxy_loss(derivative, uniform, 0.1)
+        cumtrapz(irregular)
+        kernel_smooth(uniform, KernelSpec())
+        fourier_lowpass(uniform, 20)
+        power_spectrum(uniform)
+        kalman_irregular(constant_derivative_continuous(2, 100.0), [[1.0, 0.0, 0.0]],
+                         [[0.05**2]], [y[0], 0.0, 0.0], np.eye(3), irregular)
+        assert calls == []
 
 
 class TestDerivativeResult:

@@ -289,19 +289,6 @@ class TestAutotune:
         assert len(runs) == len(set(runs)) == info["distinct_evaluations"]
         assert info["distinct_evaluations"] < info["evaluations"]
 
-    def test_validates_the_signal_once(self, monkeypatch):
-        from derivkit import core, tune
-
-        calls = []
-        monkeypatch.setattr(tune, "validate", lambda signal: calls.append(signal) or
-                            core.validate(signal))
-        s, deriv = noisy_sine(n=200, seed=6)
-        autotune("fourier", s, TuneSpec(starts=2, max_evals=30, seed=0))
-        assert calls == [s]
-        robust_proxy_loss(deriv, s, 0.1)
-        proxy_loss(deriv, s, 0.1)
-        assert calls == [s] * 3
-
     # Recorded before tuner evaluations were memoized: tuned phi, loss bits and
     # counts, on one N = 400 noisy sine with starts=3, max_evals=80, seed=0.
     GOLDEN = {
