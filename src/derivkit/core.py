@@ -153,9 +153,9 @@ class DerivativeResult:
                 f"smoothed and derivative lengths differ: {len(sm)} vs {len(dv)}"
             )
         for name, arr in (("smoothed", sm), ("derivative", dv)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise ValidationError(f"{name} contains non-finite value at index {bad[0]}")
+            if not np.isfinite(arr).all():
+                bad = np.flatnonzero(~np.isfinite(arr))[0]
+                raise ValidationError(f"{name} contains non-finite value at index {bad}")
         object.__setattr__(self, "smoothed", _freeze(sm))
         object.__setattr__(self, "derivative", _freeze(dv))
         object.__setattr__(self, "phi", dict(self.phi))
@@ -276,6 +276,17 @@ def _solve_banded(k: int, ab: np.ndarray, rhs: np.ndarray, what: str) -> np.ndar
         rcond, _ = gbcon(k, k, lu, piv, np.abs(ab).sum(axis=0).max())
         raise NumericError(f"{what} (condition estimate {1.0 / rcond if rcond else np.inf:.2e})")
     return x
+
+
+def _reflect_pad(values: np.ndarray, h: int) -> np.ndarray:
+    """``np.pad(values, h, mode="reflect")``, a new C-contiguous array, without its overhead:
+    two reversed slices, or for ``h >= len(values)`` the mirror images repeated with period
+    ``2 (len(values) - 1)``; ``values`` holds at least two samples."""
+    n = len(values)
+    if h < n:
+        return np.concatenate([values[h:0:-1], values, values[-2 : -h - 2 : -1]])
+    i = np.arange(-h, n + h) % (2 * n - 2)
+    return values[np.minimum(i, 2 * n - 2 - i)]
 
 
 def _cumtrapz(grid: Grid, v: np.ndarray) -> np.ndarray:

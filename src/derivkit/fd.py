@@ -240,7 +240,7 @@ def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> Derivati
     z = np.array(signal.values)
     for _ in range(iterations):
         integ = _cumtrapz(signal.grid, smoothing.apply(z))
-        z = integ + (np.mean(z) - np.mean(integ))
+        z = integ + (z.mean() - integ.mean())
     return DerivativeResult(smoothed=z, derivative=plan.apply(z), method="iterated_fd",
                             phi={"order": order, "iterations": iterations})
 

@@ -25,6 +25,7 @@ from .core import (
     Signal,
     ValidationError,
     _band_index,
+    _reflect_pad,
     _require_uniform,
     _solve_banded,
 )
@@ -68,8 +69,7 @@ def _kernel_weights(kind: str, length: int, sigma: float) -> np.ndarray:
 
 def _reflect_correlate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Slide odd-length ``weights`` over ``values`` mirror-extended by half its length."""
-    padded = np.pad(values, len(weights) // 2, mode="reflect")
-    return np.convolve(padded, weights[::-1], mode="valid")
+    return np.convolve(_reflect_pad(values, len(weights) // 2), weights[::-1], mode="valid")
 
 
 def _gaussian_blur(values: np.ndarray, sigma: float | None) -> np.ndarray:
@@ -80,27 +80,29 @@ def _gaussian_blur(values: np.ndarray, sigma: float | None) -> np.ndarray:
     return _reflect_correlate(values, _kernel_weights("gaussian", 2 * radius + 1, sigma))
 
 
-def kernel_smooth(signal: Signal, spec: KernelSpec) -> Signal:
-    """Convolve with a normalized kernel (or slide a median) over the signal.
-
-    Edges are handled by mirror extension of half the window length.
-    """
+def _kernel_values(signal: Signal, spec: KernelSpec) -> np.ndarray:
+    """``kernel_smooth``'s smoothed values, as a plain array."""
     _require_uniform(signal, "kernel_smooth")
     n = len(signal)
     if spec.window > n:
         raise ValidationError(f"window {spec.window} exceeds signal length {n}")
     if spec.kind == "median":
-        padded = np.pad(signal.values, spec.window // 2, mode="reflect")
-        windows = sliding_window_view(padded, spec.window)
-        out = np.median(windows, axis=1)
-    else:
-        out = _reflect_correlate(signal.values, _kernel_weights(spec.kind, spec.window, spec.sigma))
-    return Signal(signal.grid, out)
+        windows = sliding_window_view(_reflect_pad(signal.values, spec.window // 2), spec.window)
+        return np.median(windows, axis=1)
+    return _reflect_correlate(signal.values, _kernel_weights(spec.kind, spec.window, spec.sigma))
+
+
+def kernel_smooth(signal: Signal, spec: KernelSpec) -> Signal:
+    """Convolve with a normalized kernel (or slide a median) over the signal.
+
+    Edges are handled by mirror extension of half the window length.
+    """
+    return Signal(signal.grid, _kernel_values(signal, spec))
 
 
 def kerneldiff(signal: Signal, spec: KernelSpec) -> DerivativeResult:
     """Kernel smoothing followed by second-order finite differences."""
-    smoothed = kernel_smooth(signal, spec).values
+    smoothed = _kernel_values(signal, spec)
     return DerivativeResult(
         smoothed=smoothed,
         derivative=_fd_plan(len(smoothed), 1, 2, signal.grid.dt).apply(smoothed),

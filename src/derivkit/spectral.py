@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DerivativeResult, Signal, ValidationError, _require_uniform
+from .core import DerivativeResult, Signal, ValidationError, _reflect_pad, _require_uniform
 
 #: Absolute tolerance (on the [-1, 1] reference interval) for cosine-spaced layouts.
 NODE_TOL = 1e-8
@@ -208,8 +208,7 @@ def fourier_extension_derivative(signal: Signal, pad: int = 0, extension: str = 
     if pad > 0:
         w = int(np.ceil(pad / 4))
         if w > 1:
-            zp = np.pad(z, w, mode="reflect")
-            z = np.convolve(zp, np.full(w, 1.0 / w), mode="same")[w:-w]
+            z = np.convolve(_reflect_pad(z, w), np.full(w, 1.0 / w), mode="same")[w:-w]
         z[pad : pad + n] = y
 
     ext = np.concatenate([z, z[-2:0:-1]]) if extension == "even" else z

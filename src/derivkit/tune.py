@@ -76,7 +76,7 @@ def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
     xdot = np.asarray(derivative, dtype=float)
     if xdot.shape != signal.values.shape:
         raise ValidationError("derivative length must match the signal")
-    if not np.all(np.isfinite(xdot)):
+    if not np.isfinite(xdot).all():
         raise ValidationError("derivative must be finite")
     return _cumtrapz(signal.grid, xdot), xdot
 
@@ -104,13 +104,23 @@ def _robust_location(resid: np.ndarray, radius: float) -> float:
     ``f(c) = sum clip(resid + c, -radius, radius)``, which rises from -N radius
     to N radius and is linear between its 2N breakpoints ``-resid -+ radius``."""
     r = np.sort(resid)
-    csum = np.concatenate([[0.0], np.cumsum(r)])
-    c = np.sort(np.concatenate([-r - radius, -r + radius]))
+    csum = np.zeros(len(r) + 1)
+    np.cumsum(r, out=csum[1:])
+    a = -r[::-1]
+    c = np.concatenate([a - radius, a + radius])
+    c.sort(kind="stable")  # two ascending runs: the stable (merge) sort joins them in one pass
     low = np.searchsorted(r, -radius - c, "right")  # r[:low] clip at -radius
     high = np.searchsorted(r, radius - c, "left")  # r[high:] clip at +radius
     f = radius * (len(r) - high - low) + csum[high] - csum[low] + (high - low) * c
     k = int(np.argmax(f >= 0))
     return float(c[k - 1] - f[k - 1] * (c[k] - c[k - 1]) / (f[k] - f[k - 1]))
+
+
+def _sorted_median(r: np.ndarray) -> float:
+    """``np.median`` of the sorted ``r``, by the same arithmetic: its middle element, or
+    the mean of its two middle ones."""
+    h = len(r) // 2
+    return r[h] if len(r) % 2 else (r[h - 1] + r[h]) / 2
 
 
 def robust_proxy_loss(derivative, signal: Signal, gamma: float, m: float = 6.0) -> float:
@@ -127,11 +137,15 @@ def robust_proxy_loss(derivative, signal: Signal, gamma: float, m: float = 6.0) 
         raise ValidationError("m must be positive")
     integral, xdot = _integrated(derivative, signal)
     resid = integral - signal.values
-    sigma_mad = float(np.median(np.abs(resid - np.median(resid)))) / MAD_NORMALIZER
+    r = np.sort(resid)
+    spread = np.abs(r - _sorted_median(r))
+    spread.sort(kind="stable")  # falls, then rises along r: two runs, joined in one merge pass
+    sigma_mad = float(_sorted_median(spread)) / MAD_NORMALIZER
     if sigma_mad == 0.0:
         return proxy_loss(derivative, signal, gamma)
     radius = m * sigma_mad
-    c = _robust_location(resid, radius)
+    c = _robust_location(r, radius)
+    # summed in the residuals' own order: np.sum's pairwise rounding depends on it
     fidelity = math.sqrt(2.0 / len(resid) * float(np.sum(_huber(resid + c, radius))))
     return fidelity + gamma * total_variation(xdot)
 

@@ -191,6 +191,15 @@ class TestDerivativeResult:
         with pytest.raises(ValidationError, match="index 1"):
             DerivativeResult(np.zeros(3), np.array([0.0, np.inf, 0.0]), "x")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["smoothed", "derivative"])
+    def test_nonfinite_message_names_array_and_first_index(self, name, bad):
+        arrays = {"smoothed": np.zeros(6), "derivative": np.zeros(6)}
+        arrays[name][[2, 4]] = bad
+        with pytest.raises(ValidationError) as info:
+            DerivativeResult(arrays["smoothed"], arrays["derivative"], "x")
+        assert str(info.value) == f"{name} contains non-finite value at index 2"
+
 
 class TestMethodConfig:
     def test_out_of_bounds(self):

@@ -86,6 +86,45 @@ class TestKernelSmooth:
             KernelSpec(kind="mean", window=6)
 
 
+class TestReflectPad:
+    @pytest.mark.parametrize("n", [2, 3, 5, 400])
+    def test_equals_numpy_reflect_pad(self, n):
+        values = np.random.default_rng(n).standard_normal(n)
+        for h in sorted({0, 1, n - 2, n - 1, n, 2 * n + 3}):
+            padded = core._reflect_pad(values, h)
+            assert padded.flags.c_contiguous
+            assert padded.tobytes() == np.pad(values, h, mode="reflect").tobytes()
+
+    def test_consumers_keep_the_bits_of_numpy_pad(self, monkeypatch):
+        from derivkit import spectral, tvr
+
+        def outputs():
+            out = []
+            for n in (12, 400):
+                rng = np.random.default_rng(n)
+                s = Signal(Grid.regular(n, 0.01), np.sin(np.arange(n)) + rng.standard_normal(n))
+                for kind in ("mean", "gaussian", "friedrichs", "median"):
+                    for window in (3, 11):
+                        out.append(kernel_smooth(s, KernelSpec(kind, window, 1.7)).values)
+                        out.append(kerneldiff(s, KernelSpec(kind, window, 1.7)).derivative)
+                for sigma in (None, 0.5, 3.0, 12.0, 50.0):  # radius 200 > N = 12: repeated mirrors
+                    r = savgoldiff(s, 5, 2, post_smooth_sigma=sigma)
+                    out += [r.smoothed, r.derivative]
+                for sigma in (1.0, 5.0):
+                    spec = tvr.TvrSpec(gamma=0.05, nu=2, soften_sigma=sigma)
+                    out.append(tvr.smooth_accel_tvr(s, spec).derivative)
+                for pad in (1, 5, 8, 20):
+                    r = spectral.fourier_extension_derivative(s, pad=pad, keep_modes=4)
+                    out += [r.smoothed, r.derivative]
+            return [np.asarray(a).tobytes() for a in out]
+
+        fast = outputs()
+        numpy_pad = lambda values, h: np.pad(values, h, mode="reflect")  # noqa: E731
+        monkeypatch.setattr(smoothers, "_reflect_pad", numpy_pad)
+        monkeypatch.setattr(spectral, "_reflect_pad", numpy_pad)
+        assert fast == outputs()
+
+
 class TestKerneldiff:
     def test_constant(self):
         s = Signal(Grid.regular(30, 0.1), np.full(30, 5.0))

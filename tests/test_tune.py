@@ -18,6 +18,7 @@ from derivkit import (
     total_variation,
 )
 from derivkit.tune import _nelder_mead, _robust_location, seeded_stream
+from tune_reference import median_robust_proxy_loss
 
 
 def noisy_sine(n=400, dt=0.01, sigma=0.1, seed=0):
@@ -198,6 +199,52 @@ class TestRobustProxyLoss:
         assert objective(c_star) <= objective(brute) + 1e-12
 
 
+def _loss_case(name):
+    """(derivative, signal) pairs that reach every branch of the robust loss."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name.startswith("n="):
+        n = int(name[2:])
+        t = 0.01 * np.arange(n)
+        return rng.standard_normal(n), Signal(Grid(t), np.sin(t) + rng.standard_normal(n))
+    n = 400
+    t = 0.01 * np.arange(n)
+    if name == "jittered":
+        t = t + 0.004 * rng.uniform(size=n)
+    elif name == "epoch":
+        t = 1.7e9 + t
+    y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
+    d = 2 * np.pi * np.cos(2 * np.pi * t)
+    if name == "quantized":  # residuals on a grid of 0.1: many ties, coinciding breakpoints
+        d, y = np.zeros(n), np.round(rng.standard_normal(n), 1)
+    elif name == "median_ties":  # 40% of the residuals sit on the median
+        d, y = np.zeros(n), rng.standard_normal(n)
+        y[rng.choice(n, 160, replace=False)] = np.median(y)
+    elif name == "mad_zero":  # more than half equal the median: the MAD is 0
+        d, y = np.zeros(n), np.zeros(n)
+        y[rng.choice(n, 150, replace=False)] = rng.standard_normal(150)
+    elif name == "outliers":
+        y[rng.choice(n, 12, replace=False)] += 30 * rng.standard_normal(12)
+    return d, Signal(Grid(t), y)
+
+
+class TestRobustLossAgainstMedianOracle:
+    """The loss from one sort keeps every bit of the loss from two ``np.median`` calls."""
+
+    @pytest.mark.parametrize("case", ["n=2", "n=3", "n=4", "n=5", "n=400", "n=401",
+                                      "jittered", "epoch", "quantized", "median_ties",
+                                      "mad_zero", "outliers"])
+    def test_bitwise_equal(self, case):
+        derivative, s = _loss_case(case)
+        for m in (0.5, 2.0, 6.0, 1e6):
+            for gamma in (0.0, 0.5):
+                got = robust_proxy_loss(derivative, s, gamma, m)
+                assert got.hex() == median_robust_proxy_loss(derivative, s, gamma, m).hex()
+
+    def test_zero_mad_falls_back_to_proxy_loss(self):
+        derivative, s = _loss_case("mad_zero")
+        assert robust_proxy_loss(derivative, s, 0.5, 2.0) == proxy_loss(derivative, s, 0.5)
+
+
 class TestNelderMead:
     def test_minimizes_quadratic(self):
         fn = lambda x: float((x[0] - 1.5) ** 2 + 2 * (x[1] + 0.5) ** 2)
@@ -314,6 +361,25 @@ class TestAutotune:
         got = (config.phi, info["loss"].hex(), info["evaluations"],
                info["distinct_evaluations"], info["failed_evaluations"])
         assert got == self.GOLDEN[method]
+
+    # Recorded before the robust loss took its medians from one sort: the same
+    # signal and budget with outliers=True, so the Huber radius is m = 2 MADs.
+    GOLDEN_OUTLIERS = {
+        "kernel": ({"sigma": 2.718238874902843, "window": 15}, "0x1.9c58658c5084fp-4",
+                   242, 236, 0),
+        "savgol": ({"degree": 4, "post_smooth_sigma": 2.774522985909495, "window": 5},
+                   "0x1.95fde4fb31ac9p-4", 241, 240, 0),
+    }
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_OUTLIERS))
+    def test_golden_tuned_phi_and_counts_with_outliers(self, method):
+        s, _ = noisy_sine()
+        config = autotune(method, s, TuneSpec(outliers=True, starts=3, max_evals=80, seed=0))
+        info = config.info
+        assert info["m"] == 2.0
+        got = (config.phi, info["loss"].hex(), info["evaluations"],
+               info["distinct_evaluations"], info["failed_evaluations"])
+        assert got == self.GOLDEN_OUTLIERS[method]
 
     def test_integer_parameters_repeat_evaluations(self):
         s, _ = noisy_sine(n=200, seed=6)
