@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .core import NumericError, Signal, ValidationError
-from .methods import apply_method, describe, get_method, method_names
+from .methods import (_bounded_params, apply_method, describe, get_method, method_names,
+                      resolve)
 from .sims import (
     CASE_NAMES,
     NOISE_FAMILIES,
@@ -104,34 +105,37 @@ def _load_signal(path: str) -> Signal:
     return Signal.from_arrays(data["t"], data["y"])
 
 
-def _parse_params(pairs: list[str], method: str) -> dict[str, float]:
-    get_method(method)  # fail early on unknown methods
-    phi: dict[str, float] = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--param expects name=value, got {pair!r}\n{describe(method)}")
-        name, _, raw = pair.partition("=")
-        try:
-            phi[name.strip()] = float(raw)
-        except ValueError:
-            raise UsageError(f"parameter {name!r} has non-numeric value {raw!r}") from None
-    return phi
+def _parse_params(pairs: list[str], method: str, signal: Signal) -> dict:
+    """``--param name=value`` pairs resolved on ``signal`` by the method registry. A
+    malformed pair, unknown name or out-of-bounds value is a usage error that prints the
+    method's schema; a signal too short for the method's bounds is a validation error."""
+    spec = get_method(method)
+    params = _bounded_params(spec, signal)
+    try:
+        phi: dict[str, float] = {}
+        for pair in pairs or []:
+            name, sep, raw = pair.partition("=")
+            if not sep:
+                raise ValidationError(f"--param expects name=value, got {pair!r}")
+            try:
+                phi[name.strip()] = float(raw)
+            except ValueError:
+                raise ValidationError(
+                    f"parameter {name!r} has non-numeric value {raw!r}") from None
+        return resolve(spec, params, phi)
+    except ValidationError as exc:
+        raise UsageError(f"{exc}\n{describe(method, signal)}") from exc
 
 
 def cmd_diff(args) -> int:
     signal = _load_signal(args.input)
-    phi = _parse_params(args.param, args.method)
-    try:
-        result = apply_method(args.method, signal, phi, nu=args.nu)
-    except ValidationError as exc:
-        if "unknown parameter" in str(exc) or "outside bounds" in str(exc):
-            raise UsageError(f"{exc}\n{describe(args.method)}") from exc
-        raise
+    phi = _parse_params(args.param, args.method, signal)
+    result = apply_method(args.method, signal, phi, nu=args.nu)
     _write_csv(args.out, ["t", "y", "x_hat", "dxdt"],
                [signal.t, signal.values, np.asarray(result.smoothed),
                 np.asarray(result.derivative)])
     _write_manifest(args.out, {"command": "diff", "input": args.input,
-                               "method": args.method, "phi": result.phi,
+                               "method": args.method, "phi": phi,
                                "nu": args.nu, "seed": None})
     return EXIT_OK
 

@@ -165,41 +165,22 @@ class DerivativeResult:
         return len(self.smoothed)
 
 
-_SCALES = ("log", "linear", "integer")
-
-
 @dataclass(frozen=True)
 class MethodConfig:
-    """A method identifier plus hyperparameter values, bounds, and scales.
+    """A method identifier plus the hyperparameter values it runs with.
 
-    ``info`` is free-form diagnostic output (tuner loss, evaluation counts)
-    and takes no part in validation.
+    ``info`` is free-form diagnostic output (tuner loss, evaluation counts).
+    The parameters' bounds and scales live in the method registry:
+    ``get_method(method).build_params(signal)``.
     """
 
     method: str
     phi: Mapping[str, float]
-    bounds: Mapping[str, tuple[float, float]]
-    scale: Mapping[str, str]
     info: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "info", dict(self.info))
         object.__setattr__(self, "phi", dict(self.phi))
-        object.__setattr__(self, "bounds", {k: (float(a), float(b)) for k, (a, b) in self.bounds.items()})
-        object.__setattr__(self, "scale", dict(self.scale))
-        for name, value in self.phi.items():
-            if name not in self.bounds or name not in self.scale:
-                raise ValidationError(f"parameter {name!r} missing bounds or scale")
-            sc = self.scale[name]
-            if sc not in _SCALES:
-                raise ValidationError(f"unknown scale {sc!r} for parameter {name!r}")
-            lo, hi = self.bounds[name]
-            if not (lo <= value <= hi):
-                raise ValidationError(
-                    f"parameter {name!r}={value} outside bounds [{lo}, {hi}]"
-                )
-            if sc == "integer" and float(value) != int(value):
-                raise ValidationError(f"integer parameter {name!r} has value {value}")
 
 
 def _check_grid_points(pts: np.ndarray) -> None:

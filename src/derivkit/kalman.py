@@ -29,21 +29,32 @@ from .core import DerivativeResult, NumericError, Signal, ValidationError
 _PSD_SLACK = 1e-10
 
 
-def _as_matrix(M, name: str) -> np.ndarray:
+def _checked(M, name: str, shape: tuple, psd: bool = False) -> np.ndarray:
+    """``M`` as a float array of ``shape`` (``None`` matches any length); a covariance
+    (``psd``) must also be symmetric positive semidefinite. Every failure is a
+    ValidationError that names ``M``."""
     arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a matrix, got shape {arr.shape}")
+    if arr.ndim != len(shape) or any(w not in (None, g) for g, w in zip(arr.shape, shape)):
+        want = " x ".join("any" if s is None else str(s) for s in shape)
+        raise ValidationError(f"{name} must have shape {want}, got {arr.shape}")
+    if psd:
+        if not np.allclose(arr, arr.T, rtol=0, atol=1e-12 * max(1.0, np.abs(arr).max())):
+            raise ValidationError(f"{name} must be symmetric")
+        eigs = np.linalg.eigvalsh(arr)
+        if eigs.size and eigs[0] < -_PSD_SLACK * max(eigs[-1], 1.0):
+            raise ValidationError(
+                f"{name} is not positive semidefinite (min eig {eigs[0]:.3e})")
     return arr
 
 
-def _check_psd(M: np.ndarray, name: str) -> None:
-    if M.shape[0] != M.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
-        raise ValidationError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(M)
-    if eigs.size and eigs[0] < -_PSD_SLACK * max(eigs[-1], 1.0):
-        raise ValidationError(f"{name} is not positive semidefinite (min eig {eigs[0]:.3e})")
+def _measurement_model(d: int, C, R, x0, P0) -> tuple[np.ndarray, ...]:
+    """``(C, R, x0, P0)`` of a model with ``d`` states, checked by :func:`_checked`: ``C``
+    has ``d`` columns, ``R`` matches its rows, ``x0`` (flattened) has ``d`` entries and
+    ``R`` and ``P0`` are covariances."""
+    C = _checked(C, "C", (None, d))
+    return (C, _checked(R, "R", (len(C), len(C)), psd=True),
+            _checked(np.asarray(x0, dtype=float).reshape(-1), "x0", (d,)),
+            _checked(P0, "P0", (d, d), psd=True))
 
 
 @dataclass(frozen=True)
@@ -59,25 +70,11 @@ class LinearGaussianModel:
     P0: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = _as_matrix(self.B, "B")
-        C = _as_matrix(self.C, "C")
-        Q = _as_matrix(self.Q, "Q")
-        R = _as_matrix(self.R, "R")
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        P0 = _as_matrix(self.P0, "P0")
-        d = A.shape[0]
-        if A.shape != (d, d):
-            raise ValidationError(f"A must be square, got {A.shape}")
-        if B.shape[0] != d:
-            raise ValidationError(f"B row count {B.shape[0]} != state dim {d}")
-        if C.shape[1] != d:
-            raise ValidationError(f"C column count {C.shape[1]} != state dim {d}")
-        p = C.shape[0]
-        if Q.shape != (d, d) or R.shape != (p, p) or P0.shape != (d, d) or x0.shape != (d,):
-            raise ValidationError("model matrix dimensions are mutually inconsistent")
-        for M, name in ((Q, "Q"), (R, "R"), (P0, "P0")):
-            _check_psd(M, name)
+        d = len(_checked(self.A, "A", (None, None)))
+        A = _checked(self.A, "A", (d, d))
+        B = _checked(self.B, "B", (d, None))
+        Q = _checked(self.Q, "Q", (d, d), psd=True)
+        C, R, x0, P0 = _measurement_model(d, self.C, self.R, self.x0, self.P0)
         for name, val in (("A", A), ("B", B), ("C", C), ("Q", Q), ("R", R), ("x0", x0), ("P0", P0)):
             object.__setattr__(self, name, val)
 
@@ -103,12 +100,10 @@ class ContinuousModel:
     Qc: np.ndarray
 
     def __post_init__(self):
-        Ac = _as_matrix(self.Ac, "Ac")
-        Bc = _as_matrix(self.Bc, "Bc")
-        Qc = _as_matrix(self.Qc, "Qc")
-        d = Ac.shape[0]
-        if Ac.shape != (d, d) or Qc.shape != (d, d) or Bc.shape[0] != d:
-            raise ValidationError("continuous model dimensions are inconsistent")
+        d = len(_checked(self.Ac, "Ac", (None, None)))
+        Ac = _checked(self.Ac, "Ac", (d, d))
+        Bc = _checked(self.Bc, "Bc", (d, None))
+        Qc = _checked(self.Qc, "Qc", (d, d), psd=True)
         for name, val in (("Ac", Ac), ("Bc", Bc), ("Qc", Qc)):
             object.__setattr__(self, name, val)
 
@@ -461,10 +456,7 @@ def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=N
     prediction (from the seed into the first sample) spans the first gap.
     Returns the filter track and the smoothed states and covariances.
     """
-    C = _as_matrix(C, "C")
-    R = _as_matrix(R, "R")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    P0 = _as_matrix(P0, "P0")
+    C, R, x0, P0 = _measurement_model(cm.Ac.shape[0], C, R, x0, P0)
     ys = _shape_measurements(signal.values, C.shape[0])
     unique, index = np.unique(_steps(signal), return_inverse=True)
     A, B, Q = (M[index] for M in discretize(cm, unique))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -74,49 +74,56 @@ def _bounded_params(spec: MethodSpec, signal: Signal) -> tuple[ParamSpec, ...]:
     return tuple(replace(p, default=min(max(p.default, p.lo), p.hi)) for p in params)
 
 
-def describe(name: str) -> str:
-    """One-line parameter schema, used by CLI usage errors."""
+def resolve(spec: MethodSpec, params: tuple[ParamSpec, ...], phi: Mapping | None = None
+            ) -> dict:
+    """The parameters ``spec`` runs with: each value in ``phi`` as a float, else the
+    default from ``params`` (``_bounded_params``'s), integer-scale values rounded to
+    ``int``, every value checked against its bounds, then canonicalized. Resolving a
+    resolved phi returns it unchanged."""
+    merged = {p.name: p.default for p in params}
+    for key, value in (phi or {}).items():
+        if key not in merged:
+            raise ValidationError(
+                f"unknown parameter {key!r} for method {spec.name!r}; expected one of "
+                f"{sorted(merged)}"
+            )
+        merged[key] = float(value)
+    for p in params:
+        value = merged[p.name]
+        if p.scale == "integer":
+            value = merged[p.name] = int(round(value))
+        if not (p.lo <= value <= p.hi):
+            raise ValidationError(
+                f"parameter {p.name}={value:g} outside bounds [{p.lo:g}, {p.hi:g}]"
+            )
+    return spec.canonical(merged)
+
+
+def describe(name: str, signal: Signal) -> str:
+    """One-line parameter schema on ``signal`` with the resolved defaults, used by CLI
+    usage errors."""
     spec = get_method(name)
-    ref = Signal(Grid.regular(256, 0.01), np.zeros(256))
+    params = _bounded_params(spec, signal)
+    defaults = resolve(spec, params)
     parts = [
-        f"{p.name}={p.default:g} ({p.scale} in [{p.lo:g}, {p.hi:g}])"
-        for p in _bounded_params(spec, ref)
+        f"{p.name}={defaults[p.name]:g} ({p.scale} in [{p.lo:g}, {p.hi:g}])" for p in params
     ]
     return f"{spec.name}: {spec.description}; parameters: " + ", ".join(parts)
 
 
 def apply_method(name: str, signal: Signal, phi: dict | None = None, nu: int = 1
                  ) -> DerivativeResult:
-    """Run a registered method with defaults, clamped into their bounds, filled in for
-    missing parameters."""
+    """Run a registered method on ``signal`` with ``phi`` resolved by :func:`resolve`:
+    missing parameters take their defaults, clamped into their bounds."""
     spec = get_method(name)
-    params = {p.name: p for p in _bounded_params(spec, signal)}
-    merged = {n: p.default for n, p in params.items()}
-    for key, value in (phi or {}).items():
-        if key not in params:
-            raise ValidationError(
-                f"unknown parameter {key!r} for method {name!r}; expected one of "
-                f"{sorted(params)}"
-            )
-        merged[key] = float(value)
-    for n, p in params.items():
-        if p.scale == "integer":
-            merged[n] = float(round(merged[n]))
-        if not (p.lo <= merged[n] <= p.hi):
-            raise ValidationError(
-                f"parameter {n}={merged[n]:g} outside bounds [{p.lo:g}, {p.hi:g}]"
-            )
-    merged = spec.canonical(merged)
     if nu != 1 and not spec.supports_nu:
         raise ValidationError(f"method {name!r} only produces first derivatives")
-    return spec.run(signal, merged, nu)
+    return spec.run(signal, resolve(spec, _bounded_params(spec, signal), phi), nu)
 
 
-def _odd(value: float, lo: int, hi: int) -> int:
-    w = int(round(value))
-    if w % 2 == 0:
-        w = w + 1 if w + 1 <= hi else w - 1
-    return max(lo, min(w, hi))
+def _odd(w: int) -> int:
+    """An even window widened by one; every window bound is odd, so it stays in bounds."""
+    return w if w % 2 else w + 1
 
 
 def _nyquist(signal: Signal) -> float:
@@ -133,12 +140,12 @@ def _fd_params(signal: Signal):
 
 def _fd_canonical(phi):
     out = dict(phi)
-    out["order"] = int(round(phi["order"] / 2) * 2) or 2
+    out["order"] = round(phi["order"] / 2) * 2
     return out
 
 
 def _fd_run(signal, phi, nu):
-    return fd.fd_derivative(signal, nu=nu, order=int(phi["order"]))
+    return fd.fd_derivative(signal, nu=nu, order=phi["order"])
 
 
 def _ifd_params(signal: Signal):
@@ -149,7 +156,7 @@ def _ifd_params(signal: Signal):
 
 
 def _ifd_run(signal, phi, nu):
-    return fd.iterated_fd(signal, order=int(phi["order"]), iterations=int(phi["iterations"]))
+    return fd.iterated_fd(signal, order=phi["order"], iterations=phi["iterations"])
 
 
 def _kernel_params(signal: Signal):
@@ -163,12 +170,12 @@ def _kernel_params(signal: Signal):
 
 def _kernel_canonical(phi):
     out = dict(phi)
-    out["window"] = _odd(phi["window"], 5, 10**9)
+    out["window"] = _odd(phi["window"])
     return out
 
 
 def _kernel_run(signal, phi, nu):
-    spec = smoothers.KernelSpec(kind="gaussian", window=int(phi["window"]), sigma=phi["sigma"])
+    spec = smoothers.KernelSpec(kind="gaussian", window=phi["window"], sigma=phi["sigma"])
     return smoothers.kerneldiff(signal, spec)
 
 
@@ -182,7 +189,7 @@ def _butter_params(signal: Signal):
 
 
 def _butter_run(signal, phi, nu):
-    return smoothers.butterdiff(signal, order=int(phi["order"]), cutoff_hz=phi["cutoff_hz"])
+    return smoothers.butterdiff(signal, order=phi["order"], cutoff_hz=phi["cutoff_hz"])
 
 
 def _savgol_params(signal: Signal):
@@ -197,13 +204,13 @@ def _savgol_params(signal: Signal):
 
 def _savgol_canonical(phi):
     out = dict(phi)
-    out["window"] = _odd(phi["window"], 5, 10**9)
-    out["degree"] = int(min(phi["degree"], out["window"] - 1))
+    out["window"] = _odd(phi["window"])
+    out["degree"] = min(phi["degree"], out["window"] - 1)
     return out
 
 
 def _savgol_run(signal, phi, nu):
-    return smoothers.savgoldiff(signal, window=int(phi["window"]), degree=int(phi["degree"]),
+    return smoothers.savgoldiff(signal, window=phi["window"], degree=phi["degree"],
                                 post_smooth_sigma=phi["post_smooth_sigma"])
 
 
@@ -217,13 +224,12 @@ def _poly_params(signal: Signal):
 
 def _poly_canonical(phi):
     out = dict(phi)
-    out["window"] = int(round(phi["window"]))
-    out["degree"] = int(min(phi["degree"], out["window"] - 1))
+    out["degree"] = min(phi["degree"], phi["window"] - 1)
     return out
 
 
 def _poly_run(signal, phi, nu):
-    return smoothers.polydiff(signal, window=int(phi["window"]), degree=int(phi["degree"]))
+    return smoothers.polydiff(signal, window=phi["window"], degree=phi["degree"])
 
 
 def _spline_params(signal: Signal):
@@ -235,8 +241,8 @@ def _spline_params(signal: Signal):
 
 
 def _spline_run(signal, phi, nu):
-    spec = smoothers.SplineSpec(degree=int(phi["degree"]), mode="lambda", lam=phi["lam"],
-                                iterations=int(phi["iterations"]))
+    spec = smoothers.SplineSpec(degree=phi["degree"], mode="lambda", lam=phi["lam"],
+                                iterations=phi["iterations"])
     return smoothers.splinediff(signal, spec)
 
 
@@ -250,8 +256,7 @@ def _fourier_params(signal: Signal):
 
 def _fourier_run(signal, phi, nu):
     return spectral.fourier_extension_derivative(
-        signal, pad=int(phi["pad"]), extension="even",
-        keep_modes=int(phi["keep_modes"]), nu=nu)
+        signal, pad=phi["pad"], extension="even", keep_modes=phi["keep_modes"], nu=nu)
 
 
 #: kernel value at the truncation radius rho = RBF_TRUNCATION_FACTOR * sigma is 1e-4
@@ -282,7 +287,7 @@ def _tvr_params(signal: Signal):
 
 
 def _tvr_run(signal, phi, nu):
-    spec = tvr.TvrSpec(gamma=phi["gamma"], nu=int(phi["nu"]))
+    spec = tvr.TvrSpec(gamma=phi["gamma"], nu=phi["nu"])
     return tvr.tvrdiff(signal, spec)
 
 
@@ -307,7 +312,7 @@ def _rts_params(signal: Signal):
 
 
 def _rts_run(signal, phi, nu):
-    return kalman.rtsdiff(signal, nu=int(phi["nu"]), q=phi["q"])
+    return kalman.rtsdiff(signal, nu=phi["nu"], q=phi["q"])
 
 
 def _robust_params(signal: Signal):
@@ -321,7 +326,7 @@ def _robust_params(signal: Signal):
 
 def _robust_run(signal, phi, nu):
     spec = kalman.RobustSpec(huber_m_measurement=phi["m"])
-    return kalman.robustdiff(signal, nu=int(phi["nu"]), q=phi["q"], r=phi["r"], spec=spec)
+    return kalman.robustdiff(signal, nu=phi["nu"], q=phi["q"], r=phi["r"], spec=spec)
 
 
 register(MethodSpec("fd", "finite differences (no smoothing)",

@@ -31,6 +31,8 @@ SWEEP_AXES = ("outliers", "noise_type", "noise_scale", "dt", "cutoff_f")
 
 #: Environment variable capping benchmark worker processes.
 WORKERS_ENV = "DERIVKIT_WORKERS"
+#: RK4 micro-steps per sample step in the simulations that integrate an ODE.
+RK4_SUBSTEPS = 10
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,15 @@ def hill_profile(t: np.ndarray) -> np.ndarray:
             + 1.2 * np.sin(3.4 * np.pi * t + 0.5)) / 100.0
 
 
-def _rk4(f, x0: np.ndarray, t: np.ndarray, substeps: int = 10) -> np.ndarray:
-    """Classic fixed-step RK4, integrating ``substeps`` micro-steps per sample."""
+def _rk4(f, x0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Classic fixed-step RK4, integrating ``RK4_SUBSTEPS`` micro-steps per sample."""
     out = np.empty((len(t), len(x0)))
     out[0] = x0
     x = np.array(x0, dtype=float)
     for n in range(1, len(t)):
-        h = (t[n] - t[n - 1]) / substeps
+        h = (t[n] - t[n - 1]) / RK4_SUBSTEPS
         tau = t[n - 1]
-        for _ in range(substeps):
+        for _ in range(RK4_SUBSTEPS):
             k1 = f(tau, x)
             k2 = f(tau + h / 2, x + h / 2 * k1)
             k3 = f(tau + h / 2, x + h / 2 * k2)
@@ -262,15 +264,20 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
 
     Returns one row per (method, case, value) with mean and sample standard
     deviation of RMSE and error correlation over ``seeds`` replicates, plus
-    any per-replicate failures. The tuner budget (``starts``, ``max_evals``)
-    is deliberately small: trends, not confidence intervals.
+    any per-replicate failures. ``cases`` are names from ``CASE_NAMES``; every
+    simulation spans ``T`` at step ``dt`` (the ``dt`` axis overrides the step).
+    The tuner budget (``starts``, ``max_evals``) is deliberately small: trends,
+    not confidence intervals.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     method_list = list(methods)
     for m in method_list:
         get_method(m)
-    case_names = [c.name if isinstance(c, SimulationCase) else str(c) for c in cases]
+    case_names = list(cases)
+    for case in case_names:
+        if case not in CASE_NAMES:
+            raise ValidationError(f"cases must be names from {CASE_NAMES}, got {case!r}")
     tasks = []
     for method in method_list:
         for case in case_names:

@@ -23,12 +23,14 @@ from .core import (
     _cumtrapz,
     total_variation,
 )
-from .methods import _bounded_params, get_method
+from .methods import _bounded_params, get_method, resolve
 
 #: median(|N(0,1)|): MAD of a standard normal, used to put MAD on a sigma scale.
 MAD_NORMALIZER = 0.6745
 #: How many failed evaluations :func:`autotune` reports the reasons of.
 FAILURE_REASONS = 3
+#: Nelder-Mead stops once its simplex is this small in transformed parameter space.
+DIAMETER_TOL = 1e-3
 
 
 def _pair(est, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -154,12 +156,11 @@ def robust_proxy_loss(derivative, signal: Signal, gamma: float, m: float = 6.0) 
 class TuneSpec:
     """Settings for :func:`autotune`.
 
-    ``gamma`` overrides the heuristic; otherwise it is derived from
-    ``cutoff_hz`` and the grid step. The Huber parameter defaults to 6, or
-    2 when the data is declared to contain outliers.
+    The TV weight gamma is derived from ``cutoff_hz`` and the grid step by
+    :func:`gamma_heuristic`. The Huber parameter defaults to 6, or 2 when the
+    data is declared to contain outliers.
     """
 
-    gamma: float | None = None
     cutoff_hz: float = 3.0
     huber_m: float | None = None
     outliers: bool = False
@@ -168,8 +169,6 @@ class TuneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
         if self.cutoff_hz <= 0:
             raise ValidationError("cutoff_hz must be positive")
         if self.huber_m is not None and self.huber_m <= 0:
@@ -184,12 +183,11 @@ class TuneSpec:
         return 2.0 if self.outliers else 6.0
 
 
-def _nelder_mead(fn, x0: np.ndarray, steps: np.ndarray, max_evals: int,
-                 diameter_tol: float = 1e-3):
+def _nelder_mead(fn, x0: np.ndarray, steps: np.ndarray, max_evals: int):
     """Downhill simplex with standard coefficients (1, 2, 0.5, 0.5).
 
     Terminates when the simplex diameter (max infinity-norm distance from
-    the best vertex) falls below ``diameter_tol`` or the evaluation budget
+    the best vertex) falls below ``DIAMETER_TOL`` or the evaluation budget
     runs out. Returns (best x, best f, evaluations).
     """
     dim = len(x0)
@@ -210,7 +208,7 @@ def _nelder_mead(fn, x0: np.ndarray, steps: np.ndarray, max_evals: int,
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        if max(np.max(np.abs(v - simplex[0])) for v in simplex[1:]) < diameter_tol:
+        if max(np.max(np.abs(v - simplex[0])) for v in simplex[1:]) < DIAMETER_TOL:
             break
         centroid = np.mean(simplex[:-1], axis=0)
         reflected = centroid + (centroid - simplex[-1])
@@ -261,10 +259,7 @@ def _transform(value: float, scale: str) -> float:
 
 def _untransform(x: float, scale: str, lo: float, hi: float) -> float:
     v = math.exp(x) if scale == "log" else x
-    v = min(max(v, lo), hi)
-    if scale == "integer":
-        v = float(round(v))
-    return v
+    return min(max(v, lo), hi)
 
 
 def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> MethodConfig:
@@ -288,23 +283,20 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     mspec = get_method(method)
     all_params = _bounded_params(mspec, signal)
     params = [p for p in all_params if p.tunable]
-    fixed = {p.name: p.default for p in all_params if not p.tunable}
     if not params:
         raise ValidationError(f"method {method!r} has no tunable parameters")
 
     dt_eff = signal.grid.span / (len(signal) - 1)
-    gamma = spec.gamma if spec.gamma is not None else gamma_heuristic(spec.cutoff_hz, dt_eff)
+    gamma = gamma_heuristic(spec.cutoff_hz, dt_eff)
     m = spec.resolved_m
 
     lo_t = np.array([_transform(p.lo, p.scale) for p in params])
     hi_t = np.array([_transform(p.hi, p.scale) for p in params])
 
-    def to_phi(x: np.ndarray) -> dict[str, float]:
-        phi = dict(fixed)
-        for p, xi, lo, hi in zip(params, x, lo_t, hi_t):
-            xi = min(max(xi, lo), hi)
-            phi[p.name] = _untransform(xi, p.scale, p.lo, p.hi)
-        return mspec.canonical(phi)
+    def to_phi(x: np.ndarray) -> dict:
+        return resolve(mspec, all_params, {
+            p.name: _untransform(min(max(xi, lo), hi), p.scale, p.lo, p.hi)
+            for p, xi, lo, hi in zip(params, x, lo_t, hi_t)})
 
     failures: list[str] = []
     memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
@@ -340,14 +332,9 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         detail = "; ".join(failures[-3:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")
 
-    phi = to_phi(best_x)
-    bounds = {p.name: (p.lo, p.hi) for p in all_params}
-    scale = {p.name: p.scale for p in all_params}
     return MethodConfig(
         method=method,
-        phi=phi,
-        bounds=bounds,
-        scale=scale,
+        phi=to_phi(best_x),
         info={"loss": best_loss, "gamma": gamma, "m": m,
               "evaluations": total_evals, "distinct_evaluations": len(memo),
               "failed_evaluations": len(failures),

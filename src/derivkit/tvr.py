@@ -45,7 +45,9 @@ class TvrSpec:
     """Parameters for a TVR solve.
 
     ``tol`` is the relative duality gap at which the solver stops and
-    ``max_iter`` the largest number of Newton iterations it takes.
+    ``max_iter`` the largest number of Newton iterations it takes;
+    ``soften_sigma``, when set, is the width in samples of a Gaussian that
+    blurs the derivative.
     """
 
     gamma: float
@@ -192,7 +194,8 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     and ``spec.max_iter`` caps the number of Newton iterations. The iterate
     with the lowest objective is returned; ``flags`` report ``converged``,
     ``iterations``, ``objective`` and the certified relative
-    ``duality_gap``.
+    ``duality_gap``. A ``spec.soften_sigma`` blurs the derivative with a
+    Gaussian of that many samples and is recorded in ``phi``.
     """
     dt = _require_uniform(signal, "tvrdiff")
     y = signal.values
@@ -201,26 +204,26 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     E = _difference_operator(n, dt, spec.nu, D)
     x, obj, gap, converged, iterations = _interior_point(y, E, spec.gamma / n, spec.tol,
                                                          spec.max_iter)
+    phi = {"nu": spec.nu, "gamma": spec.gamma}
+    derivative = D @ x
+    if spec.soften_sigma is not None:
+        derivative = _gaussian_blur(derivative, spec.soften_sigma)
+        phi["soften_sigma"] = spec.soften_sigma
     return DerivativeResult(
         smoothed=x,
-        derivative=D @ x,
+        derivative=derivative,
         method="tvr",
-        phi={"nu": spec.nu, "gamma": spec.gamma},
+        phi=phi,
         flags={"converged": converged, "iterations": iterations, "objective": obj,
                "duality_gap": gap},
     )
 
 
 def smooth_accel_tvr(signal: Signal, spec: TvrSpec) -> DerivativeResult:
-    """Second-derivative TVR followed by Gaussian softening of the corners."""
+    """Second-derivative TVR followed by Gaussian softening of the corners:
+    :func:`tvrdiff` at ``nu = 2`` (any other ``nu`` is refused), with no softening
+    (``soften_sigma`` 0) when ``spec`` sets none."""
     if spec.nu != 2:
-        spec = replace(spec, nu=2)
-    base = tvrdiff(signal, spec)
-    sigma = spec.soften_sigma or 0.0
-    return DerivativeResult(
-        smoothed=base.smoothed,
-        derivative=_gaussian_blur(np.asarray(base.derivative), sigma),
-        method="smooth_accel_tvr",
-        phi={**base.phi, "soften_sigma": sigma},
-        flags=base.flags,
-    )
+        raise ValidationError(f"smooth_accel_tvr penalizes nu = 2, got nu = {spec.nu}")
+    result = tvrdiff(signal, replace(spec, soften_sigma=spec.soften_sigma or 0.0))
+    return replace(result, method="smooth_accel_tvr")

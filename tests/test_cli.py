@@ -5,6 +5,7 @@ import pytest
 
 from derivkit import Signal, apply_method, power_spectrum
 from derivkit.cli import _write_csv, main
+from derivkit.methods import method_names
 
 
 def read_csv(path):
@@ -60,6 +61,33 @@ class TestDiff:
         assert code == 2
         err = capsys.readouterr().err
         assert "window" in err and "degree" in err
+
+    def test_out_of_bounds_param_prints_schema_on_the_input_signal(self, tmp_path, sine_csv,
+                                                                   capsys):
+        code = main(["diff", str(sine_csv), "--method", "fourier",
+                     "--param", "keep_modes=250", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "keep_modes=250 outside bounds [2, 199]" in err
+        assert "keep_modes=30 (integer in [2, 199])" in err and "pad=50" in err
+
+    def test_signal_too_short_for_the_bounds_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        write_signal_csv(path, 0.01 * np.arange(6), np.arange(6.0))
+        code = main(["diff", str(path), "--method", "poly", "--param", "window=8",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "needs at least 8 samples, got 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_manifest_phi_replays_byte_identically(self, tmp_path, sine_csv, method):
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert main(["diff", str(sine_csv), "--method", method, "--out", str(first)]) == 0
+        phi = json.loads((tmp_path / "first.csv.manifest.json").read_text())["phi"]
+        params = [arg for name, value in phi.items() for arg in ("--param", f"{name}={value}")]
+        assert main(["diff", str(sine_csv), "--method", method, *params,
+                     "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_unsorted_t_exits_3(self, tmp_path):
         path = tmp_path / "bad.csv"

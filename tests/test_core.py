@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from derivkit import methods
 from derivkit import (
     DerivativeResult,
     Grid,
     KernelSpec,
-    MethodConfig,
     Signal,
     TuneSpec,
     UnsupportedMethodError,
@@ -201,20 +201,6 @@ class TestDerivativeResult:
         assert str(info.value) == f"{name} contains non-finite value at index 2"
 
 
-class TestMethodConfig:
-    def test_out_of_bounds(self):
-        with pytest.raises(ValidationError, match="outside bounds"):
-            MethodConfig("m", {"a": 5.0}, {"a": (0, 1)}, {"a": "linear"})
-
-    def test_integer_must_be_integral(self):
-        with pytest.raises(ValidationError, match="integer"):
-            MethodConfig("m", {"a": 1.5}, {"a": (0, 10)}, {"a": "integer"})
-
-    def test_valid(self):
-        cfg = MethodConfig("m", {"a": 2.0}, {"a": (0, 10)}, {"a": "integer"})
-        assert cfg.phi["a"] == 2.0
-
-
 class TestRegistry:
     @pytest.mark.parametrize("method", method_names())
     def test_defaults_run_or_length_is_rejected(self, method):
@@ -243,6 +229,37 @@ class TestRegistry:
         signal = Signal(Grid.regular(50, 0.01), np.zeros(50))
         with pytest.raises(ValidationError, match="unknown parameter 'r'"):
             apply_method("rts", signal, {"r": 2.0})
+
+    @staticmethod
+    def _assert_resolved(spec, params, phi):
+        """``phi`` is a fixed point of the resolver, with every integer-scale value an int."""
+        assert methods.resolve(spec, params, phi) == phi
+        for p in params:
+            assert p.lo <= phi[p.name] <= p.hi
+            assert type(phi[p.name]) is (int if p.scale == "integer" else float)
+
+    @pytest.mark.parametrize("method, irregular", [(m, False) for m in method_names()] + [
+        (m, True) for m in ("fd", "poly", "spline", "rbf", "rts", "robust")])
+    def test_resolver_is_idempotent_and_integers_are_int(self, method, irregular):
+        rng = np.random.default_rng(5)
+        t = 0.01 * (np.arange(400) + (0.4 * rng.uniform(size=400) if irregular else 0.0))
+        signal = Signal(Grid(t), rng.standard_normal(400))
+        spec = get_method(method)
+        params = methods._bounded_params(spec, signal)
+        self._assert_resolved(spec, params, methods.resolve(spec, params, {}))
+        for _ in range(20):  # raw points inside the bounds, integer ones off the integers
+            raw = {p.name: float(rng.uniform(p.lo, p.hi)) for p in params}
+            self._assert_resolved(spec, params, methods.resolve(spec, params, raw))
+
+    @pytest.mark.parametrize("method", ["fd", "fourier", "iterated_fd", "kernel", "poly",
+                                        "savgol"])
+    def test_tuned_phi_is_resolved(self, method):
+        t = 0.01 * np.arange(200)
+        noise = 0.05 * np.random.default_rng(6).standard_normal(200)
+        signal = Signal(Grid(t), np.sin(2 * np.pi * t) + noise)
+        config = autotune(method, signal, TuneSpec(starts=2, max_evals=20, seed=0))
+        spec = get_method(method)
+        self._assert_resolved(spec, methods._bounded_params(spec, signal), config.phi)
 
 
 class TestCumtrapz:

@@ -280,6 +280,30 @@ class TestDiscretize:
 
 
 class TestKalmanIrregular:
+    @pytest.mark.parametrize("name, value, match", [
+        ("R", np.eye(2), "R must have shape 1 x 1"),
+        ("x0", np.zeros(2), "x0 must have shape 3"),
+        ("C", [[1.0, 0.0]], "C must have shape any x 3"),
+        ("R", [[-1.0]], "R is not positive semidefinite"),
+        ("P0", -np.eye(3), "P0 is not positive semidefinite"),
+    ])
+    def test_bad_matrices_are_named(self, name, value, match):
+        t = np.cumsum(np.random.default_rng(11).uniform(0.01, 0.03, 40))
+        args = {"C": [[1.0, 0.0, 0.0]], "R": [[1.0]], "x0": np.zeros(3), "P0": np.eye(3)}
+        args[name] = value
+        with pytest.raises(ValidationError, match=match):
+            kalman_irregular(constant_derivative_continuous(2, 1.0), args["C"], args["R"],
+                             args["x0"], args["P0"], Signal(Grid(t), np.sin(t)))
+
+    @pytest.mark.parametrize("Qc, match", [
+        (-np.eye(2), "Qc is not positive semidefinite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "Qc must be symmetric"),
+        (np.eye(3), "Qc must have shape 2 x 2"),
+    ])
+    def test_continuous_model_checks_qc(self, Qc, match):
+        with pytest.raises(ValidationError, match=match):
+            ContinuousModel(Ac=np.eye(2), Bc=np.zeros((2, 0)), Qc=Qc)
+
     def test_uniform_steps_match_uniform_pipeline(self):
         rng = np.random.default_rng(10)
         n, dt, q, r = 120, 0.02, 5.0, 0.3

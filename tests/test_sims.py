@@ -182,6 +182,11 @@ class TestBenchmarkSweep:
         with pytest.raises(ValidationError):
             benchmark_sweep(["savgol"], ["sine_sum"], "bogus", [1], seeds=1)
 
+    @pytest.mark.parametrize("case", [SimulationCase("sine_sum", T=2.0, dt=0.02), "bogus"])
+    def test_cases_must_be_names(self, case):
+        with pytest.raises(ValidationError, match="cases must be names"):
+            benchmark_sweep(["savgol"], [case], "noise_scale", [1.0], seeds=1, workers=1)
+
     def test_failures_recorded_not_raised(self):
         # chebyshev-style failure: fourier methods reject irregular grids, but
         # here we force failure by an impossible method parameterization via a

@@ -12,6 +12,7 @@ from derivkit import (
     cumtrapz,
     error_correlation,
     gamma_heuristic,
+    get_method,
     proxy_loss,
     rmse,
     robust_proxy_loss,
@@ -283,11 +284,12 @@ class TestAutotune:
     def test_respects_bounds_and_integrality(self):
         s, _ = noisy_sine(n=200, seed=8)
         config = autotune("savgol", s, TuneSpec(starts=4, max_evals=40, seed=3))
+        params = {p.name: p for p in get_method("savgol").build_params(s)}
         for name, value in config.phi.items():
-            lo, hi = config.bounds[name]
-            assert lo <= value <= hi
-            if config.scale[name] == "integer":
+            assert params[name].lo <= value <= params[name].hi
+            if params[name].scale == "integer":
                 assert value == int(value)
+                assert type(value) is int
         assert config.phi["window"] % 2 == 1
 
     def test_reports_failed_and_distinct_evaluations(self, monkeypatch):

@@ -180,6 +180,23 @@ class TestSmoothAccelTvr:
 
         assert max_curvature(soft.derivative) < max_curvature(hard.derivative)
 
+    def test_other_nu_is_refused(self):
+        signal, _, _ = noisy_triangle(n=150, seed=7)
+        for nu in (1, 3):
+            with pytest.raises(ValidationError, match="nu = 2"):
+                smooth_accel_tvr(signal, TvrSpec(gamma=10.0, nu=nu, soften_sigma=2.0))
+
+    def test_is_softened_tvrdiff(self):
+        signal, _, _ = noisy_triangle(n=150, seed=7)
+        spec = TvrSpec(gamma=10.0, nu=2, soften_sigma=3.0)
+        soft, tvr = smooth_accel_tvr(signal, spec), tvrdiff(signal, spec)
+        assert soft.method == "smooth_accel_tvr" and tvr.method == "tvr"
+        assert soft.phi == tvr.phi == {"nu": 2, "gamma": 10.0, "soften_sigma": 3.0}
+        assert soft.derivative.tobytes() == tvr.derivative.tobytes()
+        hard = tvrdiff(signal, TvrSpec(gamma=10.0, nu=2))
+        assert hard.phi == {"nu": 2, "gamma": 10.0}
+        assert np.max(np.abs(tvr.derivative - hard.derivative)) > 0
+
     def test_constant_signal_zero_derivative(self):
         s = Signal(Grid.regular(120, 0.01), np.full(120, 3.0))
         for gamma in (0.1, 100.0):
