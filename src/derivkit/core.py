@@ -246,14 +246,26 @@ def _band(rows, cols, vals, size: int) -> tuple[int, np.ndarray]:
 
 
 def _solve_banded(k: int, ab: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve the band matrix ``ab[k + i - j, j] = M[i, j]`` by LAPACK ``gbsv`` on a
-    ``(3k+1, N)`` copy; a failed or non-finite solve raises NumericError: ``what``, then
-    ``gbcon``'s 1-norm condition estimate from the same LU (``inf`` when singular)."""
+    """Solve the band matrix ``M`` by LAPACK ``gbsv``. ``ab`` is either its ``2k+1``
+    diagonals, ``ab[k + i - j, j] = M[i, j]``, which are copied into a ``(3k+1, N)`` LU
+    workspace, or that workspace itself: Fortran-ordered, ``ab[2k + i - j, j] = M[i, j]``
+    under ``k`` zero rows for the LU's fill-in, factored in place and so overwritten.
+
+    A failed or non-finite solve raises NumericError: ``what``, then ``gbcon``'s 1-norm
+    condition estimate from the same LU (``inf`` when singular). A workspace factored in
+    place no longer holds ``M``'s 1-norm, so the error then says only whether a pivot was
+    zero or the solution non-finite."""
     gbsv, gbcon = get_lapack_funcs(("gbsv", "gbcon"), (ab,))
-    lu = np.zeros((3 * k + 1, ab.shape[1]), order="F")  # k more rows for the LU's fill-in
-    lu[k:] = ab
+    in_place = len(ab) > 2 * k + 1  # for k = 0 both forms are one row: copy
+    if in_place:
+        lu = ab
+    else:
+        lu = np.zeros((3 * k + 1, ab.shape[1]), order="F")
+        lu[k:] = ab
     lu, piv, x, info = gbsv(k, k, lu, rhs, overwrite_ab=True)
     if info != 0 or not np.all(np.isfinite(x)):
+        if in_place:
+            raise NumericError(f"{what} ({'zero pivot' if info > 0 else 'non-finite solution'})")
         rcond, _ = gbcon(k, k, lu, piv, np.abs(ab).sum(axis=0).max())
         raise NumericError(f"{what} (condition estimate {1.0 / rcond if rcond else np.inf:.2e})")
     return x

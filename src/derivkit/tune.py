@@ -277,7 +277,9 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     Each distinct canonical parameter set is run and scored once; a repeat is
     served from a memo of its loss (or failure reason) and still counts as an
     evaluation, and a repeated failure as a failed evaluation, so the counts
-    mean what they would if every evaluation ran the method.
+    mean what they would if every evaluation ran the method. A point the
+    search has already tried is looked up by its bytes, without mapping it
+    to ``phi`` again.
     """
     spec = spec or TuneSpec()
     mspec = get_method(method)
@@ -300,19 +302,23 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
 
     failures: list[str] = []
     memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
+    keys: dict[bytes, tuple] = {}  # point x -> its canonical phi's memo key
 
     def objective(x: np.ndarray) -> float:
-        phi = to_phi(x)
-        key = tuple(sorted(phi.items()))
-        if key not in memo:
-            try:
-                result = mspec.run(signal, phi, 1)
-                loss = robust_proxy_loss(result.derivative, signal, gamma, m)
-            except (ValidationError, NumericError) as exc:
-                memo[key] = math.inf, f"{phi}: {exc}"
-            else:
-                memo[key] = (loss if math.isfinite(loss) else math.inf), None
-        loss, failure = memo[key]
+        point = x.tobytes()
+        if point not in keys:
+            phi = to_phi(x)
+            key = tuple(sorted(phi.items()))
+            if key not in memo:
+                try:
+                    result = mspec.run(signal, phi, 1)
+                    loss = robust_proxy_loss(result.derivative, signal, gamma, m)
+                except (ValidationError, NumericError) as exc:
+                    memo[key] = math.inf, f"{phi}: {exc}"
+                else:
+                    memo[key] = (loss if math.isfinite(loss) else math.inf), None
+            keys[point] = key
+        loss, failure = memo[keys[point]]
         if failure is not None:
             failures.append(failure)
         return loss

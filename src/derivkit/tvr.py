@@ -225,5 +225,6 @@ def smooth_accel_tvr(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     (``soften_sigma`` 0) when ``spec`` sets none."""
     if spec.nu != 2:
         raise ValidationError(f"smooth_accel_tvr penalizes nu = 2, got nu = {spec.nu}")
+    _require_uniform(signal, "smooth_accel_tvr")
     result = tvrdiff(signal, replace(spec, soften_sigma=spec.soften_sigma or 0.0))
     return replace(result, method="smooth_accel_tvr")

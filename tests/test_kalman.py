@@ -551,6 +551,45 @@ class TestScanAgainstLoop:
             assert track.transitions.strides[0] == 0  # a view, not N copies of A
 
 
+def _assert_map_means_match_loop(A, c, C, Q, R, x0, P0, ys, rng):
+    x = kalman._map_means(A, c, C, Q, np.linalg.inv(R), x0, P0, ys)
+    x_loop = ref.rts_smooth(ref.filter_seq(A, c, C, Q, R, x0, P0, ys))[0]
+    if _rel(x, x_loop) <= 1e-9:
+        return
+
+    def objective(states):
+        return ref.map_objective(states, A, c, C, Q, R, x0, P0, ys)
+
+    # below float64 resolution of the objective the loop's track is no better
+    assert objective(x) <= objective(x_loop) + 2 * _objective_floor(objective, x_loop, rng)
+
+
+class TestMapMeansAgainstLoop:
+    """The banded KKT solve for the MAP states against the sequential recursion."""
+
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_constant_derivative_models(self, uniform, nu):
+        rng = np.random.default_rng(40 + nu)
+        n = 160
+        t = 0.01 * np.arange(n) if uniform else np.cumsum(rng.uniform(0.005, 0.02, n))
+        y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n)
+        signal = Signal(Grid(t), y)
+        for q in (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e10):
+            for r in (1e-6, 1.0, 1e6):
+                _assert_map_means_match_loop(*kalman._naive_model(signal, nu, q, r), y[:, None], rng)
+
+    def test_random_models_with_inputs(self):
+        rng = np.random.default_rng(41)
+        for n in [1, 2] + [int(v) for v in rng.integers(3, 150, 8)]:
+            base = random_stable_model(rng, p=int(rng.integers(1, 4)))
+            d, m = base.state_dim, int(rng.integers(0, 3))
+            us = rng.standard_normal((n, m))
+            ys = simulate_model(base, n, rng)[1]
+            _assert_map_means_match_loop(base.A[None], us @ rng.standard_normal((m, d)), base.C,
+                                         base.Q[None], base.R[None], base.x0, base.P0, ys, rng)
+
+
 class TestNumericErrors:
     @staticmethod
     def _outcome(fn):
@@ -598,8 +637,20 @@ class TestNumericErrors:
             return out
 
         monkeypatch.setattr(kalman, combine, poisoned)
-        s = Signal(Grid.regular(50, 0.01), np.sin(np.arange(50.0)))
+        model = constant_derivative_model(2, 0.01, 1.0, 1.0)
         with pytest.raises(NumericError, match="non-finite"):
+            rts_smooth(kalman_filter(model, np.sin(np.arange(50.0))))
+
+    def test_non_finite_kkt_solve_raises(self, monkeypatch):
+        s = Signal(Grid.regular(50, 0.01), np.sin(np.arange(50.0)))
+        match = "singular KKT system.*non-finite solution"
+        with pytest.raises(NumericError, match=match):
+            rtsdiff(s, r=1e-320)  # the measurement weight 1 / r overflows
+        chain = kalman._integrator_chain
+        monkeypatch.setattr(kalman, "_integrator_chain",
+                            lambda nu, steps, q: (chain(nu, steps, q)[0],
+                                                  np.full((1, nu + 1, nu + 1), np.nan)))
+        with pytest.raises(NumericError, match=match):
             rtsdiff(s)
 
 

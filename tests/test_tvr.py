@@ -197,6 +197,14 @@ class TestSmoothAccelTvr:
         assert hard.phi == {"nu": 2, "gamma": 10.0}
         assert np.max(np.abs(tvr.derivative - hard.derivative)) > 0
 
+    def test_irregular_grid_refusal_names_smooth_accel_tvr(self):
+        s = Signal(Grid([0.0, 0.1, 0.3, 0.4, 0.41, 0.6]), np.zeros(6))
+        match = "smooth_accel_tvr requires a uniform grid"
+        with pytest.raises(UnsupportedMethodError, match=match):
+            smooth_accel_tvr(s, TvrSpec(gamma=1.0, nu=2))
+        with pytest.raises(UnsupportedMethodError, match=match):
+            apply_method("smooth_accel_tvr", s)
+
     def test_constant_signal_zero_derivative(self):
         s = Signal(Grid.regular(120, 0.01), np.full(120, 3.0))
         for gamma in (0.1, 100.0):
