@@ -653,6 +653,11 @@ def _naive_model(signal: Signal, nu: int, q: float, r: float):
     if r <= 0:
         raise ValidationError("r must be positive")
     A, Q = _integrator_chain(nu, [signal.grid.dt] if signal.grid.uniform else _steps(signal), q)
+    # Beyond float64's range of q / r, _equilibrate's scaling cannot settle
+    # and the KKT solve returns a wrong derivative without failing.
+    ratio = float(q) / float(r)
+    if not math.isfinite(ratio) or ratio == 0:
+        raise ValidationError(f"q / r must be finite and nonzero in float64, got q={q}, r={r}")
     d = nu + 1
     C = np.zeros((1, d))
     C[0, 0] = 1.0

@@ -201,6 +201,16 @@ class TestSimulate:
         _, data = read_csv(out)
         assert not np.allclose(data[:, 1], data[:, 3])
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--t-span", "nan", "T"), ("--t-span", "inf", "T"), ("--dt", "nan", "dt"),
+        ("--dt", "inf", "dt"), ("--scale", "nan", "scale"), ("--scale", "inf", "scale")])
+    def test_non_finite_input_exits_3(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--case", "sine_sum", flag, value, "--out", str(out)])
+        assert code == 3
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_single_cell_and_determinism(self, tmp_path):

@@ -423,6 +423,22 @@ class TestRtsdiff:
         err = np.sqrt(np.mean((r.derivative[20:-5] - deriv_truth[20:-5]) ** 2))
         assert err < 0.2 * np.sqrt(np.mean(deriv_truth**2))
 
+    @pytest.mark.parametrize("method", [rtsdiff, robustdiff])
+    @pytest.mark.parametrize("q, r", [(1e300, 1e-300), (1e300, 1e-100), (1e-300, 1e300),
+                                      (1.0, 1e-320), (1.0, float("nan")), (float("inf"), 1.0)])
+    def test_ratio_outside_float64_refused(self, method, q, r):
+        # q / r overflowing or rounding to zero once returned a wrong
+        # derivative (max |d| ~ 40 on this sine) instead of failing
+        s = Signal(Grid.regular(50, 0.1), np.sin(0.1 * np.arange(50)))
+        with pytest.raises(ValidationError, match=r"q / r .*q=.*r="):
+            method(s, nu=2, q=q, r=r)
+
+    @pytest.mark.parametrize("q, r", [(1e10, 1e-6), (1e-10, 1e6), (1e100, 1e-100)])
+    def test_extreme_ratio_inside_float64_works(self, q, r):
+        s = Signal(Grid.regular(50, 0.1), np.sin(0.1 * np.arange(50)))
+        d = rtsdiff(s, nu=2, q=q, r=r).derivative
+        assert np.all(np.isfinite(d)) and np.max(np.abs(d)) < 2.0
+
 
 class TestRobustdiff:
     def test_huge_radius_matches_rtsdiff(self):
@@ -645,7 +661,8 @@ class TestNumericErrors:
         s = Signal(Grid.regular(50, 0.01), np.sin(np.arange(50.0)))
         match = "singular KKT system.*non-finite solution"
         with pytest.raises(NumericError, match=match):
-            rtsdiff(s, r=1e-320)  # the measurement weight 1 / r overflows
+            # the measurement weight 1 / r overflows; q keeps q / r finite
+            rtsdiff(s, q=1e-20, r=1e-320)
         chain = kalman._integrator_chain
         monkeypatch.setattr(kalman, "_integrator_chain",
                             lambda nu, steps, q: (chain(nu, steps, q)[0],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sims_reference as ref
 
 from derivkit import (
     Grid,
@@ -93,12 +94,48 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             SimulationCase("sine_sum", T=0.1, dt=0.01)
 
+    @pytest.mark.parametrize("field", ["T", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_span_or_step(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SimulationCase("sine_sum", **{field: value})
+
+
+class TestSimulateAgainstArrays:
+    """``simulate`` equals the array-based form of ``tests/sims_reference.py``
+    bit for bit: the scalar RK4 loop must keep its operation order."""
+
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.05])
+    @pytest.mark.parametrize("name", ALL_CASES)
+    def test_short_span(self, name, dt):
+        self._check(SimulationCase(name, T=4.0, dt=dt))
+
+    def test_cruise_control_long(self):
+        self._check(SimulationCase("cruise_control", T=40.0, dt=0.005))
+
+    def test_lorenz_past_divergence(self):
+        # chaos turns any change in the last bits into a different trajectory
+        self._check(SimulationCase("lorenz_x", T=100.0, dt=0.01))
+
+    @staticmethod
+    def _check(case):
+        x, xdot, grid = simulate(case)
+        x_ref, xdot_ref = ref.simulate(case)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(xdot, xdot_ref)
+        assert np.array_equal(grid.points, case.dt * np.arange(len(x_ref)))
+
 
 class TestAddNoise:
     def test_outliers_is_not_a_noise_setting(self):
         # outliers come from add_outliers, not from the noise spec
         with pytest.raises(TypeError):
             NoiseSpec(outliers=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scale(self, value):
+        with pytest.raises(ValidationError, match="scale must be finite"):
+            NoiseSpec(scale=value)
 
     def test_zero_scale_exact(self):
         x, _, grid = simulate(SimulationCase("sine_sum"))
