@@ -157,6 +157,7 @@ def cmd_tune(args) -> int:
         "distinct_evaluations": config.info["distinct_evaluations"],
         "failed_evaluations": config.info["failed_evaluations"],
         "failure_reasons": config.info["failure_reasons"],
+        "search": config.info["search"],
         "seed": args.seed,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)

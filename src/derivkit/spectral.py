@@ -208,8 +208,11 @@ def fourier_extension_derivative(signal: Signal, pad: int = 0, extension: str = 
     if pad > 0:
         w = int(np.ceil(pad / 4))
         if w > 1:
-            z = np.convolve(_reflect_pad(z, w), np.full(w, 1.0 / w), mode="same")[w:-w]
-        z[pad : pad + n] = y
+            # only the pads are kept: each is blended from its own stretch of the reflected
+            # sequence, with the w neighbours on either side its full windows reach
+            zp, box, k = _reflect_pad(z, w), np.full(w, 1.0 / w), pad + 2 * w
+            z[:pad] = np.convolve(zp[:k], box, mode="same")[w:-w]
+            z[-pad:] = np.convolve(zp[-k:], box, mode="same")[w:-w]
 
     ext = np.concatenate([z, z[-2:0:-1]]) if extension == "even" else z
     smoothed, deriv = _fourier_pass(ext, dt, nu, keep_modes)

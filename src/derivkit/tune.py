@@ -3,8 +3,12 @@
 The proxy losses judge a derivative estimate without knowing the true
 derivative: integrate the estimate, compare against the measurements, and
 penalize total variation. Minimizing them over a method's hyperparameters
-with multi-start Nelder-Mead lands near the Pareto front of the
-(RMSE, error-correlation) plane.
+lands near the Pareto front of the (RMSE, error-correlation) plane.
+
+A method whose one tunable parameter is continuous (``butter``, ``spline``,
+``tvr``, ``rts``) is searched by a grid and bounded Brent searches; every other
+method (two or more tunable parameters, or one integer one: ``fd``,
+``fourier``, ``iterated_fd``) by multi-start Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .core import (
     MethodConfig,
@@ -31,6 +36,10 @@ MAD_NORMALIZER = 0.6745
 FAILURE_REASONS = 3
 #: Nelder-Mead stops once its simplex is this small in transformed parameter space.
 DIAMETER_TOL = 1e-3
+#: Evenly spaced points the one-parameter search scans before its Brent searches.
+GRID_POINTS = 25
+#: Each bounded Brent search stops at this width in transformed parameter space.
+XATOL = 1e-4
 
 
 def _pair(est, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +168,11 @@ class TuneSpec:
     The TV weight gamma is derived from ``cutoff_hz`` and the grid step by
     :func:`gamma_heuristic`. The Huber parameter defaults to 6, or 2 when the
     data is declared to contain outliers.
+
+    Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each with a
+    budget of ``max_evals``. The one-parameter grid and Brent search draws
+    nothing, so ``seed`` does not affect it, and it makes at most
+    ``starts * max_evals`` evaluations in all.
     """
 
     cutoff_hz: float = 3.0
@@ -237,6 +251,63 @@ def _nelder_mead(fn, x0: np.ndarray, steps: np.ndarray, max_evals: int):
     return simplex[best], values[best], evals
 
 
+def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals: int,
+                 rng: np.random.Generator):
+    """Nelder-Mead from ``starts`` points drawn uniformly in the box ``[lo_t, hi_t]``,
+    each with a budget of ``max_evals``. Returns (best x, best f, evaluations); ties go
+    to the earlier start."""
+    best_x = None
+    best_loss = math.inf
+    total_evals = 0
+    for _ in range(starts):
+        x0 = rng.uniform(lo_t, hi_t)
+        steps = 0.15 * (hi_t - lo_t)
+        x, loss, used = _nelder_mead(fn, x0, steps, max_evals)
+        total_evals += used
+        if loss < best_loss:
+            best_loss, best_x = loss, x
+    return best_x, best_loss, total_evals
+
+
+def _grid_brent(fn, lo: float, hi: float, budget: int):
+    """Minimize ``fn`` over one coordinate in ``[lo, hi]`` with at most ``budget`` evaluations.
+
+    ``min(GRID_POINTS, budget)`` evenly spaced points from ``lo`` to ``hi`` find the best
+    grid point, and a bounded Brent search (``xatol=XATOL``) refines inside the two grid
+    cells around it. The proxy losses of ``tvr`` and ``rts`` can hold a second, deeper
+    local minimum a few hundredths away in that bracket, so the bracket is then split at
+    the best point so far and Brent searches each side once more. Each search gets the
+    budget left. ``fn`` takes a length-1 array. Returns (best x evaluated, its value,
+    evaluations); ties go to the earlier evaluation.
+    """
+    best_x, best_f, evals = None, math.inf, 0
+
+    def call(x) -> float:
+        nonlocal best_x, best_f, evals
+        evals += 1
+        point = np.array([x], dtype=float)
+        f = fn(point)
+        if f < best_f:
+            best_x, best_f = point, f
+        return f
+
+    def brent(a: float, b: float) -> None:
+        # the bounded search evaluates at least twice, and at most maxiter times from then on
+        if a < b and budget - evals >= 2:
+            minimize_scalar(call, bounds=(a, b), method="bounded",
+                            options={"xatol": XATOL, "maxiter": budget - evals})
+
+    grid = np.linspace(lo, hi, min(GRID_POINTS, budget))
+    k = int(np.argmin([call(x) for x in grid]))
+    a, b = sorted(grid[[max(k - 1, 0), min(k + 1, len(grid) - 1)]])
+    brent(a, b)
+    if best_x is not None:
+        split = best_x[0]
+        brent(a, split)
+        brent(split, b)
+    return best_x, best_f, evals
+
+
 def _stable_int(part) -> int:
     digest = hashlib.sha256(repr(part).encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -263,16 +334,21 @@ def _untransform(x: float, scale: str, lo: float, hi: float) -> float:
 
 
 def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> MethodConfig:
-    """Pick hyperparameters for a registered method by multi-start Nelder-Mead.
+    """Pick hyperparameters for a registered method without ground truth.
 
     The search minimizes :func:`robust_proxy_loss` in transformed parameter
-    space (log for positive reals, continuous-then-rounded for integers),
-    starting from ``spec.starts`` log-uniform seeds. Deterministic for a
-    fixed seed; the winner is the feasible parameter set with the lowest
-    loss, ties broken by start index. Evaluations that raise count as an
-    infinite loss; ``info`` reports the evaluation count, the number of
-    distinct canonical parameter sets, the number of failed evaluations and
-    the first few failure reasons.
+    space (log for positive reals, continuous-then-rounded for integers).
+    When the method's one tunable parameter is continuous, ``GRID_POINTS``
+    evenly spaced points, then bounded Brent searches around the best of
+    them, spend at most ``spec.starts * spec.max_evals`` evaluations, and
+    ``spec.seed`` plays no part. Otherwise multi-start Nelder-Mead starts
+    from ``spec.starts`` log-uniform seeds, deterministic for a fixed seed,
+    ties broken by start index. The winner is the feasible parameter set
+    with the lowest loss. Evaluations that raise count as an infinite loss;
+    ``info`` reports the search that ran (``"grid+brent"`` or
+    ``"nelder-mead"``), the evaluation count, the number of distinct
+    canonical parameter sets, the number of failed evaluations and the
+    first few failure reasons.
 
     Each distinct canonical parameter set is run and scored once; a repeat is
     served from a memo of its loss (or failure reason) and still counts as an
@@ -323,17 +399,15 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
             failures.append(failure)
         return loss
 
-    rng = seeded_stream(spec.seed, "autotune", method)
-    best_x = None
-    best_loss = math.inf
-    total_evals = 0
-    for _ in range(spec.starts):
-        x0 = rng.uniform(lo_t, hi_t)
-        steps = 0.15 * (hi_t - lo_t)
-        x, loss, used = _nelder_mead(objective, x0, steps, spec.max_evals)
-        total_evals += used
-        if loss < best_loss:
-            best_loss, best_x = loss, x
+    if len(params) == 1 and params[0].scale != "integer":
+        search = "grid+brent"
+        best_x, best_loss, total_evals = _grid_brent(
+            objective, lo_t[0], hi_t[0], spec.starts * spec.max_evals)
+    else:
+        search = "nelder-mead"
+        best_x, best_loss, total_evals = _multi_start(
+            objective, lo_t, hi_t, spec.starts, spec.max_evals,
+            seeded_stream(spec.seed, "autotune", method))
     if best_x is None or not math.isfinite(best_loss):
         detail = "; ".join(failures[-3:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")
@@ -344,5 +418,6 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         info={"loss": best_loss, "gamma": gamma, "m": m,
               "evaluations": total_evals, "distinct_evaluations": len(memo),
               "failed_evaluations": len(failures),
-              "failure_reasons": failures[:FAILURE_REASONS], "seed": spec.seed},
+              "failure_reasons": failures[:FAILURE_REASONS], "search": search,
+              "seed": spec.seed},
     )

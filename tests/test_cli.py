@@ -167,6 +167,15 @@ class TestTune:
         assert payload["failed_evaluations"] == 0
         assert payload["failure_reasons"] == []
 
+    @pytest.mark.parametrize("method, search", [("butter", "grid+brent"),
+                                                ("fd", "nelder-mead"),
+                                                ("savgol", "nelder-mead")])
+    def test_search_recorded(self, tmp_path, sine_csv, method, search):
+        out = tmp_path / "t.json"
+        main(["tune", str(sine_csv), "--method", method, "--starts", "2",
+              "--max-evals", "15", "--out", str(out)])
+        assert json.loads(out.read_text())["search"] == search
+
     def test_outliers_flag_switches_m(self, tmp_path, sine_csv):
         out = tmp_path / "t.json"
         main(["tune", str(sine_csv), "--method", "savgol", "--outliers",

@@ -13,7 +13,8 @@ from derivkit import (
     fourier_lowpass,
     power_spectrum,
 )
-from derivkit.spectral import _dct1, _idct1
+from derivkit.core import _reflect_pad
+from derivkit.spectral import _dct1, _fourier_pass, _idct1
 
 
 def periodic_signal(fn, n=64, span=2 * np.pi):
@@ -225,6 +226,33 @@ class TestFourierExtension:
         s, _ = periodic_signal(np.sin, n=16)
         with pytest.raises(ValidationError):
             fourier_extension_derivative(s, pad=-1)
+
+    @staticmethod
+    def _full_blend_reference(s, pad, keep_modes, nu):
+        """The extension derivative with the pads blended by one moving average over the
+        whole padded sequence, the original samples restored afterwards."""
+        y, n = s.values, len(s)
+        z = np.concatenate([np.full(pad, y[0]), y, np.full(pad, y[-1])])
+        w = int(np.ceil(pad / 4))
+        if w > 1:
+            z = np.convolve(_reflect_pad(z, w), np.full(w, 1.0 / w), mode="same")[w:-w]
+        z[pad : pad + n] = y
+        smoothed, deriv = _fourier_pass(np.concatenate([z, z[-2:0:-1]]), s.grid.dt, nu,
+                                        keep_modes)
+        return smoothed[pad : pad + n], deriv[pad : pad + n]
+
+    @pytest.mark.parametrize("n", [5, 64, 401, 3000])
+    def test_pad_blend_matches_full_convolution(self, n):
+        rng = np.random.default_rng(n)
+        t = 0.01 * np.arange(n)
+        s = Signal(Grid(t), np.sin(2 * np.pi * t) + 0.5 * t + 0.1 * rng.standard_normal(n))
+        for pad in sorted({0, 1, 4, 5, 9, n // 8, n, n + 3, 2 * n}):
+            for keep_modes, nu in ((None, 1), (n // 4 + 2, 2)):
+                got = fourier_extension_derivative(s, pad=pad, extension="even",
+                                                   keep_modes=keep_modes, nu=nu)
+                smoothed, deriv = self._full_blend_reference(s, pad, keep_modes, nu)
+                assert np.array_equal(got.smoothed, smoothed), pad
+                assert np.array_equal(got.derivative, deriv), pad
 
 
 class TestPowerSpectrum:
