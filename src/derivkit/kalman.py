@@ -413,37 +413,31 @@ def constant_derivative_continuous(nu: int, q: float) -> ContinuousModel:
 
 
 def discretize(cm: ContinuousModel, dt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact zero-order-hold discretization by block matrix exponential.
+    """Exact zero-order-hold discretization by one block matrix exponential.
 
-    Exponentiating ``[[Ac, Qc], [0, -Ac^T]] * dt`` yields ``A`` in the upper
-    left and ``Q A^{-T}`` in the upper right, so ``Q`` is recovered as the
-    upper-right block times ``A^T``. ``B`` comes from exponentiating
-    ``[[Ac, Bc], [0, 0]] * dt``. ``dt`` may be a 1-D array of steps; the
-    matrices then gain a leading axis, one entry per step.
+    Exponentiating ``[[Ac, Qc, Bc], [0, -Ac^T, 0], [0, 0, 0]] * dt`` (Van Loan
+    1978) yields ``A`` in the upper left, ``Q A^{-T}`` in the next block, so
+    ``Q`` is recovered as that block times ``A^T``, and ``B`` in the last block
+    column. ``dt`` may be a 1-D array of steps; the matrices then gain a
+    leading axis, one entry per step.
     """
     h = np.asarray(dt, dtype=float)
     if h.ndim > 1 or np.any(h <= 0):
         raise ValidationError(f"dt must be positive, got {dt}")
     h = h[..., None, None]
     d = cm.Ac.shape[0]
-    m = cm.Bc.shape[1]
-    blk = np.zeros((2 * d, 2 * d))
+    blk = np.zeros((2 * d + cm.Bc.shape[1],) * 2)
     blk[:d, :d] = cm.Ac
-    blk[:d, d:] = cm.Qc
-    blk[d:, d:] = -cm.Ac.T
+    blk[:d, d : 2 * d] = cm.Qc
+    blk[:d, 2 * d :] = cm.Bc
+    blk[d : 2 * d, d : 2 * d] = -cm.Ac.T
     try:
         F = sla.expm(blk * h)
     except Exception as exc:  # scipy raises assorted LinAlg errors
         raise NumericError("matrix exponential failed") from exc
     A = F[..., :d, :d]
-    Q = _sym(F[..., :d, d:] @ _T(A))
-    if m:
-        blk_b = np.zeros((d + m, d + m))
-        blk_b[:d, :d] = cm.Ac
-        blk_b[:d, d:] = cm.Bc
-        B = sla.expm(blk_b * h)[..., :d, d:]
-    else:
-        B = np.zeros(h.shape[:-2] + (d, 0))
+    Q = _sym(F[..., :d, d : 2 * d] @ _T(A))
+    B = F[..., :d, 2 * d :]
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Q)) and np.all(np.isfinite(B))):
         raise NumericError("matrix exponential produced non-finite entries")
     return A, B, Q

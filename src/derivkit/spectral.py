@@ -2,15 +2,16 @@
 
 Fourier differentiation multiplies FFT bins by powers of the effective
 wavenumber, with the usual special case at the Nyquist bin for even sample
-counts. Chebyshev differentiation runs a DCT-I (built from the FFT of an
-even extension), a coefficient recurrence, and an inverse transform; it is
-intended for noiseless data only, since polynomial fit errors compound from
-high modes to low ones during differentiation.
+counts. Chebyshev differentiation runs scipy's DCT-I, a coefficient
+recurrence, and the inverse DCT-I; it is intended for noiseless data only,
+since polynomial fit errors compound from high modes to low ones during
+differentiation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import dct, idct
 
 from .core import DerivativeResult, Signal, ValidationError, _reflect_pad, _require_uniform
 
@@ -97,7 +98,7 @@ def power_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray]:
     dt = _require_uniform(signal, "power_spectrum")
     n = len(signal)
     freqs = np.fft.rfftfreq(n, dt)
-    mag = np.abs(np.fft.fft(signal.values)[: len(freqs)])
+    mag = np.abs(np.fft.rfft(signal.values))
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mag)
     return freqs, db
@@ -108,16 +109,6 @@ def cheb_nodes(n: int) -> np.ndarray:
     if n < 2:
         raise ValidationError(f"cheb_nodes needs n >= 2, got {n}")
     return np.cos(np.pi * np.arange(n) / (n - 1))
-
-
-def _dct1(v: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-I via the FFT of the even extension (length 2N-2)."""
-    ext = np.concatenate([v, v[-2:0:-1]])
-    return np.fft.fft(ext).real[: len(v)]
-
-
-def _idct1(coef: np.ndarray) -> np.ndarray:
-    return _dct1(coef) / (2 * (len(coef) - 1))
 
 
 def _chebder_once(coef: np.ndarray) -> np.ndarray:
@@ -167,7 +158,7 @@ def chebyshev_derivative(values, a: float = -1.0, b: float = 1.0, nu: int = 1,
                 f"[{a}, {b}] (max deviation above {NODE_TOL})"
             )
 
-    coef = _dct1(v) / (n - 1)
+    coef = dct(v, type=1) / (n - 1)
     coef[0] *= 0.5
     coef[-1] *= 0.5
     for _ in range(nu):
@@ -175,7 +166,7 @@ def chebyshev_derivative(values, a: float = -1.0, b: float = 1.0, nu: int = 1,
     back = coef * (n - 1)
     back[0] *= 2.0
     back[-1] *= 2.0
-    deriv = _idct1(back) * (2.0 / (b - a)) ** nu
+    deriv = idct(back, type=1) * (2.0 / (b - a)) ** nu
     if flipped:
         v = v[::-1]
         deriv = deriv[::-1]

@@ -166,17 +166,18 @@ class TuneSpec:
     """Settings for :func:`autotune`.
 
     The TV weight gamma is derived from ``cutoff_hz`` and the grid step by
-    :func:`gamma_heuristic`. The Huber parameter defaults to 6, or 2 when the
-    data is declared to contain outliers.
+    :func:`gamma_heuristic`. The Huber parameter is 6, or 2 when the data is
+    declared to contain outliers.
 
     Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each with a
-    budget of ``max_evals``. The one-parameter grid and Brent search draws
+    budget of ``max_evals``. It checks that budget once per iteration, so a start
+    can make up to ``max_evals + dim + 1`` evaluations, ``dim`` being the number
+    of tunable parameters. The one-parameter grid and Brent search draws
     nothing, so ``seed`` does not affect it, and it makes at most
     ``starts * max_evals`` evaluations in all.
     """
 
     cutoff_hz: float = 3.0
-    huber_m: float | None = None
     outliers: bool = False
     starts: int = 10
     max_evals: int = 200
@@ -185,15 +186,11 @@ class TuneSpec:
     def __post_init__(self):
         if self.cutoff_hz <= 0:
             raise ValidationError("cutoff_hz must be positive")
-        if self.huber_m is not None and self.huber_m <= 0:
-            raise ValidationError("huber_m must be positive")
         if self.starts < 1 or self.max_evals < 1:
             raise ValidationError("starts and max_evals must be >= 1")
 
     @property
     def resolved_m(self) -> float:
-        if self.huber_m is not None:
-            return self.huber_m
         return 2.0 if self.outliers else 6.0
 
 
@@ -202,7 +199,10 @@ def _nelder_mead(fn, x0: np.ndarray, steps: np.ndarray, max_evals: int):
 
     Terminates when the simplex diameter (max infinity-norm distance from
     the best vertex) falls below ``DIAMETER_TOL`` or the evaluation budget
-    runs out. Returns (best x, best f, evaluations).
+    runs out. The budget is checked once per iteration, and an iteration that
+    starts one evaluation short of it can make ``dim + 2`` more (a reflection,
+    a contraction, then a shrink of ``dim`` vertices), so a search makes at
+    most ``max_evals + dim + 1``. Returns (best x, best f, evaluations).
     """
     dim = len(x0)
     evals = 0
@@ -353,9 +353,7 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     Each distinct canonical parameter set is run and scored once; a repeat is
     served from a memo of its loss (or failure reason) and still counts as an
     evaluation, and a repeated failure as a failed evaluation, so the counts
-    mean what they would if every evaluation ran the method. A point the
-    search has already tried is looked up by its bytes, without mapping it
-    to ``phi`` again.
+    mean what they would if every evaluation ran the method.
     """
     spec = spec or TuneSpec()
     mspec = get_method(method)
@@ -378,23 +376,19 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
 
     failures: list[str] = []
     memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
-    keys: dict[bytes, tuple] = {}  # point x -> its canonical phi's memo key
 
     def objective(x: np.ndarray) -> float:
-        point = x.tobytes()
-        if point not in keys:
-            phi = to_phi(x)
-            key = tuple(sorted(phi.items()))
-            if key not in memo:
-                try:
-                    result = mspec.run(signal, phi, 1)
-                    loss = robust_proxy_loss(result.derivative, signal, gamma, m)
-                except (ValidationError, NumericError) as exc:
-                    memo[key] = math.inf, f"{phi}: {exc}"
-                else:
-                    memo[key] = (loss if math.isfinite(loss) else math.inf), None
-            keys[point] = key
-        loss, failure = memo[keys[point]]
+        phi = to_phi(x)
+        key = tuple(sorted(phi.items()))
+        if key not in memo:
+            try:
+                result = mspec.run(signal, phi, 1)
+                loss = robust_proxy_loss(result.derivative, signal, gamma, m)
+            except (ValidationError, NumericError) as exc:
+                memo[key] = math.inf, f"{phi}: {exc}"
+            else:
+                memo[key] = (loss if math.isfinite(loss) else math.inf), None
+        loss, failure = memo[key]
         if failure is not None:
             failures.append(failure)
         return loss
@@ -409,7 +403,7 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
             objective, lo_t, hi_t, spec.starts, spec.max_evals,
             seeded_stream(spec.seed, "autotune", method))
     if best_x is None or not math.isfinite(best_loss):
-        detail = "; ".join(failures[-3:]) or "no finite loss found"
+        detail = "; ".join(failures[-FAILURE_REASONS:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")
 
     return MethodConfig(

@@ -14,7 +14,7 @@ from derivkit import (
     power_spectrum,
 )
 from derivkit.core import _reflect_pad
-from derivkit.spectral import _dct1, _fourier_pass, _idct1
+from derivkit.spectral import _fourier_pass
 
 
 def periodic_signal(fn, n=64, span=2 * np.pi):
@@ -118,13 +118,6 @@ class TestChebNodes:
             nodes = cheb_nodes(n)
             assert nodes[0] == 1.0
             assert nodes[-1] == -1.0
-
-
-class TestDct1:
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(33)
-        np.testing.assert_allclose(_idct1(_dct1(v)), v, atol=1e-12)
 
 
 class TestChebyshevDerivative:

@@ -266,6 +266,17 @@ class TestNelderMead:
         _nelder_mead(fn, np.ones(3), np.full(3, 0.3), 40)
         assert len(calls) <= 40
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overshoot_is_at_most_one_iteration(self, dim):
+        # the budget is checked once per iteration, and an iteration that starts one
+        # evaluation short can reflect, contract and shrink all dim vertices
+        rng = np.random.default_rng(dim)
+        for max_evals in range(1, 30):
+            calls = []
+            fn = lambda x: (calls.append(1), float(rng.standard_normal()))[1]
+            *_, evals = _nelder_mead(fn, np.zeros(dim), np.full(dim, 0.3), max_evals)
+            assert evals == len(calls) <= max_evals + dim + 1
+
 
 class TestSeededStream:
     def test_deterministic(self):
@@ -399,10 +410,19 @@ class TestAutotune:
         assert info["failure_reasons"] == []
         assert 0 < info["distinct_evaluations"] < info["evaluations"]
 
+    def test_nelder_mead_evaluations_stay_within_stated_bound(self):
+        s, _ = noisy_sine()
+        # fd tunes one integer parameter, and each of both starts overshoots by dim + 1 = 2
+        assert autotune("fd", s, TuneSpec(starts=2, max_evals=15)).info["evaluations"] == 34
+        for method, max_evals in itertools.product(("kernel", "savgol", "poly"), (5, 15)):
+            dim = sum(p.tunable for p in get_method(method).build_params(s))
+            info = autotune(method, s, TuneSpec(starts=2, max_evals=max_evals)).info
+            assert info["search"] == "nelder-mead"
+            assert info["evaluations"] <= 2 * (max_evals + dim + 1)
+
     def test_huber_m_default_switches_with_outliers(self):
         assert TuneSpec().resolved_m == 6.0
         assert TuneSpec(outliers=True).resolved_m == 2.0
-        assert TuneSpec(huber_m=3.5, outliers=True).resolved_m == 3.5
 
     def test_unknown_method(self):
         s, _ = noisy_sine(n=100)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 from scipy.optimize import lsq_linear
-from tvr_reference import admm_tvr
+from tvr_reference import admm_tvr, difference_table
 
 from derivkit import (
     Grid,
@@ -113,7 +113,7 @@ class TestTvrdiff:
                 t = dt * np.arange(n)
                 y = np.sin(t * 2) + 0.1 * rng.standard_normal(n)
                 gamma = float(rng.uniform(0.5, 20.0))
-                E = _difference_operator(n, dt, nu).toarray()
+                E = difference_table(n, dt, nu).toarray()
                 xv = cp.Variable(n)
                 problem = cp.Problem(cp.Minimize(
                     cp.sum_squares(y - xv) + gamma / n * cp.norm1(E @ xv)))
@@ -230,6 +230,28 @@ STALLED_CELLS = {(3, 1e6, 2000): 1e-5}
 class TestAgainstAdmm:
     """Objective gates against the ADMM oracle and the bounded-least-squares dual."""
 
+    @pytest.mark.parametrize("dt", [0.01, 0.001, 0.005, 1 / 3])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_operator_equals_oracle_table(self, dt, nu):
+        # the oracles build E from the hand-typed D, sharing no code with the solver
+        for n in (5, 60, 400, 2000):
+            got, want = _difference_operator(n, dt, nu), difference_table(n, dt, nu)
+            assert got.shape == want.shape == (n - 1, n)
+            assert (got != want).nnz == 0
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_operator_last_rows_within_four_ulps_of_oracle_table(self, nu):
+        # at dt = 0.37 D's one-sided last row differs from the typed one in the last
+        # bit (see test_fd), and the powers of D carry that into the last nu rows of E
+        dt = 0.37
+        for n in (5, 60, 400, 2000):
+            got, want = _difference_operator(n, dt, nu), difference_table(n, dt, nu)
+            diff = abs(got - want).tocsr()
+            rows = np.unique(diff.tocoo().row)
+            assert len(rows) > 0 and rows.min() >= n - 1 - nu
+            row_max = abs(want).max(axis=1).toarray().ravel()
+            assert np.all(diff.max(axis=1).toarray().ravel() <= 4 * np.spacing(row_max))
+
     @pytest.mark.parametrize("nu,gamma,n", GATE_CELLS)
     def test_objective_not_above_admm(self, nu, gamma, n):
         t, y = square_sine(n)
@@ -251,7 +273,7 @@ class TestAgainstAdmm:
         # Dual of min ||y - x||^2 + w ||E x||_1 by bounded least squares, as in
         # test_c08c; compared only where the oracle certifies its own gap.
         t, y = square_sine(n)
-        E = _difference_operator(n, t[1] - t[0], nu).toarray()
+        E = difference_table(n, t[1] - t[0], nu).toarray()
         w = gamma / n
         z = lsq_linear(E.T / 2, y, bounds=(-w, w), method="trf", tol=1e-14).x
         x = y - E.T @ z / 2

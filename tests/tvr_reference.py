@@ -5,7 +5,8 @@ primal-dual interior-point method. It alternates a banded quadratic solve
 with soft thresholding and adapts its penalty parameter by residual
 balancing; the per-iteration cost is linear in N, but it needs hundreds to
 thousands of iterations. It exists only so tests can compare the new
-solver's objective against it.
+solver's objective against it. Its difference operator is built from the
+hand-typed first-derivative table in ``fd_reference``, not from the library.
 """
 
 from __future__ import annotations
@@ -14,7 +15,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from derivkit.tvr import _difference_operator
+from fd_reference import first_diff_table
+
+
+def difference_table(n: int, dt: float, nu: int) -> sp.csr_matrix:
+    """The TV argument ``E``: adjacent differences (row i minus row i + 1) of ``D^nu``,
+    where ``D`` is the hand-typed order-2 first-derivative table."""
+    D = first_diff_table(n, dt)
+    power = D
+    for _ in range(nu - 1):
+        power = D @ power
+    return (power[:-1] - power[1:]).tocsr()
 
 
 def _upper_banded(M: sp.spmatrix) -> np.ndarray:
@@ -36,7 +47,7 @@ def admm_tvr(y, dt: float, gamma: float, nu: int = 1, tol: float = 1e-6,
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    E = _difference_operator(n, dt, nu)
+    E = difference_table(n, dt, nu)
     Et = E.T.tocsr()
     EtE = (Et @ E).tocsc()
     weight = gamma / n
