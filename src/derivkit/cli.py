@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 import warnings
@@ -210,16 +211,30 @@ def cmd_bench(args) -> int:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"bench config must be a JSON object, got {config!r}")
     for key in ("methods", "cases", "axis", "values", "seeds"):
         if key not in config:
             raise UsageError(f"bench config is missing key {key!r}")
+    for key in ("methods", "cases", "values"):
+        if not isinstance(config[key], list) or not config[key]:
+            raise UsageError(f"bench config key {key!r} must be a non-empty list")
+    optional = {key: config[key] for key in ("cutoff_hz", "T", "dt", "starts", "max_evals")
+                if key in config}
+    for key, value in {"seeds": config["seeds"], **optional}.items():
+        integral = key in ("seeds", "starts", "max_evals")
+        # json reads NaN and Infinity as floats; type() leaves out bools
+        if not (type(value) is int or (not integral and type(value) is float
+                                       and math.isfinite(value))):
+            raise UsageError(f"bench config key {key!r} must be "
+                             f"{'an integer' if integral else 'a finite number'}, got {value!r}")
+    if config["seeds"] < 1:
+        raise UsageError("bench config key 'seeds' must be an integer >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    optional = {key: cast(config[key]) for key, cast in (("cutoff_hz", float), ("T", float),
-                ("dt", float), ("starts", int), ("max_evals", int)) if key in config}
     table = benchmark_sweep(
         config["methods"], config["cases"], config["axis"], config["values"],
-        seeds=int(config["seeds"]), workers=args.workers, **optional)  # absent: its defaults
+        seeds=config["seeds"], workers=args.workers, **optional)  # absent: its defaults
 
     csv_path = out_dir / "bench.csv"
     with open(csv_path, "w", newline="") as fh:

@@ -12,6 +12,7 @@ callers who want to re-check a signal themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -36,6 +37,13 @@ class NumericError(RuntimeError):
 
 class ConditioningWarning(UserWarning):
     """A linear system was solved despite a very large condition number."""
+
+
+def _require_finite_settings(**settings: float | None) -> None:
+    """Refuse the first setting that is NaN or infinite, by name; None is left to the caller."""
+    for name, value in settings.items():
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def _as_float_array(values, name: str) -> np.ndarray:

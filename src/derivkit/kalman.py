@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .core import DerivativeResult, NumericError, Signal, ValidationError, _solve_banded
+from .core import (DerivativeResult, NumericError, Signal, ValidationError,
+                   _require_finite_settings, _solve_banded)
 
 _PSD_SLACK = 1e-10
 
@@ -141,6 +142,8 @@ class RobustSpec:
                            ("measurement_loss", self.measurement_loss)):
             if loss not in _LOSSES:
                 raise ValidationError(f"{name} must be one of {_LOSSES}, got {loss!r}")
+        _require_finite_settings(huber_m_process=self.huber_m_process,
+                                 huber_m_measurement=self.huber_m_measurement, tol=self.tol)
         if self.huber_m_process <= 0 or self.huber_m_measurement <= 0:
             raise ValidationError("Huber radii must be positive")
         if self.tol <= 0 or self.max_iter < 1:

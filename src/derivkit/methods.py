@@ -10,6 +10,7 @@ frequency.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -90,7 +91,7 @@ def resolve(spec: MethodSpec, params: tuple[ParamSpec, ...], phi: Mapping | None
         merged[key] = float(value)
     for p in params:
         value = merged[p.name]
-        if p.scale == "integer":
+        if p.scale == "integer" and math.isfinite(value):  # the bounds refuse the rest
             value = merged[p.name] = int(round(value))
         if not (p.lo <= value <= p.hi):
             raise ValidationError(

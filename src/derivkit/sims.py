@@ -13,7 +13,6 @@ execution order and parallelism.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, Signal, ValidationError
+from .core import Grid, Signal, ValidationError, _require_finite_settings
 from .methods import apply_method, get_method
 from .tune import TuneSpec, autotune, error_correlation, rmse, seeded_stream, stable_key
 
@@ -47,9 +46,7 @@ class SimulationCase:
     def __post_init__(self):
         if self.name not in CASE_NAMES:
             raise ValidationError(f"unknown case {self.name!r}; choose from {CASE_NAMES}")
-        for field, value in (("T", self.T), ("dt", self.dt)):
-            if not math.isfinite(value):
-                raise ValidationError(f"{field} must be finite, got {value}")
+        _require_finite_settings(T=self.T, dt=self.dt)
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         if self.T / self.dt < 16:
@@ -65,8 +62,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:
             raise ValidationError(f"unknown noise family {self.family!r}")
-        if not math.isfinite(self.scale):
-            raise ValidationError(f"scale must be finite, got {self.scale}")
+        _require_finite_settings(scale=self.scale)
         if self.scale < 0:
             raise ValidationError("scale must be >= 0")
 
@@ -280,7 +276,10 @@ def _run_cell(task: dict) -> dict:
 
 def _worker_count(requested: int | None) -> int:
     env = os.environ.get(WORKERS_ENV)
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     if requested is not None:
         cap = min(cap, requested)
     return max(cap, 1)

@@ -26,6 +26,7 @@ from .core import (
     ValidationError,
     _band_index,
     _reflect_pad,
+    _require_finite_settings,
     _require_uniform,
     _solve_banded,
 )
@@ -47,6 +48,7 @@ class KernelSpec:
             raise ValidationError(f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}")
         if self.window < 3 or self.window % 2 == 0:
             raise ValidationError(f"window must be odd and >= 3, got {self.window}")
+        _require_finite_settings(sigma=self.sigma)
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValidationError(f"gaussian sigma must be positive, got {self.sigma}")
 
@@ -239,6 +241,9 @@ def savgoldiff(signal: Signal, window: int, degree: int,
     implicit fits are independent and can jitter.
     """
     dt = _require_uniform(signal, "savgoldiff")
+    _require_finite_settings(post_smooth_sigma=post_smooth_sigma)
+    if post_smooth_sigma is not None and post_smooth_sigma < 0:
+        raise ValidationError(f"post_smooth_sigma must be >= 0, got {post_smooth_sigma}")
     n = len(signal)
     if window > n:
         raise ValidationError(f"window {window} exceeds signal length {n}")
@@ -276,6 +281,8 @@ class SplineSpec:
             raise ValidationError(f"mode must be one of {_SPLINE_MODES}, got {self.mode!r}")
         if self.degree < 1:
             raise ValidationError(f"degree must be >= 1, got {self.degree}")
+        # s = inf is a bound every fit meets, so bound mode returns the least-squares line
+        _require_finite_settings(lam=self.lam, s=None if self.s == np.inf else self.s)
         if self.lam < 0 or self.s < 0:
             raise ValidationError("lam and s must be >= 0")
         if self.iterations < 1:
@@ -477,6 +484,7 @@ def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> D
     dramatically smaller condition number. The derivative reuses the
     coefficients with analytic kernel derivatives.
     """
+    _require_finite_settings(sigma=sigma, rho=rho, damping=damping)
     if sigma <= 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     if rho <= sigma:

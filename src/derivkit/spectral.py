@@ -1,11 +1,10 @@
 """Global spectral differentiation and filtering.
 
-Fourier differentiation multiplies FFT bins by powers of the effective
-wavenumber, with the usual special case at the Nyquist bin for even sample
-counts. Chebyshev differentiation runs scipy's DCT-I, a coefficient
-recurrence, and the inverse DCT-I; it is intended for noiseless data only,
-since polynomial fit errors compound from high modes to low ones during
-differentiation.
+Fourier differentiation multiplies real-FFT bins by (ik)^nu at integer
+wavenumbers k, after an optional ideal low-pass that zeroes every k >= keep_modes.
+Chebyshev differentiation runs scipy's DCT-I, a coefficient recurrence, and the
+inverse DCT-I; it is intended for noiseless data only, since polynomial fit
+errors compound from high modes to low ones during differentiation.
 """
 
 from __future__ import annotations
@@ -19,31 +18,9 @@ from .core import DerivativeResult, Signal, ValidationError, _reflect_pad, _requ
 NODE_TOL = 1e-8
 
 
-def _wavenumbers(n: int) -> np.ndarray:
-    """Signed effective wavenumbers in FFT bin order: 0..n/2, -(n/2-1)..-1."""
-    return np.fft.fftfreq(n) * n
-
-
-def _derivative_multiplier(n: int, nu: int) -> np.ndarray:
-    """Per-bin factor turning Fourier coefficients into derivative coefficients.
-
-    (ik)^nu below the Nyquist bin, (i(k-n))^nu above it; the Nyquist bin of an
-    even-length transform gets (i n/2)^nu for even nu and zero for odd nu.
-    """
-    k = _wavenumbers(n)
-    mult = (1j * k) ** nu
-    if n % 2 == 0:
-        mult[n // 2] = (1j * n / 2) ** nu if nu % 2 == 0 else 0.0
-    return mult
-
-
-def _lowpass_mask(n: int, keep_modes: int) -> np.ndarray:
-    return np.abs(_wavenumbers(n)) < keep_modes
-
-
 def _fourier_pass(values: np.ndarray, dt: float, nu: int | None, keep_modes: int | None,
                   smooth: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """FFT, optional ideal low-pass, then one inverse FFT per requested output.
+    """Real FFT, optional ideal low-pass, then one inverse real FFT per requested output.
 
     Returns ``(smoothed, derivative)``: the low-passed values when ``smooth``
     and their ``nu``-th derivative when ``nu`` is given, None otherwise.
@@ -55,14 +32,16 @@ def _fourier_pass(values: np.ndarray, dt: float, nu: int | None, keep_modes: int
         raise ValidationError(f"derivative order must be >= 1, got {nu}")
     if keep_modes is not None and not (1 <= keep_modes <= n / 2):
         raise ValidationError(f"keep_modes must lie in [1, {n // 2}], got {keep_modes}")
-    coef = np.fft.fft(values)
+    coef = np.fft.rfft(values)
+    k = np.arange(n // 2 + 1)
     if keep_modes is not None:
-        coef = np.where(_lowpass_mask(n, keep_modes), coef, 0.0)
-    smoothed = np.fft.ifft(coef).real if smooth else None
+        coef[k >= keep_modes] = 0.0
+    smoothed = np.fft.irfft(coef, n) if smooth else None
     if nu is None:
         return smoothed, None
+    # irfft drops the imaginary part of an even length's Nyquist bin, which zeroes it for odd nu
     scale = (2 * np.pi / (n * dt)) ** nu
-    return smoothed, np.fft.ifft(coef * _derivative_multiplier(n, nu)).real * scale
+    return smoothed, np.fft.irfft(coef * (1j * k) ** nu, n) * scale
 
 
 def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = None) -> DerivativeResult:
@@ -84,7 +63,7 @@ def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = Non
 
 
 def fourier_lowpass(signal: Signal, keep_modes: int) -> Signal:
-    """Ideal low-pass: zero every FFT bin with |wavenumber| >= keep_modes."""
+    """Ideal low-pass: zero every Fourier mode with integer wavenumber |k| >= keep_modes."""
     dt = _require_uniform(signal, "fourier_lowpass")
     return Signal(signal.grid, _fourier_pass(signal.values, dt, None, keep_modes)[0])
 
@@ -97,7 +76,7 @@ def power_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray]:
     """
     dt = _require_uniform(signal, "power_spectrum")
     n = len(signal)
-    freqs = np.fft.rfftfreq(n, dt)
+    freqs = np.arange(n // 2 + 1) / (n * dt)
     mag = np.abs(np.fft.rfft(signal.values))
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(mag)

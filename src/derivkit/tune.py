@@ -26,6 +26,7 @@ from .core import (
     Signal,
     ValidationError,
     _cumtrapz,
+    _require_finite_settings,
     total_variation,
 )
 from .methods import _bounded_params, get_method, resolve
@@ -184,6 +185,7 @@ class TuneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite_settings(cutoff_hz=self.cutoff_hz)
         if self.cutoff_hz <= 0:
             raise ValidationError("cutoff_hz must be positive")
         if self.starts < 1 or self.max_evals < 1:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (DerivativeResult, Signal, ValidationError, _band, _require_uniform,
-                   _solve_banded)
+from .core import (DerivativeResult, Signal, ValidationError, _band, _require_finite_settings,
+                   _require_uniform, _solve_banded)
 from .fd import _first_diff_matrix
 from .smoothers import _gaussian_blur
 
@@ -57,6 +57,7 @@ class TvrSpec:
     soften_sigma: float | None = None
 
     def __post_init__(self):
+        _require_finite_settings(gamma=self.gamma, tol=self.tol, soften_sigma=self.soften_sigma)
         if self.nu not in (1, 2, 3):
             raise ValidationError(f"nu must be 1, 2, or 3, got {self.nu}")
         if self.gamma <= 0:

@@ -71,6 +71,14 @@ class TestDiff:
         assert "keep_modes=250 outside bounds [2, 199]" in err
         assert "keep_modes=30 (integer in [2, 199])" in err and "pad=50" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method, name", [("savgol", "window"), ("tvr", "gamma")])
+    def test_non_finite_param_exits_2(self, tmp_path, sine_csv, capsys, method, name, value):
+        code = main(["diff", str(sine_csv), "--method", method,
+                     "--param", f"{name}={value}", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"parameter {name}={value} outside bounds" in capsys.readouterr().err
+
     def test_signal_too_short_for_the_bounds_exits_3(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         write_signal_csv(path, 0.01 * np.arange(6), np.arange(6.0))
@@ -212,10 +220,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--t-span", "nan", "T"), ("--t-span", "inf", "T"), ("--dt", "nan", "dt"),
-        ("--dt", "inf", "dt"), ("--scale", "nan", "scale"), ("--scale", "inf", "scale")])
+        ("--dt", "inf", "dt"), ("--scale", "nan", "scale"), ("--scale", "inf", "scale"),
+        ("--cutoff-hz", "nan", "cutoff_hz"), ("--cutoff-hz", "inf", "cutoff_hz")])
     def test_non_finite_input_exits_3(self, tmp_path, capsys, flag, value, field):
         out = tmp_path / "sim.csv"
-        code = main(["simulate", "--case", "sine_sum", flag, value, "--out", str(out)])
+        if flag == "--cutoff-hz":  # a tune setting: tune a simulated file
+            data = tmp_path / "data.csv"
+            assert main(["simulate", "--case", "sine_sum", "--out", str(data)]) == 0
+            command = ["tune", str(data), "--method", "fd"]
+        else:
+            command = ["simulate", "--case", "sine_sum"]
+        code = main(command + [flag, value, "--out", str(out)])
         assert code == 3
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
@@ -262,6 +277,37 @@ class TestBench:
         cfg.write_text(json.dumps({"methods": ["savgol"]}))
         assert main(["bench", "--config", str(cfg),
                      "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("methods", "savgol"), ("methods", []), ("cases", "sine_sum"), ("values", 1.0),
+        ("values", []), ("seeds", "x"), ("seeds", 0), ("seeds", 1.5), ("seeds", True),
+        ("cutoff_hz", "abc"), ("cutoff_hz", float("nan")), ("T", None), ("T", float("inf")),
+        ("dt", [0.01]), ("starts", 2.5), ("max_evals", "30")])
+    def test_malformed_key_exits_2_and_names_it(self, tmp_path, capsys, key, value):
+        config = {"methods": ["savgol"], "cases": ["sine_sum"], "axis": "noise_scale",
+                  "values": [1.0], "seeds": 1, key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"methods"', "null"])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "bench config must be a JSON object" in capsys.readouterr().err
+
+    def test_non_integer_worker_variable_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DERIVKIT_WORKERS", "abc")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": ["savgol"], "cases": ["sine_sum"],
+                                   "axis": "noise_scale", "values": [1.0], "seeds": 1}))
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert "DERIVKIT_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 class TestSpectrum:

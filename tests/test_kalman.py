@@ -342,6 +342,14 @@ class TestKalmanIrregular:
         assert local[gap_idx] < 5 * np.median(local) + 5 * np.std(local)
 
 
+class TestRobustSpec:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["huber_m_process", "huber_m_measurement", "tol"])
+    def test_non_finite_setting_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            RobustSpec(**{field: value})
+
+
 class TestRobustMapSmooth:
     def test_quadratic_matches_rts_random_models(self):
         rng = np.random.default_rng(12)

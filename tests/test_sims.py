@@ -15,6 +15,7 @@ from derivkit import (
     fd_derivative,
     simulate,
 )
+from derivkit.sims import _worker_count
 
 ALL_CASES = ("sine_sum", "triangles", "cruise_control", "lti_second_order",
              "lorenz_x", "logistic_growth")
@@ -223,6 +224,19 @@ class TestBenchmarkSweep:
     def test_cases_must_be_names(self, case):
         with pytest.raises(ValidationError, match="cases must be names"):
             benchmark_sweep(["savgol"], [case], "noise_scale", [1.0], seeds=1, workers=1)
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", "1e3"])
+    def test_worker_variable_must_be_an_integer(self, monkeypatch, env):
+        monkeypatch.setenv("DERIVKIT_WORKERS", env)
+        with pytest.raises(ValidationError, match=f"DERIVKIT_WORKERS must be an integer, "
+                                                  f"got '{env}'"):
+            benchmark_sweep(["savgol"], ["sine_sum"], "noise_scale", [1.0], seeds=1)
+
+    def test_worker_variable_caps_the_request(self, monkeypatch):
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        assert _worker_count(4) == 1
+        monkeypatch.setenv("DERIVKIT_WORKERS", "3")
+        assert _worker_count(2) == 2 and _worker_count(None) == 3
 
     def test_failures_recorded_not_raised(self):
         # chebyshev-style failure: fourier methods reject irregular grids, but

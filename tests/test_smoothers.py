@@ -85,6 +85,12 @@ class TestKernelSmooth:
         with pytest.raises(ValidationError):
             KernelSpec(kind="mean", window=6)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["gaussian", "mean"])
+    def test_non_finite_sigma_refused(self, kind, value):
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            KernelSpec(kind=kind, sigma=value)
+
 
 class TestReflectPad:
     @pytest.mark.parametrize("n", [2, 3, 5, 400])
@@ -368,6 +374,17 @@ class TestSavgol:
     def test_degree_at_least_window_rejected(self):
         with pytest.raises(ValidationError):
             savgol_coefficients(5, 5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_post_smooth_sigma_refused(self, value):
+        s = Signal(Grid.regular(50, 0.01), np.zeros(50))
+        with pytest.raises(ValidationError, match="post_smooth_sigma must be finite"):
+            savgoldiff(s, window=9, degree=3, post_smooth_sigma=value)
+
+    def test_negative_post_smooth_sigma_refused(self):
+        s = Signal(Grid.regular(50, 0.01), np.zeros(50))
+        with pytest.raises(ValidationError, match="post_smooth_sigma must be >= 0"):
+            savgoldiff(s, window=9, degree=3, post_smooth_sigma=-1.0)
 
     def test_cached_rows_are_read_only(self):
         for row in smoothers._savgol_rows(9, 3):
@@ -701,6 +718,24 @@ class TestBoundMode:
         with pytest.raises(ValidationError, match="curvature penalty needs degree >= 2"):
             SplineSpec(degree=1, mode="bound", s=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_refused(self, value):
+        with pytest.raises(ValidationError, match="lam must be finite"):
+            SplineSpec(lam=value)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_bound_refused(self, value):
+        with pytest.raises(ValidationError, match="s must be finite"):
+            SplineSpec(mode="bound", s=value)
+
+    def test_infinite_bound_is_the_line(self):
+        rng = np.random.default_rng(3)
+        t = 0.01 * np.arange(60)
+        y = np.sin(2 * t) + 0.1 * rng.standard_normal(60)
+        r = splinediff(Signal(Grid(t), y), SplineSpec(mode="bound", s=np.inf))
+        assert r.flags["lam"] is None and r.flags["bound_met"]
+        np.testing.assert_allclose(r.derivative, _line_rss(t, y)[1], rtol=1e-9)
+
     def test_long_noisy_quintic(self):
         # degree 5 on a long noisy record of sin(t), dt = 0.01
         n = 4000
@@ -752,6 +787,13 @@ class TestRbfdiff:
         s = Signal(Grid.regular(50, 0.1), np.zeros(50))
         with pytest.raises(ValidationError):
             rbfdiff(s, sigma=0.5, rho=0.3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["sigma", "rho", "damping"])
+    def test_non_finite_setting_refused(self, field, value):
+        s = Signal(Grid.regular(50, 0.1), np.zeros(50))
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            rbfdiff(s, **{"sigma": 0.3, "rho": 1.0, "damping": 0.0, field: value})
 
     def test_irregular_grid(self):
         rng = np.random.default_rng(16)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from derivkit import (
 )
 from derivkit.core import _reflect_pad
 from derivkit.spectral import _fourier_pass
+from spectral_reference import extended, fourier_pass
 
 
 def periodic_signal(fn, n=64, span=2 * np.pi):
@@ -104,6 +107,64 @@ class TestFourierLowpass:
             fourier_lowpass(s, keep_modes=0)
         with pytest.raises(ValidationError):
             fourier_lowpass(s, keep_modes=9)
+
+
+class TestAgainstComplexReference:
+    """The real-FFT pass against the complex-FFT oracle with exact integer wavenumbers."""
+
+    DTS = (0.01, 0.37)
+    NUS = (None, 1, 2, 3)
+
+    @staticmethod
+    def keep_modes_values(m):
+        return [None] + sorted({km for km in (1, 2, m // 4, m // 2, 25, 69) if 1 <= km <= m / 2})
+
+    @staticmethod
+    def assert_close(got, want, m, y, dt, nu):
+        tol = 4 * np.finfo(float).eps * m * np.max(np.abs(y)) * (np.pi / dt) ** (nu or 0)
+        assert np.max(np.abs(got - want)) <= tol
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 64, 101, 107, 400, 998, 1000])
+    def test_periodic_pass_matches_reference(self, n):
+        y = np.random.default_rng(n).standard_normal(n)
+        for dt, nu in itertools.product(self.DTS, self.NUS):
+            s = Signal(Grid.regular(n, dt), y)
+            for keep_modes in self.keep_modes_values(n):
+                smoothed, deriv = fourier_pass(y, dt, nu, keep_modes)
+                if nu is None:
+                    if keep_modes is not None:
+                        got = fourier_lowpass(s, keep_modes).values
+                        self.assert_close(got, smoothed, n, y, dt, None)
+                    continue
+                r = fourier_derivative(s, nu=nu, keep_modes=keep_modes)
+                self.assert_close(r.derivative, deriv, n, y, dt, nu)
+                if keep_modes is not None:
+                    self.assert_close(r.smoothed, smoothed, n, y, dt, None)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 64, 101, 107, 400, 998, 1000])
+    def test_extension_matches_reference(self, n):
+        y = np.random.default_rng(n).standard_normal(n)
+        for dt, nu, (extension, pad) in itertools.product(
+                self.DTS, self.NUS[1:], (("even", n // 8), ("even", 0), ("none", 0))):
+            s = Signal(Grid.regular(n, dt), y)
+            ext = extended(y, pad, extension)
+            m = len(ext)
+            if m < 4:
+                continue
+            for keep_modes in self.keep_modes_values(m):
+                smoothed, deriv = fourier_pass(ext, dt, nu, keep_modes)
+                r = fourier_extension_derivative(s, pad=pad, extension=extension,
+                                                 keep_modes=keep_modes, nu=nu)
+                self.assert_close(r.derivative, deriv[pad : pad + n], m, ext, dt, nu)
+                self.assert_close(r.smoothed, smoothed[pad : pad + n], m, ext, dt, None)
+
+    def test_mode_at_keep_modes_is_removed(self):
+        # 107 samples: fftfreq(107) * 107 holds 25 as 24.999999999999996, so a float
+        # wavenumber table kept mode 25 through a low-pass at keep_modes = 25
+        n = 107
+        s = Signal(Grid.regular(n, 0.01), np.cos(2 * np.pi * 25 * np.arange(n) / n))
+        assert np.max(np.abs(fourier_lowpass(s, 25).values)) < 1e-12
+        assert np.max(np.abs(fourier_derivative(s, keep_modes=25).derivative)) < 1e-10
 
 
 class TestChebNodes:

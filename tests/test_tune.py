@@ -359,12 +359,13 @@ class TestAutotune:
     # Tuned phi, loss bits and counts on one N = 400 noisy sine with starts=3,
     # max_evals=80, seed=0. The Nelder-Mead methods were recorded before tuner
     # evaluations were memoized; butter and spline when their one continuous
-    # parameter moved to the grid and Brent search.
+    # parameter moved to the grid and Brent search; fourier when its low-pass
+    # moved to integer bins, which stopped keeping mode keep_modes on some lengths.
     GOLDEN = {
         "butter": ({"cutoff_hz": 6.399358731675087, "order": 2}, "0x1.970ef7e4c23e9p-4",
                    77, 77, 0),
         "fd": ({"order": 4}, "0x1.7474991d25e5fp-2", 95, 3, 0),
-        "fourier": ({"keep_modes": 69.0, "pad": 50}, "0x1.9fe751253dbcep-4", 141, 29, 0),
+        "fourier": ({"keep_modes": 69.0, "pad": 50}, "0x1.9fe751253dbcdp-4", 139, 29, 0),
         "iterated_fd": ({"iterations": 14.0, "order": 2}, "0x1.9dde016b0d1d2p-4", 141, 28, 0),
         "kernel": ({"sigma": 2.693323951882363, "window": 13}, "0x1.a01b4c495b98bp-4",
                    241, 222, 0),
@@ -419,6 +420,11 @@ class TestAutotune:
             info = autotune(method, s, TuneSpec(starts=2, max_evals=max_evals)).info
             assert info["search"] == "nelder-mead"
             assert info["evaluations"] <= 2 * (max_evals + dim + 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cutoff_refused(self, value):
+        with pytest.raises(ValidationError, match="cutoff_hz must be finite"):
+            TuneSpec(cutoff_hz=value)
 
     def test_huber_m_default_switches_with_outliers(self):
         assert TuneSpec().resolved_m == 6.0

@@ -59,6 +59,12 @@ class TestTvrSpec:
         with pytest.raises(ValidationError):
             TvrSpec(gamma=1.0, nu=4)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["gamma", "tol", "soften_sigma"])
+    def test_non_finite_setting_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            TvrSpec(**{"gamma": 1.0, field: value})
+
 
 class TestTvrdiff:
     def test_tiny_gamma_returns_data(self):
