@@ -33,6 +33,7 @@ from .core import (
     Signal,
     ValidationError,
     _cumtrapz,
+    _require_finite_settings,
     _require_uniform,
 )
 
@@ -55,6 +56,8 @@ class Stencil:
     def __post_init__(self):
         offs = tuple(float(s) for s in self.offsets)
         object.__setattr__(self, "offsets", offs)
+        for s in offs:
+            _require_finite_settings(offsets=s)
         if self.nu < 1:
             raise ValidationError(f"derivative order must be >= 1, got {self.nu}")
         if len(offs) <= self.nu:
@@ -87,6 +90,7 @@ def stencil_coefficients(stencil: Stencil, dx: float) -> np.ndarray:
     Error is O(dx^(S-nu)), one order better for even ``nu`` on symmetric
     odd-length stencils.
     """
+    _require_finite_settings(dx=dx)
     if dx <= 0:
         raise ValidationError(f"dx must be positive, got {dx}")
     return _vandermonde_solve(np.asarray(stencil.offsets), stencil.nu, dx ** -stencil.nu)
@@ -100,6 +104,8 @@ def irregular_coefficients(distances, nu: int) -> np.ndarray:
     integer multiples of a common step.
     """
     d = np.asarray(distances, dtype=float)
+    for x in d:
+        _require_finite_settings(distances=x)
     stencil = Stencil(tuple(d), nu)  # validates distinctness and length
     return _vandermonde_solve(np.asarray(stencil.offsets), nu, 1.0)
 

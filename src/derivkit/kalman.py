@@ -369,6 +369,7 @@ def constant_derivative_model(nu: int, dt: float, q: float, r: float,
     state, and its integrated covariance couples the rest. Only the ratio
     q/r changes the steady-state smoothing behavior.
     """
+    _require_finite_settings(dt=dt, q=q, r=r)
     if dt <= 0 or q <= 0 or r <= 0:
         raise ValidationError("dt, q, and r must be positive")
     d = nu + 1
@@ -407,6 +408,7 @@ def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]
 
 def constant_derivative_continuous(nu: int, q: float) -> ContinuousModel:
     """Continuous counterpart of the constant-derivative model (integrator chain)."""
+    _require_finite_settings(q=q)
     _check_chain(nu, q)
     d = nu + 1
     Ac = np.diag(np.ones(d - 1), k=1)
@@ -425,8 +427,8 @@ def discretize(cm: ContinuousModel, dt) -> tuple[np.ndarray, np.ndarray, np.ndar
     leading axis, one entry per step.
     """
     h = np.asarray(dt, dtype=float)
-    if h.ndim > 1 or np.any(h <= 0):
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if h.ndim > 1 or not np.all(np.isfinite(h) & (h > 0)):
+        raise ValidationError(f"dt must be finite and positive, got {dt}")
     h = h[..., None, None]
     d = cm.Ac.shape[0]
     blk = np.zeros((2 * d + cm.Bc.shape[1],) * 2)

@@ -161,22 +161,13 @@ def _ifd_run(signal, phi, nu):
 
 
 def _kernel_params(signal: Signal):
-    n = len(signal)
-    hi = min(n if n % 2 == 1 else n - 1, 101)
-    return (
-        ParamSpec("window", 5, hi, "integer", min(11, hi)),
-        ParamSpec("sigma", 0.5, 50.0, "log", 3.0),
-    )
-
-
-def _kernel_canonical(phi):
-    out = dict(phi)
-    out["window"] = _odd(phi["window"])
-    return out
+    # the window's radius ceil(4 sigma) stays within (N - 1) // 2, so the window fits
+    return (ParamSpec("sigma", 0.5, min(50.0, (len(signal) - 1) // 2 / 4), "log", 3.0),)
 
 
 def _kernel_run(signal, phi, nu):
-    spec = smoothers.KernelSpec(kind="gaussian", window=phi["window"], sigma=phi["sigma"])
+    sigma = phi["sigma"]
+    spec = smoothers.KernelSpec(window=smoothers._gaussian_window(sigma), sigma=sigma)
     return smoothers.kerneldiff(signal, spec)
 
 
@@ -335,7 +326,7 @@ register(MethodSpec("fd", "finite differences (no smoothing)",
 register(MethodSpec("iterated_fd", "iterated finite differences (IIR smoothing)",
                     _ifd_params, _ifd_run))
 register(MethodSpec("kernel", "gaussian kernel smoothing + finite differences",
-                    _kernel_params, _kernel_run, _kernel_canonical))
+                    _kernel_params, _kernel_run))
 register(MethodSpec("butter", "zero-phase Butterworth smoothing + finite differences",
                     _butter_params, _butter_run))
 register(MethodSpec("savgol", "Savitzky-Golay convolution",

@@ -46,9 +46,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KERNEL_KINDS:
             raise ValidationError(f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}")
+        _require_finite_settings(window=self.window, sigma=self.sigma)
+        if self.window != int(self.window):
+            raise ValidationError(f"window must be an integer, got {self.window}")
+        object.__setattr__(self, "window", int(self.window))
         if self.window < 3 or self.window % 2 == 0:
             raise ValidationError(f"window must be odd and >= 3, got {self.window}")
-        _require_finite_settings(sigma=self.sigma)
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValidationError(f"gaussian sigma must be positive, got {self.sigma}")
 
@@ -74,12 +77,16 @@ def _reflect_correlate(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.convolve(_reflect_pad(values, len(weights) // 2), weights[::-1], mode="valid")
 
 
+def _gaussian_window(sigma: float) -> int:
+    """Length of the Gaussian kernel of width ``sigma``: radius ceil(4 sigma), at least 1."""
+    return 2 * max(int(np.ceil(4 * sigma)), 1) + 1
+
+
 def _gaussian_blur(values: np.ndarray, sigma: float | None) -> np.ndarray:
-    """Normalized Gaussian of radius ceil(4 sigma), reflect-padded; no-op for sigma 0 or None."""
+    """Normalized ``_gaussian_window(sigma)``-tap Gaussian, reflect-padded; no-op for 0/None."""
     if not sigma:
         return values
-    radius = max(int(np.ceil(4 * sigma)), 1)
-    return _reflect_correlate(values, _kernel_weights("gaussian", 2 * radius + 1, sigma))
+    return _reflect_correlate(values, _kernel_weights("gaussian", _gaussian_window(sigma), sigma))
 
 
 def _kernel_values(signal: Signal, spec: KernelSpec) -> np.ndarray:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import dct, idct
 
-from .core import DerivativeResult, Signal, ValidationError, _reflect_pad, _require_uniform
+from .core import (DerivativeResult, Signal, ValidationError, _reflect_pad,
+                   _require_finite_settings, _require_uniform)
 
 #: Absolute tolerance (on the [-1, 1] reference interval) for cosine-spaced layouts.
 NODE_TOL = 1e-8
@@ -116,6 +117,7 @@ def chebyshev_derivative(values, a: float = -1.0, b: float = 1.0, nu: int = 1,
         raise ValidationError("values must be finite")
     if nu < 1:
         raise ValidationError(f"derivative order must be >= 1, got {nu}")
+    _require_finite_settings(a=a, b=b)
     if not b > a:
         raise ValidationError(f"need b > a, got [{a}, {b}]")
     n = len(v)

@@ -5,10 +5,10 @@ derivative: integrate the estimate, compare against the measurements, and
 penalize total variation. Minimizing them over a method's hyperparameters
 lands near the Pareto front of the (RMSE, error-correlation) plane.
 
-A method whose one tunable parameter is continuous (``butter``, ``spline``,
-``tvr``, ``rts``) is searched by a grid and bounded Brent searches; every other
-method (two or more tunable parameters, or one integer one: ``fd``,
-``fourier``, ``iterated_fd``) by multi-start Nelder-Mead.
+A method whose one tunable parameter is continuous (``kernel``, ``butter``,
+``spline``, ``tvr``, ``rts``) is searched by a grid and bounded Brent searches;
+every other method (two or more tunable parameters, or one integer one:
+``fd``, ``fourier``, ``iterated_fd``) by multi-start Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ def error_correlation(est, truth) -> float:
 
 def gamma_heuristic(f_hz: float, dt: float) -> float:
     """Smoothness weight from the signal bandlimit (Hz) and the step size."""
+    _require_finite_settings(f_hz=f_hz, dt=dt)
     if f_hz <= 0 or dt <= 0:
         raise ValidationError("f_hz and dt must be positive")
     return math.exp(-1.6 * math.log(f_hz) - 0.71 * math.log(dt) - 5.1)
@@ -99,6 +100,7 @@ def proxy_loss(derivative, signal: Signal, gamma: float) -> float:
     The lost constant of integration is restored as the mean difference
     between the measurements and the integral.
     """
+    _require_finite_settings(gamma=gamma)
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
     integral, xdot = _integrated(derivative, signal)
@@ -143,6 +145,7 @@ def robust_proxy_loss(derivative, signal: Signal, gamma: float, m: float = 6.0) 
     the integration constant is chosen robustly under the same loss. For
     large ``m`` (or when the MAD is zero) this reduces to :func:`proxy_loss`.
     """
+    _require_finite_settings(gamma=gamma, m=m)
     if gamma < 0:
         raise ValidationError("gamma must be >= 0")
     if m <= 0:

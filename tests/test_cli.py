@@ -71,6 +71,16 @@ class TestDiff:
         assert "keep_modes=250 outside bounds [2, 199]" in err
         assert "keep_modes=30 (integer in [2, 199])" in err and "pad=50" in err
 
+    def test_kernel_window_param_exits_2_with_a_sigma_only_schema(self, tmp_path, sine_csv,
+                                                                    capsys):
+        code = main(["diff", str(sine_csv), "--method", "kernel", "--param", "window=11",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter 'window' for method 'kernel'; expected one of ['sigma']" in err
+        assert "parameters: sigma=3 (log in [0.5, 49.75])" in err
+        assert "window=" not in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("method, name", [("savgol", "window"), ("tvr", "gamma")])
     def test_non_finite_param_exits_2(self, tmp_path, sine_csv, capsys, method, name, value):

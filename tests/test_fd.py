@@ -59,6 +59,13 @@ class TestStencilCoefficients:
         with pytest.raises(ValidationError):
             Stencil((0, 1, 1), 1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_or_dx_refused(self, value):
+        with pytest.raises(ValidationError, match="offsets must be finite"):
+            stencil_coefficients(Stencil((-1, value, 1), 1), 0.1)
+        with pytest.raises(ValidationError, match="dx must be finite"):
+            stencil_coefficients(Stencil((-1, 0, 1), 1), value)
+
     def test_conditioning_warning(self):
         with pytest.warns(ConditioningWarning):
             irregular_coefficients([0.0, 1e-9, 1.0, 2.0, 3.0, 4.0, 5.0], 1)
@@ -85,6 +92,11 @@ class TestIrregularCoefficients:
         t = np.array([-1.0, 0.0, 2.0])
         c = irregular_coefficients(t, 1)
         assert c @ t**2 == pytest.approx(0.0, abs=1e-13)  # d(t^2)/dt at t=0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distance_refused(self, value):
+        with pytest.raises(ValidationError, match="distances must be finite"):
+            irregular_coefficients([-1.0, 0.0, value], 1)
 
     def test_matches_uniform_solution(self):
         dx = 0.37

@@ -204,6 +204,18 @@ class TestConstantDerivativeModel:
         with pytest.raises(ValidationError):
             constant_derivative_model(4, 0.1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["dt", "q", "r"])
+    def test_non_finite_setting_refused(self, field, value):
+        args = {"dt": 0.1, "q": 1.0, "r": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            constant_derivative_model(2, **args)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_continuous_q_refused(self, value):
+        with pytest.raises(ValidationError, match="q must be finite"):
+            constant_derivative_continuous(2, value)
+
     def test_seed_and_measurement(self):
         model = constant_derivative_model(1, 0.1, 1.0, 2.0, y0=3.5)
         np.testing.assert_allclose(model.x0, [3.5, 0.0])
@@ -227,6 +239,13 @@ class TestDiscretize:
             ref = constant_derivative_model(nu, dt, q, 1.0)
             np.testing.assert_allclose(A, ref.A, atol=1e-10)
             np.testing.assert_allclose(Q, ref.Q, atol=1e-10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_refused(self, value):
+        cm = constant_derivative_continuous(2, 1.0)
+        for dt in (value, [0.1, value]):
+            with pytest.raises(ValidationError, match="dt must be finite and positive"):
+                discretize(cm, dt)
 
     def test_control_matrix(self):
         # dx/dt = -x + u: exact B = (1 - e^{-dt})

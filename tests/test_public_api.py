@@ -1,7 +1,8 @@
 """Snapshot of derivkit's public surface.
 
-Removing or renaming a public name, a CLI option or a settings field is then a
-deliberate edit of this file, never a side effect of a refactor.
+Removing or renaming a public name, a CLI option or a settings field, or changing
+a registry method's parameter space, is then a deliberate edit of this file,
+never a side effect of a refactor.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import derivkit
@@ -45,6 +47,32 @@ CLI_COMMANDS = {
     "spectrum": (["-h", "--help", "--out"], ["input"]),
 }
 
+#: Each registry method's parameters on one signal (N = 400, dt = 0.01), in declaration
+#: order: (name, scale, tunable, lower bound, upper bound, resolved default).
+METHOD_PARAMS = {
+    "butter": [("order", "integer", False, 1, 8, 2),
+               ("cutoff_hz", "log", True, 0.5012531328320802, 47.5, 3.0)],
+    "fd": [("order", "integer", True, 2, 8, 2)],
+    "fourier": [("keep_modes", "integer", True, 2, 199, 30),
+                ("pad", "integer", False, 0, 200, 50)],
+    "iterated_fd": [("iterations", "integer", True, 0, 200, 10),
+                    ("order", "integer", False, 2, 6, 2)],
+    "kernel": [("sigma", "log", True, 0.5, 49.75, 3.0)],
+    "poly": [("window", "integer", True, 8, 160, 40), ("degree", "integer", True, 1, 8, 3)],
+    "rbf": [("sigma", "log", True, 0.015, 0.49875, 0.08),
+            ("damping", "log", True, 1e-08, 10.0, 0.1)],
+    "robust": [("q", "log", True, 1e-10, 1e10, 100.0), ("r", "log", True, 1e-06, 1e6, 1.0),
+               ("m", "log", False, 0.5, 20.0, 2.0), ("nu", "integer", False, 1, 3, 2)],
+    "rts": [("q", "log", True, 1e-10, 1e10, 100.0), ("nu", "integer", False, 1, 3, 2)],
+    "savgol": [("window", "integer", True, 5, 129, 21), ("degree", "integer", True, 1, 8, 3),
+               ("post_smooth_sigma", "log", True, 0.05, 50.0, 1.0)],
+    "smooth_accel_tvr": [("gamma", "log", True, 1e-4, 1e6, 10.0),
+                         ("soften_sigma", "log", True, 0.5, 30.0, 4.0)],
+    "spline": [("lam", "log", True, 1e-09, 1e9, 0.001), ("degree", "integer", False, 2, 5, 3),
+               ("iterations", "integer", False, 1, 10, 1)],
+    "tvr": [("gamma", "log", True, 1e-4, 1e6, 10.0), ("nu", "integer", False, 1, 3, 1)],
+}
+
 SETTINGS_FIELDS = {
     "TuneSpec": ["cutoff_hz", "outliers", "starts", "max_evals", "seed"],
     "TvrSpec": ["gamma", "nu", "tol", "max_iter", "soften_sigma"],
@@ -73,6 +101,20 @@ def test_cli_subcommands_and_options():
     assert _split(parser._actions)[0] == ["-h", "--help", "--version"]
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert {name: _split(sub._actions) for name, sub in commands.choices.items()} == CLI_COMMANDS
+
+
+def test_method_names():
+    assert list(derivkit.method_names()) == sorted(METHOD_PARAMS)
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_PARAMS))
+def test_method_parameters(name):
+    signal = derivkit.Signal(derivkit.Grid.regular(400, 0.01), np.zeros(400))
+    spec = derivkit.get_method(name)
+    params = derivkit.methods._bounded_params(spec, signal)
+    defaults = derivkit.methods.resolve(spec, params)
+    assert [(p.name, p.scale, p.tunable, p.lo, p.hi, defaults[p.name])
+            for p in params] == METHOD_PARAMS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS_FIELDS))

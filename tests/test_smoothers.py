@@ -34,7 +34,8 @@ from derivkit import (
     savgoldiff,
     splinediff,
 )
-from derivkit import core, smoothers
+from derivkit import core, methods, smoothers
+from derivkit.fd import _fd_plan
 from derivkit.methods import RBF_TRUNCATION_FACTOR, get_method
 from derivkit.smoothers import _kernel_weights, butter_single_pass
 
@@ -90,6 +91,22 @@ class TestKernelSmooth:
     def test_non_finite_sigma_refused(self, kind, value):
         with pytest.raises(ValidationError, match="sigma must be finite"):
             KernelSpec(kind=kind, sigma=value)
+
+    @pytest.mark.parametrize("window, message", [
+        (7.5, "window must be an integer"), (np.nan, "window must be finite"),
+        (np.inf, "window must be finite"), (-np.inf, "window must be finite")])
+    def test_non_finite_or_non_integral_window_refused(self, window, message):
+        with pytest.raises(ValidationError, match=message):
+            KernelSpec(window=window)
+
+    @pytest.mark.parametrize("kind", ["mean", "gaussian", "friedrichs", "median"])
+    def test_integral_float_window_runs_at_the_signal_length(self, kind):
+        s = Signal(Grid.regular(100, 0.01), np.sin(0.1 * np.arange(100)))
+        spec = KernelSpec(kind=kind, window=11.0)
+        assert spec.window == 11 and type(spec.window) is int
+        assert len(kernel_smooth(s, spec).values) == 100
+        r = kerneldiff(s, spec)
+        assert len(r.smoothed) == len(r.derivative) == 100
 
 
 class TestReflectPad:
@@ -156,6 +173,29 @@ class TestKerneldiff:
         err_smooth = np.max(np.abs(np.asarray(smooth.derivative)[sl] - truth_deriv[sl]))
         err_plain = np.max(np.abs(np.asarray(plain.derivative)[sl] - truth_deriv[sl]))
         assert err_smooth < err_plain
+
+
+class TestRegistryKernel:
+    """The registry's ``kernel`` tunes sigma alone; its window is the Gaussian blur's."""
+
+    @pytest.mark.parametrize("n", [400, 401])
+    @pytest.mark.parametrize("sigma", [0.5, 1.3, 3.0, 12.4, None])  # None: the upper bound
+    def test_is_the_gaussian_blur_then_second_order_differences(self, n, sigma):
+        s = Signal(Grid.regular(n, 0.01), np.random.default_rng(n).standard_normal(n))
+        (param,) = methods._bounded_params(get_method("kernel"), s)
+        assert param.hi == {400: 49.75, 401: 50.0}[n]
+        sigma = param.hi if sigma is None else sigma
+        r = methods.apply_method("kernel", s, {"sigma": sigma})
+        smoothed = smoothers._gaussian_blur(s.values, sigma)
+        assert np.array_equal(r.smoothed, smoothed)
+        assert np.array_equal(r.derivative, _fd_plan(n, 1, 2, 0.01).apply(smoothed))
+
+    def test_needs_five_samples(self):
+        with pytest.raises(ValidationError, match="needs at least 5 samples, got 4"):
+            methods.apply_method("kernel", Signal(Grid.regular(4, 0.1), np.arange(4.0)))
+        r = methods.apply_method("kernel", Signal(Grid.regular(5, 0.1), np.arange(5.0)))
+        assert r.phi == {"kind": "gaussian", "window": 5, "sigma": 0.5}
+        assert len(r.derivative) == 5
 
 
 class TestButterdiff:

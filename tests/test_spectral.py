@@ -219,6 +219,12 @@ class TestChebyshevDerivative:
         r = chebyshev_derivative(y_asc, -1.0, 1.0, points=x_asc)
         np.testing.assert_allclose(r.derivative, np.exp(x_asc), atol=1e-10)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_non_finite_interval_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            chebyshev_derivative(np.sin(cheb_nodes(16)), **{field: value})
+
     def test_wrong_layout_rejected(self):
         x = np.linspace(-1, 1, 32)
         with pytest.raises(ValidationError, match="Lobatto"):
