@@ -17,6 +17,7 @@ are solved once per call.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +41,8 @@ from .core import (
 #: Condition number ``|V|_1 |V^-1|_1`` (the 1-norm: largest absolute column sum)
 #: above which a stencil solve emits a ConditioningWarning.
 CONDITION_LIMIT = 1e12
+#: ``_iterated_fd`` keeps every ``ITERATE_STRIDE``-th iterate in its memo for later calls.
+ITERATE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,21 @@ def stencil_coefficients(stencil: Stencil, dx: float) -> np.ndarray:
     _require_finite_settings(dx=dx)
     if dx <= 0:
         raise ValidationError(f"dx must be positive, got {dx}")
-    return _vandermonde_solve(np.asarray(stencil.offsets), stencil.nu, dx ** -stencil.nu)
+    return _vandermonde_solve(np.asarray(stencil.offsets), stencil.nu,
+                              _step_scale(dx, stencil.nu, "dx"))
+
+
+def _step_scale(step: float, nu: int, name: str) -> float:
+    """``step ** -nu``, refused with a ValidationError naming ``name`` when it overflows
+    or falls below float64's normal range (where the coefficients would be 0 or lose
+    digits)."""
+    try:
+        scale = float(step) ** -nu
+    except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:
+        raise ValidationError(f"{name}={step:g} puts {name}**-{nu} outside float64's normal range")
+    return scale
 
 
 def irregular_coefficients(distances, nu: int) -> np.ndarray:
@@ -190,7 +207,7 @@ def _fd_plan(n_points: int, nu: int, order: int, dt: float | None, t=None) -> _F
 def _uniform_plan(n_points: int, nu: int, order: int, dt: float) -> _FdPlan:
     """``_fd_plan`` on a uniform grid, built once per (N, nu, order, dt)."""
     h, edges = _edge_plan(n_points, nu, order)
-    scale = dt ** -nu
+    scale = _step_scale(dt, nu, "dt")
     interior = _vandermonde_solve(np.arange(-h, h + 1.0), nu, scale, stacklevel=5)
     return _read_only(_FdPlan(h, interior, tuple(
         (n, slice(lo, lo + size),
@@ -237,16 +254,37 @@ def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> Derivati
     equivalent to an IIR low-pass filter; more iterations sharpen the cutoff.
     Uniform grids only; the stencils are solved once per (N, order, dt).
     """
+    return _iterated_fd(signal, order, iterations, {})
+
+
+def _iterated_fd(signal: Signal, order: int, iterations: int, memo: dict) -> DerivativeResult:
+    """:func:`iterated_fd`, continuing from the furthest iterate at or below ``iterations``
+    that ``memo`` holds for this signal.
+
+    ``memo[order]`` maps a pass count to the values after that many passes. It keeps
+    every ``ITERATE_STRIDE``-th pass and the furthest one, so a later call runs fewer than
+    ``ITERATE_STRIDE`` passes unless it goes beyond the furthest; at 200 passes it holds
+    25 arrays. Each pass is the same arithmetic, so the result keeps every bit.
+    """
     dt = _require_uniform(signal, "iterated_fd")
     if iterations < 0:
         raise ValidationError(f"iterations must be >= 0, got {iterations}")
     if iterations and len(signal) < (needed := max(2 * _centered_halfwidth(1, order) + 1, 5)):
         raise ValidationError(f"iterated_fd needs at least {needed} samples")
     plan, smoothing = _iterated_plans(len(signal), order, dt)
-    z = np.array(signal.values)
-    for _ in range(iterations):
+    iterates = memo.setdefault(order, {})
+    furthest = max(iterates, default=0)
+    start = max((k for k in iterates if k <= iterations), default=0)
+    z = iterates[start] if start else np.array(signal.values)
+    for k in range(start + 1, iterations + 1):
         integ = _cumtrapz(signal.grid, smoothing.apply(z))
         z = integ + (z.mean() - integ.mean())
+        if k % ITERATE_STRIDE == 0:
+            iterates[k] = z
+    if iterations > furthest:
+        if furthest % ITERATE_STRIDE:
+            del iterates[furthest]
+        iterates[iterations] = z
     return DerivativeResult(smoothed=z, derivative=plan.apply(z), method="iterated_fd",
                             phi={"order": order, "iterations": iterations})
 

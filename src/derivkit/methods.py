@@ -5,6 +5,13 @@ whether the tuner should search it), how to canonicalize a raw parameter
 set (odd windows, even orders, cross-parameter constraints), and how to run
 the method. Bounds may depend on the signal, e.g. on its length or Nyquist
 frequency.
+
+``run(signal, phi, nu, memo)`` takes a dict the caller owns for one signal.
+A method may keep stages there that later runs on that signal reuse without
+changing a bit: ``iterated_fd`` its iterates, ``savgol`` its smoothed values
+and unblurred slope per ``(window, degree)``. Either bounds what it keeps to a
+few dozen arrays of length N. A stage that raises is not stored. :func:`apply_method`
+passes a fresh dict; the tuner passes one dict per search.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ class MethodSpec:
     name: str
     description: str
     build_params: Callable[[Signal], tuple[ParamSpec, ...]]
-    run: Callable[[Signal, dict, int], DerivativeResult]
+    run: Callable[[Signal, dict, int, dict], DerivativeResult]  # (signal, phi, nu, memo)
     canonical: Callable[[dict], dict] = lambda phi: phi
     supports_nu: bool = False
 
@@ -119,7 +126,7 @@ def apply_method(name: str, signal: Signal, phi: dict | None = None, nu: int = 1
     spec = get_method(name)
     if nu != 1 and not spec.supports_nu:
         raise ValidationError(f"method {name!r} only produces first derivatives")
-    return spec.run(signal, resolve(spec, _bounded_params(spec, signal), phi), nu)
+    return spec.run(signal, resolve(spec, _bounded_params(spec, signal), phi), nu, {})
 
 
 def _odd(w: int) -> int:
@@ -145,7 +152,7 @@ def _fd_canonical(phi):
     return out
 
 
-def _fd_run(signal, phi, nu):
+def _fd_run(signal, phi, nu, memo):
     return fd.fd_derivative(signal, nu=nu, order=phi["order"])
 
 
@@ -156,8 +163,8 @@ def _ifd_params(signal: Signal):
     )
 
 
-def _ifd_run(signal, phi, nu):
-    return fd.iterated_fd(signal, order=phi["order"], iterations=phi["iterations"])
+def _ifd_run(signal, phi, nu, memo):
+    return fd._iterated_fd(signal, phi["order"], phi["iterations"], memo)
 
 
 def _kernel_params(signal: Signal):
@@ -165,7 +172,7 @@ def _kernel_params(signal: Signal):
     return (ParamSpec("sigma", 0.5, min(50.0, (len(signal) - 1) // 2 / 4), "log", 3.0),)
 
 
-def _kernel_run(signal, phi, nu):
+def _kernel_run(signal, phi, nu, memo):
     sigma = phi["sigma"]
     spec = smoothers.KernelSpec(window=smoothers._gaussian_window(sigma), sigma=sigma)
     return smoothers.kerneldiff(signal, spec)
@@ -180,7 +187,7 @@ def _butter_params(signal: Signal):
     )
 
 
-def _butter_run(signal, phi, nu):
+def _butter_run(signal, phi, nu, memo):
     return smoothers.butterdiff(signal, order=phi["order"], cutoff_hz=phi["cutoff_hz"])
 
 
@@ -201,9 +208,9 @@ def _savgol_canonical(phi):
     return out
 
 
-def _savgol_run(signal, phi, nu):
-    return smoothers.savgoldiff(signal, window=phi["window"], degree=phi["degree"],
-                                post_smooth_sigma=phi["post_smooth_sigma"])
+def _savgol_run(signal, phi, nu, memo):
+    return smoothers._savgoldiff(signal, phi["window"], phi["degree"],
+                                 phi["post_smooth_sigma"], memo)
 
 
 def _poly_params(signal: Signal):
@@ -220,7 +227,7 @@ def _poly_canonical(phi):
     return out
 
 
-def _poly_run(signal, phi, nu):
+def _poly_run(signal, phi, nu, memo):
     return smoothers.polydiff(signal, window=phi["window"], degree=phi["degree"])
 
 
@@ -232,7 +239,7 @@ def _spline_params(signal: Signal):
     )
 
 
-def _spline_run(signal, phi, nu):
+def _spline_run(signal, phi, nu, memo):
     spec = smoothers.SplineSpec(degree=phi["degree"], mode="lambda", lam=phi["lam"],
                                 iterations=phi["iterations"])
     return smoothers.splinediff(signal, spec)
@@ -246,7 +253,7 @@ def _fourier_params(signal: Signal):
     )
 
 
-def _fourier_run(signal, phi, nu):
+def _fourier_run(signal, phi, nu, memo):
     return spectral.fourier_extension_derivative(
         signal, pad=phi["pad"], extension="even", keep_modes=phi["keep_modes"], nu=nu)
 
@@ -264,7 +271,7 @@ def _rbf_params(signal: Signal):
     )
 
 
-def _rbf_run(signal, phi, nu):
+def _rbf_run(signal, phi, nu, memo):
     sigma = phi["sigma"]
     return smoothers.rbfdiff(signal, sigma=sigma, rho=RBF_TRUNCATION_FACTOR * sigma,
                              damping=phi["damping"])
@@ -278,7 +285,7 @@ def _tvr_params(signal: Signal):
     )
 
 
-def _tvr_run(signal, phi, nu):
+def _tvr_run(signal, phi, nu, memo):
     spec = tvr.TvrSpec(gamma=phi["gamma"], nu=phi["nu"])
     return tvr.tvrdiff(signal, spec)
 
@@ -290,7 +297,7 @@ def _satvr_params(signal: Signal):
     )
 
 
-def _satvr_run(signal, phi, nu):
+def _satvr_run(signal, phi, nu, memo):
     spec = tvr.TvrSpec(gamma=phi["gamma"], nu=2, soften_sigma=phi["soften_sigma"])
     return tvr.smooth_accel_tvr(signal, spec)
 
@@ -303,7 +310,7 @@ def _rts_params(signal: Signal):
     )
 
 
-def _rts_run(signal, phi, nu):
+def _rts_run(signal, phi, nu, memo):
     return kalman.rtsdiff(signal, nu=phi["nu"], q=phi["q"])
 
 
@@ -316,7 +323,7 @@ def _robust_params(signal: Signal):
     )
 
 
-def _robust_run(signal, phi, nu):
+def _robust_run(signal, phi, nu, memo):
     spec = kalman.RobustSpec(huber_m_measurement=phi["m"])
     return kalman.robustdiff(signal, nu=phi["nu"], q=phi["q"], r=phi["r"], spec=spec)
 

@@ -9,6 +9,15 @@ A method whose one tunable parameter is continuous (``kernel``, ``butter``,
 ``spline``, ``tvr``, ``rts``) is searched by a grid and bounded Brent searches;
 every other method (two or more tunable parameters, or one integer one:
 ``fd``, ``fourier``, ``iterated_fd``) by multi-start Nelder-Mead.
+
+Two things keep one evaluation cheap without changing a bit of its loss. Each
+search passes one stage memo to every run of the method, so ``iterated_fd``
+continues from its stored iterates and ``savgol`` re-blurs its stored slope
+rather than starting over. And the Huber location of the robust loss is
+taken from the two middle breakpoints of its influence sum whenever a
+rounding-error bound certifies that they bracket the root, as they do when
+every residual lies within the Huber radius of the residuals' mean; otherwise
+all 2N breakpoints are sorted and searched.
 """
 
 from __future__ import annotations
@@ -82,7 +91,12 @@ def gamma_heuristic(f_hz: float, dt: float) -> float:
     _require_finite_settings(f_hz=f_hz, dt=dt)
     if f_hz <= 0 or dt <= 0:
         raise ValidationError("f_hz and dt must be positive")
-    return math.exp(-1.6 * math.log(f_hz) - 0.71 * math.log(dt) - 5.1)
+    try:
+        return math.exp(-1.6 * math.log(f_hz) - 0.71 * math.log(dt) - 5.1)
+    except OverflowError:
+        raise ValidationError(
+            f"f_hz={f_hz:g} is too small at dt={dt:g}: gamma would exceed float64's range"
+        ) from None
 
 
 def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
@@ -113,21 +127,73 @@ def _huber(x: np.ndarray, radius: float) -> np.ndarray:
     return np.where(a <= radius, 0.5 * x * x, radius * a - 0.5 * radius * radius)
 
 
+def _influence(r: np.ndarray, csum: np.ndarray, radius: float, c: np.ndarray) -> np.ndarray:
+    """``f(c) = sum clip(r + c, -radius, radius)`` at each point of ``c``, from the sorted
+    ``r`` and its cumulative sum ``csum`` (``csum[0] = 0``)."""
+    low = np.searchsorted(r, -radius - c, "right")  # r[:low] clip at -radius
+    high = np.searchsorted(r, radius - c, "left")  # r[high:] clip at +radius
+    return radius * (len(r) - high - low) + csum[high] - csum[low] + (high - low) * c
+
+
+def _secant_root(c: np.ndarray, f: np.ndarray, k: int) -> float:
+    """The root of the line through ``(c[k - 1], f[k - 1])`` and ``(c[k], f[k])``."""
+    return float(c[k - 1] - f[k - 1] * (c[k] - c[k - 1]) / (f[k] - f[k - 1]))
+
+
+def _certified_location(r: np.ndarray, csum: np.ndarray, radius: float) -> float | None:
+    """:func:`_robust_location`'s root from its two middle breakpoints, or None when they
+    cannot be shown to bracket it.
+
+    ``c_lo = -r[0] - radius`` is the largest of the N breakpoints ``-r - radius`` and
+    ``c_hi = -r[-1] + radius`` the smallest of the N breakpoints ``-r + radius``. When
+    ``c_lo <= c_hi`` the stable sort of all 2N puts them at N - 1 and N, and the full
+    search picks k = N exactly when every computed f before N is negative and f at N is
+    not. Let u = 2**-53 and M = max|r|, so every breakpoint has |c| <= M + radius. At any
+    breakpoint, computed f differs from the exact sum of clips by at most
+    delta = u N (M + radius) (2N + 16) / (1 - 2N u):
+      - ``cumsum`` adds in sequence, so each of the two prefixes is off by at most
+        gamma_(N-1) sum|r| <= (N - 1) u N M / (1 - (N - 1) u);
+      - the two products and the three additions of :func:`_influence` add at most
+        7 u N (M + radius), the bound on each partial result times u;
+      - a residual within u |radius -+ c| of a rounded threshold ``-+radius - c`` may be
+        clipped on the wrong side, which moves its term by at most u (M + 2 radius).
+    These add up to at most u N (M + radius) (2(N - 1) / (1 - N u) + 9) <= delta.
+    The exact f rises with c, so computed f(c_lo) < -2 delta keeps every computed f up to
+    N - 1 negative. An overflowing or NaN bound fails the test and falls back. The two
+    tests on f also imply c_lo < c_hi; checking the order first only saves computing f
+    when the breakpoints interleave.
+    """
+    n = len(r)
+    c = np.array([-r[0] - radius, -r[-1] + radius])
+    if not c[0] <= c[1]:
+        return None
+    f = _influence(r, csum, radius, c)
+    eps = 2.0 ** -52  # 2u
+    delta = n * (n + 8) * (float(max(-r[0], r[-1])) + radius) * eps / (1.0 - n * eps)
+    if f[0] < -2.0 * delta and f[1] >= 0:
+        return _secant_root(c, f, 1)
+    return None
+
+
 def _robust_location(resid: np.ndarray, radius: float) -> float:
     """argmin_c sum Huber(resid + c, radius): the root of the influence sum
     ``f(c) = sum clip(resid + c, -radius, radius)``, which rises from -N radius
-    to N radius and is linear between its 2N breakpoints ``-resid -+ radius``."""
+    to N radius and is linear between its 2N breakpoints ``-resid -+ radius``.
+
+    When every residual lies within ``radius`` of their mean, the root lies between
+    the two middle breakpoints, and :func:`_certified_location` returns it without
+    sorting all 2N; otherwise every breakpoint is searched. Both give the same bits."""
     r = np.sort(resid)
     csum = np.zeros(len(r) + 1)
     np.cumsum(r, out=csum[1:])
+    root = _certified_location(r, csum, radius)
+    if root is not None:
+        return root
     a = -r[::-1]
     c = np.concatenate([a - radius, a + radius])
     c.sort(kind="stable")  # two ascending runs: the stable (merge) sort joins them in one pass
-    low = np.searchsorted(r, -radius - c, "right")  # r[:low] clip at -radius
-    high = np.searchsorted(r, radius - c, "left")  # r[high:] clip at +radius
-    f = radius * (len(r) - high - low) + csum[high] - csum[low] + (high - low) * c
-    k = int(np.argmax(f >= 0))
-    return float(c[k - 1] - f[k - 1] * (c[k] - c[k - 1]) / (f[k] - f[k - 1]))
+    f = _influence(r, csum, radius, c)
+    return _secant_root(c, f, int(np.argmax(f >= 0)))
 
 
 def _sorted_median(r: np.ndarray) -> float:
@@ -358,7 +424,13 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     Each distinct canonical parameter set is run and scored once; a repeat is
     served from a memo of its loss (or failure reason) and still counts as an
     evaluation, and a repeated failure as a failed evaluation, so the counts
-    mean what they would if every evaluation ran the method.
+    mean what they would if every evaluation ran the method. Every run of one
+    search shares one stage memo (see :mod:`derivkit.methods`), which the
+    search drops when it returns: ``iterated_fd`` continues from the nearest
+    stored iterate, and ``savgol`` only re-blurs a stored slope when one of its
+    16 latest ``(window, degree)`` pairs recurs. The loss certifies its Huber location from
+    two breakpoints where it can (:func:`_certified_location`). Neither
+    changes a bit of any loss.
     """
     spec = spec or TuneSpec()
     mspec = get_method(method)
@@ -381,13 +453,14 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
 
     failures: list[str] = []
     memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
+    stages: dict = {}  # the method's own stage memo, shared by every run of this search
 
     def objective(x: np.ndarray) -> float:
         phi = to_phi(x)
         key = tuple(sorted(phi.items()))
         if key not in memo:
             try:
-                result = mspec.run(signal, phi, 1)
+                result = mspec.run(signal, phi, 1, stages)
                 loss = robust_proxy_loss(result.derivative, signal, gamma, m)
             except (ValidationError, NumericError) as exc:
                 memo[key] = math.inf, f"{phi}: {exc}"

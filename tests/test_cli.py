@@ -194,6 +194,14 @@ class TestTune:
               "--max-evals", "15", "--out", str(out)])
         assert json.loads(out.read_text())["search"] == search
 
+    def test_tiny_cutoff_exits_3_and_names_it(self, tmp_path, sine_csv, capsys):
+        out = tmp_path / "t.json"
+        code = main(["tune", str(sine_csv), "--method", "butter", "--cutoff-hz", "1e-300",
+                     "--out", str(out)])
+        assert code == 3
+        assert "f_hz=1e-300" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outliers_flag_switches_m(self, tmp_path, sine_csv):
         out = tmp_path / "t.json"
         main(["tune", str(sine_csv), "--method", "savgol", "--outliers",

@@ -66,6 +66,12 @@ class TestStencilCoefficients:
         with pytest.raises(ValidationError, match="dx must be finite"):
             stencil_coefficients(Stencil((-1, 0, 1), 1), value)
 
+    @pytest.mark.parametrize("dx", [1e300, 1e-200])
+    def test_dx_whose_power_leaves_float64_refused(self, dx):
+        # 1e300**-2 underflows to 0 (coefficients [0, 0, 0]); 1e-200**-2 overflows
+        with pytest.raises(ValidationError, match=r"dx=1e[-+]\d+ puts dx\*\*-2 outside"):
+            stencil_coefficients(Stencil((-1, 0, 1), 2), dx)
+
     def test_conditioning_warning(self):
         with pytest.warns(ConditioningWarning):
             irregular_coefficients([0.0, 1e-9, 1.0, 2.0, 3.0, 4.0, 5.0], 1)
@@ -152,6 +158,14 @@ class TestFdDerivative:
         dy = sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k >= 1)
         r = fd_derivative(Signal(g, y), nu=1, order=4)
         np.testing.assert_allclose(r.derivative[2:-2], dy[2:-2], rtol=1e-9)
+
+    @pytest.mark.parametrize("dt", [1e200, 1e-200])
+    def test_step_whose_power_leaves_float64_refused(self, dt):
+        # at nu = 2 the plan's dt**-2 underflows to 0 (a zero derivative) or overflows
+        s = Signal(Grid.regular(50, dt), np.sin(np.arange(50.0)))
+        fd_derivative(s, nu=1)
+        with pytest.raises(ValidationError, match=r"dt=1e[-+]200 puts dt\*\*-2 outside"):
+            fd_derivative(s, nu=2)
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):

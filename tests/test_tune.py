@@ -25,8 +25,15 @@ from derivkit import (
     total_variation,
     tune,
 )
-from derivkit.tune import GRID_POINTS, _nelder_mead, _robust_location, seeded_stream
-from tune_reference import median_robust_proxy_loss
+from derivkit.methods import _bounded_params, apply_method, resolve
+from derivkit.tune import (
+    GRID_POINTS,
+    MAD_NORMALIZER,
+    _nelder_mead,
+    _robust_location,
+    seeded_stream,
+)
+from tune_reference import median_robust_location, median_robust_proxy_loss
 
 
 def noisy_sine(n=400, dt=0.01, sigma=0.1, seed=0):
@@ -92,6 +99,10 @@ class TestGammaHeuristic:
         args = {"f_hz": 3.0, "dt": 0.01, field: value}
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             gamma_heuristic(**args)
+
+    def test_gamma_beyond_float64_refused_by_name(self):
+        with pytest.raises(ValidationError, match=r"f_hz=1e-300 is too small at dt=0.01"):
+            gamma_heuristic(1e-300, 0.01)
 
 
 class TestProxyLoss:
@@ -268,6 +279,116 @@ class TestRobustLossAgainstMedianOracle:
         assert robust_proxy_loss(derivative, s, 0.5, 2.0) == proxy_loss(derivative, s, 0.5)
 
 
+def _location_cases():
+    """(label, unsorted residuals, Huber radius) for the location search: N from 2 to 2000,
+    radii at m = 6 and m = 2 MAD-sigmas, and small sets spanning 1 or 2 radii."""
+    rng = np.random.default_rng(22)
+    for n in (2, 3, 4, 7, 50, 400, 401, 2000):
+        for kind in ("normal", "quantized", "offset", "wide", "outliers"):
+            r = rng.standard_normal(n)
+            if kind == "quantized":  # ties, coinciding breakpoints
+                r = np.round(r, 1)
+            elif kind == "offset":
+                r = r + 1e8
+            elif kind == "wide":  # heavy tails: spans far wider than 2 radii
+                r = rng.standard_cauchy(n)
+            elif kind == "outliers":
+                r[rng.choice(n, max(n // 20, 1), replace=False)] += 30.0
+            sigma = float(np.median(np.abs(r - np.median(r)))) / MAD_NORMALIZER
+            for m in (6.0, 2.0):
+                yield f"{kind} n={n} m={m}", r, m * sigma if sigma > 0 else m
+    for r in ([0.0, 1.0, 2.0], [0.0, 0.0, 2.0], [0.0, 2.0, 2.0], [0.0, 0.5, 1.0],
+              [2.0, 0.0, 1.0, 1.0]):
+        yield f"span {r}", np.array(r), 1.0
+
+
+class TestCertifiedLocation:
+    """The two-breakpoint shortcut keeps every bit of the full breakpoint search."""
+
+    def test_matches_the_full_search_bit_for_bit(self, monkeypatch):
+        certified, taken = tune._certified_location, []
+
+        def spy(r, csum, radius):
+            root = certified(r, csum, radius)
+            taken.append(root is not None)
+            return root
+
+        monkeypatch.setattr(tune, "_certified_location", spy)
+        for label, resid, radius in _location_cases():
+            got = _robust_location(resid, radius)
+            assert got.hex() == median_robust_location(resid, radius).hex(), label
+        assert sum(taken) > 20 and len(taken) - sum(taken) > 20  # both paths ran
+
+    @pytest.mark.parametrize("r, shortcut", [([0.0, 0.5, 1.0], True), ([0.0, 1.0, 2.0], False),
+                                             ([0.0, 0.0, 3.0], False)])
+    def test_shortcut_only_where_certified(self, r, shortcut):
+        # [0, 1, 2] puts f = 0 exactly at c_lo = c_hi, and [0, 0, 3] spans beyond 2 radii
+        r = np.array(r)
+        csum = np.concatenate([[0.0], np.cumsum(r)])
+        assert (tune._certified_location(r, csum, 1.0) is not None) == shortcut
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStageMemo:
+    """Registry runs that share one memo give the bits of fresh ``apply_method`` calls."""
+
+    def test_iterated_fd_continues_from_stored_iterates(self, monkeypatch):
+        from derivkit import fd
+
+        s, _ = noisy_sine(n=300, seed=3)
+        spec, memo, passes = get_method("iterated_fd"), {}, []
+        cumtrapz_ = fd._cumtrapz
+        monkeypatch.setattr(fd, "_cumtrapz", lambda *a: passes.append(1) or cumtrapz_(*a))
+        for iterations in (37, 5, 200, 0, 37, 16):
+            phi = {"iterations": iterations, "order": 2}
+            got = spec.run(s, phi, 1, memo)
+            want = apply_method("iterated_fd", s, phi)
+            assert _same_bits(got.derivative, want.derivative), iterations
+            assert _same_bits(got.smoothed, want.smoothed), iterations
+            assert sum(len(iterates) for iterates in memo.values()) <= 27
+        assert sorted(memo[2]) == list(range(8, 201, 8))
+        # fresh runs make 37 + 5 + 200 + 0 + 37 + 16 passes; the memo's runs make
+        # 37, 5 (none stored below it), 163 past 37, 0, 5 past 32 and 0
+        assert len(passes) == 295 + 210
+
+    def test_savgol_reuses_window_degree_stages(self, monkeypatch):
+        from derivkit import smoothers
+
+        s, _ = noisy_sine(n=300, seed=4)
+        spec, memo, passes = get_method("savgol"), {}, []
+        params = _bounded_params(spec, s)
+        correlate = smoothers._reflect_correlate
+        for window, degree, sigma in ((21, 3, 1.0), (11, 2, 0.5), (21, 3, 4.0), (21, 3, 1.0),
+                                      (11, 2, 2.0), (31, 4, 0.05), (21, 3, 1.0)):
+            phi = resolve(spec, params, {"window": window, "degree": degree,
+                                         "post_smooth_sigma": sigma})
+            monkeypatch.setattr(smoothers, "_reflect_correlate",
+                                lambda *a: passes.append(1) or correlate(*a))
+            got = spec.run(s, phi, 1, memo)
+            monkeypatch.setattr(smoothers, "_reflect_correlate", correlate)
+            want = apply_method("savgol", s, phi)
+            assert _same_bits(got.derivative, want.derivative), phi
+            assert _same_bits(got.smoothed, want.smoothed), phi
+        assert sorted(memo) == [(11, 2), (21, 3), (31, 4)]
+        assert len(passes) == 3 * 2 + 7  # values and slope once per pair, one blur per run
+        for window in range(33, 33 + 2 * smoothers.SAVGOL_STAGES, 2):
+            spec.run(s, {"window": window, "degree": 2, "post_smooth_sigma": 1.0}, 1, memo)
+        assert list(memo) == [(w, 2) for w in range(33, 33 + 2 * smoothers.SAVGOL_STAGES, 2)]
+
+    def test_a_stage_that_raises_is_not_stored(self):
+        s, _ = noisy_sine(n=15, seed=5)
+        memo = {}
+        phi = {"window": 21, "degree": 3, "post_smooth_sigma": 1.0}
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="window 21 exceeds signal length 15"):
+                get_method("savgol").run(s, phi, 1, memo)
+        assert memo == {}
+
+
 class TestNelderMead:
     def test_minimizes_quadratic(self):
         fn = lambda x: float((x[0] - 1.5) ** 2 + 2 * (x[1] + 0.5) ** 2)
@@ -332,10 +453,10 @@ class TestAutotune:
 
         base = methods.get_method("savgol")
 
-        def flaky(signal, phi, nu):
+        def flaky(signal, phi, nu, memo):
             if phi["post_smooth_sigma"] > 5.0:
                 raise NumericError(f"post_smooth_sigma={phi['post_smooth_sigma']:g} refused")
-            return base.run(signal, phi, nu)
+            return base.run(signal, phi, nu, memo)
 
         monkeypatch.setitem(methods._REGISTRY, "flaky_savgol",
                             replace(base, name="flaky_savgol", run=flaky))
@@ -361,9 +482,9 @@ class TestAutotune:
 
         base, runs = methods.get_method("poly"), []
 
-        def counted(signal, phi, nu):
+        def counted(signal, phi, nu, memo):
             runs.append(tuple(sorted(phi.items())))
-            return base.run(signal, phi, nu)
+            return base.run(signal, phi, nu, memo)
 
         monkeypatch.setitem(methods._REGISTRY, "poly", replace(base, run=counted))
         s, _ = noisy_sine(n=200, seed=6)
@@ -535,10 +656,10 @@ class TestOneParameterSearch:
 
         base = methods.get_method("butter")
 
-        def flaky(signal, phi, nu):
+        def flaky(signal, phi, nu, memo):
             if phi["cutoff_hz"] > 10.0:
                 raise NumericError(f"cutoff_hz={phi['cutoff_hz']:g} refused")
-            return base.run(signal, phi, nu)
+            return base.run(signal, phi, nu, memo)
 
         monkeypatch.setitem(methods._REGISTRY, "flaky_butter",
                             replace(base, name="flaky_butter", run=flaky))
@@ -557,7 +678,7 @@ class TestOneParameterSearch:
 
         from derivkit import methods
 
-        def broken(signal, phi, nu):
+        def broken(signal, phi, nu, memo):
             raise NumericError("refused")
 
         monkeypatch.setitem(methods._REGISTRY, "broken_butter",
