@@ -597,26 +597,23 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec) -> RobustSmoot
     Rinv = _T(TR) @ TR
     mu0, H_prior = _prior(A, c, Q, x0, P0)
 
-    def residuals(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def objective(states: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The objective at ``states``, with the whitened measurement and process
+        residuals it sums, which weight the next iteration."""
         e = TRy - _mv(TRC, states)
         g = _mv(TQ, states[1:] - _mv(A[1:], states[:-1]) - c[1:])
-        return e, g
-
-    def objective(states: np.ndarray) -> float:
-        e, g = residuals(states)
         dx0 = states[0] - mu0
         return (_loss_value(spec.measurement_loss, spec.huber_m_measurement, e.ravel())
                 + _loss_value(spec.process_loss, spec.huber_m_process, g.ravel())
-                + 0.5 * float(dx0 @ H_prior @ dx0))
+                + 0.5 * float(dx0 @ H_prior @ dx0)), e, g
 
     x = _map_means(A, c, C, Q, Rinv, x0, P0, ys)
     best_x = x
-    best_obj = objective(x)
+    best_obj, e, g = objective(x)
     converged = False
     iterations = 0
     for it in range(spec.max_iter):
         iterations = it + 1
-        e, g = residuals(x)
         Rw, Qw = Rinv, Q
         if spec.measurement_loss != "quadratic":
             We = _loss_weights(spec.measurement_loss, spec.huber_m_measurement, e)
@@ -625,7 +622,7 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec) -> RobustSmoot
             Wg = _loss_weights(spec.process_loss, spec.huber_m_process, g)
             Qw = np.concatenate([Q[:1], _sym((LQ / Wg[..., None, :]) @ _T(LQ))])
         x_new = _map_means(A, c, C, Qw, Rw, x0, P0, ys)
-        obj = objective(x_new)
+        obj, e, g = objective(x_new)
         if obj < best_obj:
             best_obj, best_x = obj, x_new
         step = np.max(np.abs(x_new - x))

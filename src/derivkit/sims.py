@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -248,7 +248,7 @@ _CENTRAL = {"noise_type": "normal", "noise_scale": 1.0, "outliers": False}
 def _run_cell(task: dict) -> dict:
     """One benchmark cell: simulate, corrupt, tune, differentiate, score."""
     axis, value = task["axis"], task["value"]
-    setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["cutoff_hz"])
+    setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["spec"].cutoff_hz)
     setting[axis] = value
     case = SimulationCase(task["case"], T=task["T"], dt=setting["dt"])
     row = {"method": task["method"], "case": case.name, "axis": axis,
@@ -261,9 +261,8 @@ def _run_cell(task: dict) -> dict:
         y = add_noise(Signal(grid, x), noise)
         if setting["outliers"]:
             y = add_outliers(y, seed=cell_seed + 1)
-        tune_spec = TuneSpec(cutoff_hz=setting["cutoff_f"], outliers=bool(setting["outliers"]),
-                             seed=cell_seed, starts=task["starts"],
-                             max_evals=task["max_evals"])
+        tune_spec = replace(task["spec"], cutoff_hz=setting["cutoff_f"],
+                            outliers=bool(setting["outliers"]), seed=cell_seed)
         config = autotune(task["method"], y, tune_spec)
         result = apply_method(task["method"], y, config.phi)
         row["rmse"] = rmse(result.derivative, xdot)
@@ -296,7 +295,8 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     any per-replicate failures. ``cases`` are names from ``CASE_NAMES``; every
     simulation spans ``T`` at step ``dt`` (the ``dt`` axis overrides the step).
     The tuner budget (``starts``, ``max_evals``) is deliberately small: trends,
-    not confidence intervals.
+    not confidence intervals. Tuner settings that :class:`TuneSpec` refuses, and
+    ``seeds < 1``, raise :class:`ValidationError` before any cell runs.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -307,6 +307,9 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     for case in case_names:
         if case not in CASE_NAMES:
             raise ValidationError(f"cases must be names from {CASE_NAMES}, got {case!r}")
+    if seeds < 1:
+        raise ValidationError(f"seeds must be >= 1, got {seeds!r}")
+    spec = TuneSpec(cutoff_hz=cutoff_hz, starts=starts, max_evals=max_evals)
     tasks = []
     for method in method_list:
         for case in case_names:
@@ -314,8 +317,7 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
                 for seed in range(seeds):
                     tasks.append({"method": method, "case": case, "axis": axis,
                                   "value": value, "seed": seed, "T": T, "dt": dt,
-                                  "cutoff_hz": cutoff_hz,
-                                  "starts": starts, "max_evals": max_evals})
+                                  "spec": spec})
 
     n_workers = _worker_count(workers)
     if n_workers > 1 and len(tasks) > 1:

@@ -8,7 +8,8 @@ lands near the Pareto front of the (RMSE, error-correlation) plane.
 A method whose one tunable parameter is continuous (``kernel``, ``butter``,
 ``spline``, ``tvr``, ``rts``) is searched by a grid and bounded Brent searches;
 every other method (two or more tunable parameters, or one integer one:
-``fd``, ``fourier``, ``iterated_fd``) by multi-start Nelder-Mead.
+``fd``, ``fourier``, ``iterated_fd``) by scipy's Nelder-Mead from several
+seeded starts, each held to an exact evaluation budget.
 
 Two things keep one evaluation cheap without changing a bit of its loss. Each
 search passes one stage memo to every run of the method, so ``iterated_fd``
@@ -24,10 +25,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from .core import (
     MethodConfig,
@@ -92,11 +94,16 @@ def gamma_heuristic(f_hz: float, dt: float) -> float:
     if f_hz <= 0 or dt <= 0:
         raise ValidationError("f_hz and dt must be positive")
     try:
-        return math.exp(-1.6 * math.log(f_hz) - 0.71 * math.log(dt) - 5.1)
+        gamma = math.exp(-1.6 * math.log(f_hz) - 0.71 * math.log(dt) - 5.1)
     except OverflowError:
         raise ValidationError(
             f"f_hz={f_hz:g} is too small at dt={dt:g}: gamma would exceed float64's range"
         ) from None
+    if gamma < sys.float_info.min:  # zero or subnormal: the TV penalty would vanish
+        raise ValidationError(
+            f"f_hz={f_hz:g} is too large at dt={dt:g}: gamma would fall below float64's "
+            "smallest normal number")
+    return gamma
 
 
 def _integrated(derivative, signal: Signal) -> tuple[np.ndarray, np.ndarray]:
@@ -175,15 +182,14 @@ def _certified_location(r: np.ndarray, csum: np.ndarray, radius: float) -> float
     return None
 
 
-def _robust_location(resid: np.ndarray, radius: float) -> float:
-    """argmin_c sum Huber(resid + c, radius): the root of the influence sum
-    ``f(c) = sum clip(resid + c, -radius, radius)``, which rises from -N radius
-    to N radius and is linear between its 2N breakpoints ``-resid -+ radius``.
+def _robust_location(r: np.ndarray, radius: float) -> float:
+    """argmin_c sum Huber(r + c, radius) for the residuals ``r``, sorted ascending: the
+    root of the influence sum ``f(c) = sum clip(r + c, -radius, radius)``, which rises
+    from -N radius to N radius and is linear between its 2N breakpoints ``-r -+ radius``.
 
     When every residual lies within ``radius`` of their mean, the root lies between
     the two middle breakpoints, and :func:`_certified_location` returns it without
     sorting all 2N; otherwise every breakpoint is searched. Both give the same bits."""
-    r = np.sort(resid)
     csum = np.zeros(len(r) + 1)
     np.cumsum(r, out=csum[1:])
     root = _certified_location(r, csum, radius)
@@ -239,12 +245,10 @@ class TuneSpec:
     :func:`gamma_heuristic`. The Huber parameter is 6, or 2 when the data is
     declared to contain outliers.
 
-    Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each with a
-    budget of ``max_evals``. It checks that budget once per iteration, so a start
-    can make up to ``max_evals + dim + 1`` evaluations, ``dim`` being the number
-    of tunable parameters. The one-parameter grid and Brent search draws
-    nothing, so ``seed`` does not affect it, and it makes at most
-    ``starts * max_evals`` evaluations in all.
+    Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each making
+    at most ``max_evals`` evaluations. The one-parameter grid and Brent search
+    draws nothing, so ``seed`` does not affect it. Either way a search makes at
+    most ``starts * max_evals`` evaluations in all.
     """
 
     cutoff_hz: float = 3.0
@@ -265,79 +269,31 @@ class TuneSpec:
         return 2.0 if self.outliers else 6.0
 
 
-def _nelder_mead(fn, x0: np.ndarray, steps: np.ndarray, max_evals: int):
-    """Downhill simplex with standard coefficients (1, 2, 0.5, 0.5).
-
-    Terminates when the simplex diameter (max infinity-norm distance from
-    the best vertex) falls below ``DIAMETER_TOL`` or the evaluation budget
-    runs out. The budget is checked once per iteration, and an iteration that
-    starts one evaluation short of it can make ``dim + 2`` more (a reflection,
-    a contraction, then a shrink of ``dim`` vertices), so a search makes at
-    most ``max_evals + dim + 1``. Returns (best x, best f, evaluations).
-    """
-    dim = len(x0)
-    evals = 0
-
-    def call(x):
-        nonlocal evals
-        evals += 1
-        return fn(x)
-
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(dim):
-        v = np.array(x0, dtype=float)
-        v[i] += steps[i]
-        simplex.append(v)
-    values = [call(v) for v in simplex]
-    while evals < max_evals:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if max(np.max(np.abs(v - simplex[0])) for v in simplex[1:]) < DIAMETER_TOL:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = call(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = call(expanded)
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            f_c = call(contracted)
-            if f_c < values[-1]:
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                for i in range(1, dim + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = call(simplex[i])
-        if evals >= max_evals:
-            break
-    best = int(np.argmin(values))
-    return simplex[best], values[best], evals
-
-
 def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals: int,
                  rng: np.random.Generator):
-    """Nelder-Mead from ``starts`` points drawn uniformly in the box ``[lo_t, hi_t]``,
-    each with a budget of ``max_evals``. Returns (best x, best f, evaluations); ties go
-    to the earlier start."""
-    best_x = None
-    best_loss = math.inf
-    total_evals = 0
+    """scipy's Nelder-Mead from ``starts`` points drawn uniformly in the box ``[lo_t, hi_t]``.
+
+    Each start steps ``0.15 * (hi_t - lo_t)`` along every axis for its first simplex,
+    uses the standard coefficients (1, 2, 0.5, 0.5), stops once every vertex lies within
+    ``DIAMETER_TOL`` of the best in the infinity norm, and makes at most ``max_evals``
+    evaluations, the first simplex included. Returns (best x, best f, evaluations), or
+    (None, inf, evaluations) when every evaluation failed; ties go to the earlier start.
+    """
+    def finite(x: np.ndarray) -> float:
+        # the largest float stands in for a failed evaluation's inf: scipy also stops only
+        # when the losses agree within fatol=inf, which inf - inf never does
+        return min(fn(x), sys.float_info.max)
+
+    best_x, best_loss, total_evals = None, sys.float_info.max, 0
     for _ in range(starts):
         x0 = rng.uniform(lo_t, hi_t)
-        steps = 0.15 * (hi_t - lo_t)
-        x, loss, used = _nelder_mead(fn, x0, steps, max_evals)
-        total_evals += used
-        if loss < best_loss:
-            best_loss, best_x = loss, x
-    return best_x, best_loss, total_evals
+        res = minimize(finite, x0, method="Nelder-Mead", options={
+            "initial_simplex": np.vstack([x0, x0 + np.diag(0.15 * (hi_t - lo_t))]),
+            "maxfev": max_evals, "xatol": DIAMETER_TOL, "fatol": math.inf})
+        total_evals += res.nfev
+        if res.fun < best_loss:
+            best_x, best_loss = res.x, float(res.fun)
+    return best_x, best_loss if best_x is not None else math.inf, total_evals
 
 
 def _grid_brent(fn, lo: float, hi: float, budget: int):
@@ -412,9 +368,10 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     When the method's one tunable parameter is continuous, ``GRID_POINTS``
     evenly spaced points, then bounded Brent searches around the best of
     them, spend at most ``spec.starts * spec.max_evals`` evaluations, and
-    ``spec.seed`` plays no part. Otherwise multi-start Nelder-Mead starts
-    from ``spec.starts`` log-uniform seeds, deterministic for a fixed seed,
-    ties broken by start index. The winner is the feasible parameter set
+    ``spec.seed`` plays no part. Otherwise scipy's Nelder-Mead starts from
+    ``spec.starts`` points drawn uniformly in the transformed box, deterministic
+    for a fixed seed, with at most ``spec.max_evals`` evaluations each, ties
+    broken by start index. The winner is the feasible parameter set
     with the lowest loss. Evaluations that raise count as an infinite loss;
     ``info`` reports the search that ran (``"grid+brent"`` or
     ``"nelder-mead"``), the evaluation count, the number of distinct

@@ -202,6 +202,15 @@ class TestTune:
         assert "f_hz=1e-300" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_cutoff_exits_3_and_names_it(self, tmp_path, sine_csv, capsys):
+        # gamma would underflow: the tuner would run with no TV penalty
+        out = tmp_path / "t.json"
+        code = main(["tune", str(sine_csv), "--method", "butter", "--cutoff-hz", "1e300",
+                     "--out", str(out)])
+        assert code == 3
+        assert "f_hz=1e+300 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outliers_flag_switches_m(self, tmp_path, sine_csv):
         out = tmp_path / "t.json"
         main(["tune", str(sine_csv), "--method", "savgol", "--outliers",
@@ -318,6 +327,22 @@ class TestBench:
         cfg.write_text(text)
         assert main(["bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
         assert "bench config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("starts", 0, "starts and max_evals must be >= 1"),
+        ("max_evals", 0, "starts and max_evals must be >= 1"),
+        ("cutoff_hz", -3, "cutoff_hz must be positive")])
+    def test_bad_tuner_setting_exits_3(self, tmp_path, capsys, key, value, message):
+        # refused once, up front, rather than recorded as a failure in every cell (exit 5)
+        config = {"methods": ["savgol"], "cases": ["sine_sum"], "axis": "noise_scale",
+                  "values": [1.0, 2.0], "seeds": 2, key: value}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--workers", "1"]) == 3
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
 
     def test_non_integer_worker_variable_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DERIVKIT_WORKERS", "abc")

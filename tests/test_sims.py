@@ -216,6 +216,22 @@ class TestBenchmarkSweep:
             assert a["rmse_mean"] == b["rmse_mean"]
             assert a["ec_mean"] == b["ec_mean"]
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"starts": 0}, "starts and max_evals must be >= 1"),
+        ({"max_evals": 0}, "starts and max_evals must be >= 1"),
+        ({"cutoff_hz": -3.0}, "cutoff_hz must be positive"),
+        ({"seeds": 0}, "seeds must be >= 1, got 0")])
+    def test_bad_tuner_settings_refused_before_any_cell(self, monkeypatch, setting, message):
+        from derivkit import sims
+
+        def no_cell(task):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sims, "_run_cell", no_cell)
+        kwargs = {"seeds": 1, "workers": 1, **setting}
+        with pytest.raises(ValidationError, match=message):
+            benchmark_sweep(["savgol"], ["sine_sum"], "noise_scale", [1.0], **kwargs)
+
     def test_invalid_axis(self):
         with pytest.raises(ValidationError):
             benchmark_sweep(["savgol"], ["sine_sum"], "bogus", [1], seeds=1)

@@ -1,5 +1,8 @@
 import itertools
 import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from derivkit.methods import _bounded_params, apply_method, resolve
 from derivkit.tune import (
     GRID_POINTS,
     MAD_NORMALIZER,
-    _nelder_mead,
+    _multi_start,
     _robust_location,
     seeded_stream,
 )
@@ -103,6 +106,20 @@ class TestGammaHeuristic:
     def test_gamma_beyond_float64_refused_by_name(self):
         with pytest.raises(ValidationError, match=r"f_hz=1e-300 is too small at dt=0.01"):
             gamma_heuristic(1e-300, 0.01)
+
+    @pytest.mark.parametrize("f_hz", [1e300, 1e200])
+    def test_gamma_below_normal_range_refused_by_name(self, f_hz):
+        # exp underflows to 0.0 at 1e300 and to a subnormal at 1e200: no TV penalty left
+        message = re.escape(f"f_hz={f_hz:g} is too large at dt=0.01")
+        with pytest.raises(ValidationError, match=message):
+            gamma_heuristic(f_hz, 0.01)
+
+    def test_smallest_normal_gamma_is_kept(self):
+        # f_hz where gamma crosses float64's smallest normal number, from either side
+        f_edge = math.exp((-0.71 * math.log(0.01) - 5.1 - math.log(sys.float_info.min)) / 1.6)
+        assert gamma_heuristic(f_edge * (1 - 1e-9), 0.01) >= sys.float_info.min
+        with pytest.raises(ValidationError, match="too large"):
+            gamma_heuristic(f_edge * (1 + 1e-9), 0.01)
 
 
 class TestProxyLoss:
@@ -226,7 +243,7 @@ class TestRobustProxyLoss:
             return np.sum(np.where(a <= radius, 0.5 * x * x,
                                    radius * a - 0.5 * radius**2))
 
-        c_star = _robust_location(resid, radius)
+        c_star = _robust_location(np.sort(resid), radius)
         grid = np.linspace(c_star - 0.5, c_star + 0.5, 20001)
         brute = grid[np.argmin([objective(c) for c in grid])]
         assert c_star == pytest.approx(brute, abs=1e-4)
@@ -315,7 +332,7 @@ class TestCertifiedLocation:
 
         monkeypatch.setattr(tune, "_certified_location", spy)
         for label, resid, radius in _location_cases():
-            got = _robust_location(resid, radius)
+            got = _robust_location(np.sort(resid), radius)
             assert got.hex() == median_robust_location(resid, radius).hex(), label
         assert sum(taken) > 20 and len(taken) - sum(taken) > 20  # both paths ran
 
@@ -390,28 +407,35 @@ class TestStageMemo:
 
 
 class TestNelderMead:
+    """``_multi_start``: scipy's Nelder-Mead from points drawn in a box."""
+
     def test_minimizes_quadratic(self):
         fn = lambda x: float((x[0] - 1.5) ** 2 + 2 * (x[1] + 0.5) ** 2)
-        x, f, evals = _nelder_mead(fn, np.zeros(2), np.array([0.5, 0.5]), 500)
+        x, f, evals = _multi_start(fn, np.full(2, -2.0), np.full(2, 2.0), 2, 500,
+                                   np.random.default_rng(0))
         np.testing.assert_allclose(x, [1.5, -0.5], atol=5e-3)
-        assert evals <= 500
+        assert f == fn(x)
+        assert evals <= 2 * 500
 
     def test_respects_budget(self):
-        calls = []
-        fn = lambda x: (calls.append(1), float(x @ x))[1]
-        _nelder_mead(fn, np.ones(3), np.full(3, 0.3), 40)
-        assert len(calls) <= 40
+        # every evaluation counts, the first simplex's included, and none passes max_evals
+        rng = np.random.default_rng(0)
+        for dim, max_evals, starts in itertools.product((1, 2, 3), range(1, 30), (1, 2)):
+            calls = []
+            fn = lambda x: (calls.append(1), float(rng.standard_normal()))[1]
+            *_, evals = _multi_start(fn, np.zeros(dim), np.ones(dim), starts, max_evals, rng)
+            assert evals == len(calls) <= starts * max_evals
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_overshoot_is_at_most_one_iteration(self, dim):
-        # the budget is checked once per iteration, and an iteration that starts one
-        # evaluation short can reflect, contract and shrink all dim vertices
+        # one start on a loss that never settles: scipy stops at maxfev itself, so the
+        # overshoot a per-iteration budget check allowed (up to dim + 1) is now none
         rng = np.random.default_rng(dim)
         for max_evals in range(1, 30):
             calls = []
             fn = lambda x: (calls.append(1), float(rng.standard_normal()))[1]
-            *_, evals = _nelder_mead(fn, np.zeros(dim), np.full(dim, 0.3), max_evals)
-            assert evals == len(calls) <= max_evals + dim + 1
+            *_, evals = _multi_start(fn, np.zeros(dim), np.ones(dim), 1, max_evals, rng)
+            assert evals == len(calls) <= max_evals
 
 
 class TestSeededStream:
@@ -470,7 +494,7 @@ class TestAutotune:
         assert config.phi["post_smooth_sigma"] <= 5.0
         # the counts before repeats were served from the memo: a repeat still counts
         assert (info["evaluations"], info["distinct_evaluations"],
-                info["failed_evaluations"]) == (169, 121, 97)
+                info["failed_evaluations"]) == (160, 118, 89)
         assert info["failure_reasons"] == [
             f"{{'window': {w}, 'degree': {d}, 'post_smooth_sigma': 29.236385567705568}}: "
             "post_smooth_sigma=29.2364 refused" for w, d in ((13, 6), (31, 6), (13, 7))]
@@ -493,21 +517,21 @@ class TestAutotune:
         assert info["distinct_evaluations"] < info["evaluations"]
 
     # Tuned phi, loss bits and counts on one N = 400 noisy sine with starts=3,
-    # max_evals=80, seed=0. The Nelder-Mead methods were recorded before tuner
-    # evaluations were memoized; butter and spline when their one continuous
-    # parameter moved to the grid and Brent search; fourier when its low-pass
-    # moved to integer bins, which stopped keeping mode keep_modes on some lengths;
-    # kernel when it dropped its window parameter for the blur's 2 ceil(4 sigma) + 1.
+    # max_evals=80, seed=0. fd was recorded before tuner evaluations were memoized;
+    # butter and spline when their one continuous parameter moved to the grid and
+    # Brent search; kernel when it dropped its window parameter for the blur's
+    # 2 ceil(4 sigma) + 1; fourier, iterated_fd, poly and savgol when Nelder-Mead
+    # moved to scipy's, which kept fourier's and iterated_fd's phi and loss bits.
     GOLDEN = {
         "butter": ({"cutoff_hz": 6.399358731675087, "order": 2}, "0x1.970ef7e4c23e9p-4",
                    77, 77, 0),
         "fd": ({"order": 4}, "0x1.7474991d25e5fp-2", 95, 3, 0),
-        "fourier": ({"keep_modes": 69.0, "pad": 50}, "0x1.9fe751253dbcdp-4", 139, 29, 0),
-        "iterated_fd": ({"iterations": 14.0, "order": 2}, "0x1.9dde016b0d1d2p-4", 141, 28, 0),
+        "fourier": ({"keep_modes": 69, "pad": 50}, "0x1.9fe751253dbcdp-4", 137, 29, 0),
+        "iterated_fd": ({"iterations": 14, "order": 2}, "0x1.9dde016b0d1d2p-4", 135, 27, 0),
         "kernel": ({"sigma": 2.6875556124205735}, "0x1.a0730d975a4b3p-4", 73, 73, 0),
-        "poly": ({"degree": 4, "window": 73}, "0x1.b46f0c13ebc18p-4", 202, 61, 0),
-        "savgol": ({"degree": 4, "post_smooth_sigma": 2.8065479472713477, "window": 5},
-                   "0x1.9a48c99dd1021p-4", 241, 239, 0),
+        "poly": ({"degree": 5, "window": 77}, "0x1.b0bc405f9efaap-4", 192, 60, 0),
+        "savgol": ({"degree": 4, "post_smooth_sigma": 2.8062914821122704, "window": 5},
+                   "0x1.9a48c9a0d3258p-4", 240, 237, 0),
         "spline": ({"degree": 3, "iterations": 1, "lam": 4.572874357092328e-05},
                    "0x1.96b0ec610ac90p-4", 88, 88, 0),
     }
@@ -521,13 +545,13 @@ class TestAutotune:
                info["distinct_evaluations"], info["failed_evaluations"])
         assert got == self.GOLDEN[method]
 
-    # Recorded before the robust loss took its medians from one sort (kernel when it
-    # dropped its window parameter): the same signal and budget with outliers=True,
-    # so the Huber radius is m = 2 MADs.
+    # The same signal and budget with outliers=True, so the Huber radius is m = 2 MADs.
+    # kernel was recorded when it dropped its window parameter, savgol when Nelder-Mead
+    # moved to scipy's.
     GOLDEN_OUTLIERS = {
         "kernel": ({"sigma": 2.697164030015098}, "0x1.9c8fc70b0de0bp-4", 74, 74, 0),
-        "savgol": ({"degree": 4, "post_smooth_sigma": 2.774522985909495, "window": 5},
-                   "0x1.95fde4fb31ac9p-4", 241, 240, 0),
+        "savgol": ({"degree": 3, "post_smooth_sigma": 2.8220144952709343, "window": 7},
+                   "0x1.966238f5407d9p-4", 240, 237, 0),
     }
 
     @pytest.mark.parametrize("method", sorted(GOLDEN_OUTLIERS))
@@ -549,13 +573,36 @@ class TestAutotune:
 
     def test_nelder_mead_evaluations_stay_within_stated_bound(self):
         s, _ = noisy_sine()
-        # fd tunes one integer parameter, and each of both starts overshoots by dim + 1 = 2
-        assert autotune("fd", s, TuneSpec(starts=2, max_evals=15)).info["evaluations"] == 34
+        # fd tunes one integer parameter, and each of both starts spends its whole budget
+        assert autotune("fd", s, TuneSpec(starts=2, max_evals=15)).info["evaluations"] == 30
         for method, max_evals in itertools.product(("savgol", "poly"), (5, 15)):
-            dim = sum(p.tunable for p in get_method(method).build_params(s))
             info = autotune(method, s, TuneSpec(starts=2, max_evals=max_evals)).info
             assert info["search"] == "nelder-mead"
-            assert info["evaluations"] <= 2 * (max_evals + dim + 1)
+            assert info["evaluations"] <= 2 * max_evals
+
+    def test_every_evaluation_failing_raises_without_warnings(self, monkeypatch):
+        # a simplex whose every vertex failed stops at DIAMETER_TOL like any other, and
+        # scipy's loss test never takes inf - inf, which numpy would warn of
+        from dataclasses import replace
+
+        from derivkit import methods
+
+        runs = []
+
+        def broken(signal, phi, nu, memo):
+            runs.append(phi)
+            raise NumericError(f"window={phi['window']} refused")
+
+        monkeypatch.setitem(methods._REGISTRY, "broken_savgol",
+                            replace(methods.get_method("savgol"), name="broken_savgol",
+                                    run=broken))
+        s, _ = noisy_sine(n=200, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=r"autotune failed for 'broken_savgol': \{.*refused"):
+                autotune("broken_savgol", s, TuneSpec(starts=2, max_evals=200))
+        assert len(runs) < 200
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_cutoff_refused(self, value):
@@ -623,14 +670,15 @@ class TestOneParameterSearch:
         assert info["loss"] <= reference["loss"] * (1 + 1e-8)
 
     def test_reference_is_the_earlier_search(self, monkeypatch):
-        # butter's golden before the grid and Brent search: phi, loss bits and counts
+        # butter under the Nelder-Mead search it had before the grid and Brent search, now
+        # scipy's: phi, loss bits and counts
         spec = TuneSpec(starts=3, max_evals=80, seed=0)
         monkeypatch.setattr(tune, "_grid_brent", _nelder_mead_search("butter", spec))
         config = autotune("butter", noisy_sine()[0], spec)
         info = config.info
         assert (config.phi, info["loss"].hex(), info["evaluations"],
                 info["distinct_evaluations"], info["failed_evaluations"]) == (
-            {"order": 2, "cutoff_hz": 6.399510804536913}, "0x1.970ef7f1cba51p-4", 78, 66, 0)
+            {"order": 2, "cutoff_hz": 6.399510804536918}, "0x1.970ef7f1cba52p-4", 80, 67, 0)
 
     @pytest.mark.parametrize("starts, max_evals", [(1, 1), (1, 2), (1, 3), (1, 25), (1, 27),
                                                    (2, 16), (5, 5)])
