@@ -245,24 +245,29 @@ def add_outliers(y: Signal, seed: int = 0) -> Signal:
 _CENTRAL = {"noise_type": "normal", "noise_scale": 1.0, "outliers": False}
 
 
+def _cell_settings(task: dict, seed: int = 0):
+    """The ``SimulationCase``, ``NoiseSpec`` and ``TuneSpec`` of a cell, whose axis
+    value replaces its setting at the central point; each refuses a bad value."""
+    setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["spec"].cutoff_hz)
+    setting[task["axis"]] = task["value"]
+    return (SimulationCase(task["case"], T=task["T"], dt=setting["dt"]),
+            NoiseSpec(family=setting["noise_type"], scale=setting["noise_scale"], seed=seed),
+            replace(task["spec"], cutoff_hz=setting["cutoff_f"],
+                    outliers=bool(setting["outliers"]), seed=seed))
+
+
 def _run_cell(task: dict) -> dict:
     """One benchmark cell: simulate, corrupt, tune, differentiate, score."""
     axis, value = task["axis"], task["value"]
-    setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["spec"].cutoff_hz)
-    setting[axis] = value
-    case = SimulationCase(task["case"], T=task["T"], dt=setting["dt"])
-    row = {"method": task["method"], "case": case.name, "axis": axis,
+    row = {"method": task["method"], "case": task["case"], "axis": axis,
            "value": value, "seed": task["seed"]}
     try:
+        cell_seed = stable_key(task["seed"], task["case"], task["method"], axis, value)
+        case, noise, tune_spec = _cell_settings(task, cell_seed)
         x, xdot, grid = simulate(case)
-        cell_seed = stable_key(task["seed"], case.name, task["method"], axis, value)
-        noise = NoiseSpec(family=setting["noise_type"], scale=setting["noise_scale"],
-                          seed=cell_seed)
         y = add_noise(Signal(grid, x), noise)
-        if setting["outliers"]:
+        if tune_spec.outliers:
             y = add_outliers(y, seed=cell_seed + 1)
-        tune_spec = replace(task["spec"], cutoff_hz=setting["cutoff_f"],
-                            outliers=bool(setting["outliers"]), seed=cell_seed)
         config = autotune(task["method"], y, tune_spec)
         result = apply_method(task["method"], y, config.phi)
         row["rmse"] = rmse(result.derivative, xdot)
@@ -295,8 +300,10 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     any per-replicate failures. ``cases`` are names from ``CASE_NAMES``; every
     simulation spans ``T`` at step ``dt`` (the ``dt`` axis overrides the step).
     The tuner budget (``starts``, ``max_evals``) is deliberately small: trends,
-    not confidence intervals. Tuner settings that :class:`TuneSpec` refuses, and
-    ``seeds < 1``, raise :class:`ValidationError` before any cell runs.
+    not confidence intervals. Tuner settings that :class:`TuneSpec` refuses,
+    ``seeds < 1``, and an axis value that a cell's :class:`SimulationCase`,
+    :class:`NoiseSpec` or :class:`TuneSpec` would refuse raise
+    :class:`ValidationError` before any cell runs.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -310,14 +317,15 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     if seeds < 1:
         raise ValidationError(f"seeds must be >= 1, got {seeds!r}")
     spec = TuneSpec(cutoff_hz=cutoff_hz, starts=starts, max_evals=max_evals)
-    tasks = []
-    for method in method_list:
-        for case in case_names:
-            for value in values:
-                for seed in range(seeds):
-                    tasks.append({"method": method, "case": case, "axis": axis,
-                                  "value": value, "seed": seed, "T": T, "dt": dt,
-                                  "spec": spec})
+    tasks = [{"method": method, "case": case, "axis": axis, "value": value, "seed": seed,
+              "T": T, "dt": dt, "spec": spec}
+             for method in method_list for case in case_names for value in values
+             for seed in range(seeds)]
+    for task in tasks:
+        try:
+            _cell_settings(task)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{axis} value {task['value']!r}: {exc}") from None
 
     n_workers = _worker_count(workers)
     if n_workers > 1 and len(tasks) > 1:

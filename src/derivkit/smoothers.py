@@ -4,6 +4,11 @@ Each method produces a smoothed signal and its derivative. Convolution-type
 methods handle edges by mirror extension; fit-type methods (sliding
 polynomials, splines, radial basis functions) evaluate their fits at the
 sample locations and work on irregular grids.
+
+The Butterworth sections and the zero-phase filter behind ``butterdiff`` are
+derivkit's own, and bit-identical to ``scipy.signal``'s ``butter``,
+``sosfilt`` and ``sosfiltfilt``, so the package never imports
+``scipy.signal`` (which alone took half of derivkit's import time).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyder, polyvander
 from scipy.interpolate import BSpline
+from scipy.linalg import companion
 from scipy.optimize import brentq
-from scipy.signal import butter, sosfilt, sosfiltfilt
 
 from .core import (
     DerivativeResult,
@@ -120,17 +125,102 @@ def kerneldiff(signal: Signal, spec: KernelSpec) -> DerivativeResult:
     )
 
 
+def _butter_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
+    """Second-order sections of the digital Butterworth low-pass, as
+    ``scipy.signal.butter(order, cutoff_hz, fs=fs, output="sos")`` makes them.
+
+    The analog prototype's poles are prewarped to the cutoff and mapped by the
+    bilinear transform, with every zero at -1; an odd order adds a pole and a
+    zero at 0. Sections are filled from last to first, each with the pole
+    nearest the unit circle, its conjugate (or the other real pole nearest the
+    circle) and the two zeros nearest it, and section 0 takes the gain. Each
+    step repeats scipy 1.17's operations in scipy's order, so every bit
+    matches (``tests/test_smoothers.py`` checks it against ``scipy.signal``).
+    """
+    wn = cutoff_hz / (fs / 2)
+    warped = float(2 * 2.0 * np.tan(np.pi * wn / 2.0))
+    p = warped * -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=float) / (2 * order))
+    k = warped**order * np.real(1.0 / np.prod(4.0 - p))
+    p = (4.0 + p) / (4.0 - p)
+    z = -np.ones(order)
+    if order % 2:
+        p, z = np.append(p, 0.0), np.append(z, 0.0)
+    # conjugate pairs by real part then |imag|, one member each, before the real poles
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    real = abs(p.imag) <= 100 * np.finfo(float).eps * abs(p)
+    upper, lower = p[~real & (p.imag > 0)], p[~real & (p.imag < 0)]
+    p = np.concatenate(((upper + lower.conj()) / 2, p[real].real))
+    sos = np.zeros(((order + 1) // 2, 6))
+    for si in range(len(sos) - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(p))
+            i = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        i = np.argsort(np.abs(z - p1))[0]
+        z1, z = z[i], np.delete(z, i)
+        i = np.argsort(np.abs(z - p1))[0]
+        z2, z = z[i], np.delete(z, i)
+        sos[si, :3] = np.convolve(np.convolve(np.ones(1), [1.0, -z1]), [1.0, -z2])
+        sos[si, 3:] = np.convolve(np.convolve(np.ones(1, p.dtype), [1.0, -p1]), [1.0, -p2]).real
+    sos[0, :3] *= k
+    return sos
+
+
+def _sosfilt(sos: np.ndarray, x: list, zi: list) -> list:
+    """Run the sections over the floats ``x`` from the states ``zi`` (a pair per section).
+
+    This is scipy's transposed direct form II recursion on Python floats. A
+    section sees only its own input, so filtering one section at a time over
+    the whole signal rounds as scipy's sample-by-sample loop does.
+    """
+    for (b0, b1, b2, _, a1, a2), (z0, z1) in zip(sos.tolist(), zi):
+        y = []
+        append = y.append
+        for v in x:
+            w = b0 * v + z0
+            z0 = b1 * v - a1 * w + z1
+            z1 = b2 * v - a2 * w
+            append(w)
+        x = y
+    return x
+
+
+def _sosfiltfilt(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
+    """Forward-backward filtering of ``x``, odd-extended by ``padlen`` samples at each end,
+    as ``scipy.signal.sosfiltfilt(sos, x, padlen=padlen)`` does it.
+
+    Each pass starts from the steady state of a unit step scaled by the first
+    sample it sees. The result is a C-contiguous array: ``np.convolve`` rounds
+    differently on a reversed view.
+    """
+    if padlen > 0:
+        x = np.concatenate((2 * x[:1] - x[padlen:0:-1], x, 2 * x[-1:] - x[-2:-(padlen + 2):-1]))
+    zi, scale = np.empty((len(sos), 2)), 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        zi[section] = scale * np.linalg.solve(np.eye(2) - companion(a).T, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    y = _sosfilt(sos, x.tolist(), (zi * x[0]).tolist())
+    y = _sosfilt(sos, y[::-1], (zi * y[-1]).tolist())[::-1]
+    return np.array(y[padlen:len(y) - padlen] if padlen > 0 else y)
+
+
 def _butter_design(signal: Signal, order: int, cutoff_hz: float, what: str):
     """Second-order sections of the order-``order`` Butterworth low-pass at ``cutoff_hz``
     for the signal's uniform grid, and its sampling rate; ``what`` names the caller."""
     fs = 1.0 / _require_uniform(signal, what)
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
+    if order != int(order):
+        raise ValidationError(f"order must be an integer, got {order}")
     if not 0 < cutoff_hz < fs / 2:
         raise ValidationError(
             f"cutoff must lie in (0, {fs / 2}) Hz for dt={signal.grid.dt}, got {cutoff_hz}"
         )
-    return butter(order, cutoff_hz, fs=fs, output="sos"), fs
+    return _butter_sos(int(order), cutoff_hz, fs), fs
 
 
 def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> DerivativeResult:
@@ -138,14 +228,17 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
 
     The filter is designed as cascaded second-order sections via the bilinear
     transform (with frequency prewarping, so the half-power point lands
-    exactly on ``cutoff_hz``) and applied forward then backward.
+    exactly on ``cutoff_hz``) and applied forward then backward. The sections
+    and the filter are derivkit's own, bit-identical to ``scipy.signal``'s
+    ``butter`` and ``sosfiltfilt``. The filter runs on Python floats, at about
+    0.16 us per sample and section (x86-64, CPython 3.11): ~3.5 ms at
+    N = 1e4 and order 2, where scipy's compiled loop took ~1 ms.
     """
     sos, fs = _butter_design(signal, order, cutoff_hz, "butterdiff")
     # Generous odd-extension padding: initial-condition transients decay over
     # several filter time constants before they can reach the data.
     padlen = int(min(len(signal) - 2, max(24, np.ceil(4 * fs / cutoff_hz))))
-    # a C-contiguous copy of sosfiltfilt's reversed view: np.convolve rounds differently on it
-    smoothed = np.ascontiguousarray(sosfiltfilt(sos, signal.values, padlen=padlen))
+    smoothed = _sosfiltfilt(sos, signal.values, padlen)
     return DerivativeResult(
         smoothed=smoothed,
         derivative=_fd_plan(len(smoothed), 1, 2, signal.grid.dt).apply(smoothed),
@@ -156,7 +249,8 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
 
 def butter_single_pass(signal: Signal, order: int, cutoff_hz: float) -> np.ndarray:
     """One forward pass of the same Butterworth design (for gain measurements)."""
-    return sosfilt(_butter_design(signal, order, cutoff_hz, "butter_single_pass")[0], signal.values)
+    sos = _butter_design(signal, order, cutoff_hz, "butter_single_pass")[0]
+    return np.array(_sosfilt(sos, signal.values.tolist(), [(0.0, 0.0)] * len(sos)))
 
 
 def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int = 3,

@@ -276,23 +276,29 @@ def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals:
     Each start steps ``0.15 * (hi_t - lo_t)`` along every axis for its first simplex,
     uses the standard coefficients (1, 2, 0.5, 0.5), stops once every vertex lies within
     ``DIAMETER_TOL`` of the best in the infinity norm, and makes at most ``max_evals``
-    evaluations, the first simplex included. Returns (best x, best f, evaluations), or
-    (None, inf, evaluations) when every evaluation failed; ties go to the earlier start.
+    evaluations, the first simplex included. Returns the best point evaluated, its f and
+    the evaluations, or (None, inf, evaluations) when every evaluation failed; ties go to
+    the earlier evaluation. The best point is kept here, not taken from scipy's result:
+    a start whose budget runs out right after a reflection ends without that point in
+    its simplex, even when it beat every vertex.
     """
+    best_x, best_loss, total_evals = None, sys.float_info.max, 0
+
     def finite(x: np.ndarray) -> float:
+        nonlocal best_x, best_loss
         # the largest float stands in for a failed evaluation's inf: scipy also stops only
         # when the losses agree within fatol=inf, which inf - inf never does
-        return min(fn(x), sys.float_info.max)
+        loss = min(fn(x), sys.float_info.max)
+        if loss < best_loss:
+            best_x, best_loss = x, float(loss)
+        return loss
 
-    best_x, best_loss, total_evals = None, sys.float_info.max, 0
     for _ in range(starts):
         x0 = rng.uniform(lo_t, hi_t)
         res = minimize(finite, x0, method="Nelder-Mead", options={
             "initial_simplex": np.vstack([x0, x0 + np.diag(0.15 * (hi_t - lo_t))]),
             "maxfev": max_evals, "xatol": DIAMETER_TOL, "fatol": math.inf})
         total_evals += res.nfev
-        if res.fun < best_loss:
-            best_x, best_loss = res.x, float(res.fun)
     return best_x, best_loss if best_x is not None else math.inf, total_evals
 
 

@@ -344,6 +344,24 @@ class TestBench:
         assert f"validation error: {message}" in capsys.readouterr().err
         assert not (out_dir / "summary.json").exists()
 
+    @pytest.mark.parametrize("axis, value, message", [
+        ("cutoff_f", -3, "cutoff_f value -3: cutoff_hz must be positive"),
+        ("noise_type", "bogus", "noise_type value 'bogus': unknown noise family 'bogus'"),
+        ("noise_scale", -1, "noise_scale value -1: scale must be >= 0"),
+        ("dt", -0.01, "dt value -0.01: dt must be positive")])
+    def test_bad_axis_value_exits_3_and_names_it(self, tmp_path, capsys, axis, value, message):
+        # before, each failed every replicate of its cell and the sweep exited 5
+        good = {"cutoff_f": 3, "noise_type": "normal", "noise_scale": 1, "dt": 0.01}[axis]
+        config = {"methods": ["savgol"], "cases": ["sine_sum"], "axis": axis,
+                  "values": [good, value], "seeds": 2, "starts": 1, "max_evals": 4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--workers", "1"]) == 3
+        assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
+
     def test_non_integer_worker_variable_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DERIVKIT_WORKERS", "abc")
         cfg = tmp_path / "cfg.json"

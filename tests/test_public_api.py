@@ -9,6 +9,8 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,3 +134,13 @@ def test_traced_names_exist(monkeypatch):
     assert len(spans.WRAPPED) > 0
     for module, attribute in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(module), attribute)), (module, attribute)
+
+
+def test_import_loads_no_scipy_signal():
+    # scipy.signal, with the scipy.stats it loads, took half of ``import derivkit.cli``
+    script = ("import sys, derivkit, derivkit.cli; print(sorted(m for m in sys.modules "
+              "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    src = str(Path(derivkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

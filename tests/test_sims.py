@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sims_reference as ref
@@ -231,6 +233,27 @@ class TestBenchmarkSweep:
         kwargs = {"seeds": 1, "workers": 1, **setting}
         with pytest.raises(ValidationError, match=message):
             benchmark_sweep(["savgol"], ["sine_sum"], "noise_scale", [1.0], **kwargs)
+
+    @pytest.mark.parametrize("axis, value, message", [
+        ("cutoff_f", -3.0, "cutoff_hz must be positive"),
+        ("cutoff_f", float("nan"), "cutoff_hz must be finite, got nan"),
+        ("noise_type", "bogus", "unknown noise family 'bogus'"),
+        ("noise_scale", float("inf"), "scale must be finite, got inf"),
+        ("noise_scale", -1.0, "scale must be >= 0"),
+        ("dt", -0.01, "dt must be positive"),
+        ("dt", "x", "must be real number, not str")])
+    def test_bad_axis_value_refused_before_any_cell(self, monkeypatch, axis, value, message):
+        # before, each failed every replicate of its own cell (dt raised mid-sweep)
+        from derivkit import sims
+
+        def no_cell(task):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sims, "_run_cell", no_cell)
+        good = {"cutoff_f": 3.0, "noise_type": "normal", "noise_scale": 1.0, "dt": 0.01}[axis]
+        with pytest.raises(ValidationError, match=re.escape(f"{axis} value {value!r}: {message}")):
+            benchmark_sweep(["savgol"], ["sine_sum", "lorenz_x"], axis, [good, value], seeds=2,
+                            workers=1)
 
     def test_invalid_axis(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import butter_reference
 import numpy as np
 import pytest
 from poly_reference import loop_polydiff
@@ -37,7 +38,13 @@ from derivkit import (
 from derivkit import core, methods, smoothers
 from derivkit.fd import _fd_plan
 from derivkit.methods import RBF_TRUNCATION_FACTOR, get_method
-from derivkit.smoothers import _kernel_weights, butter_single_pass
+from derivkit.smoothers import (
+    _butter_sos,
+    _kernel_weights,
+    _sosfilt,
+    _sosfiltfilt,
+    butter_single_pass,
+)
 
 
 def fit_amplitude(t, y, f_hz):
@@ -250,6 +257,73 @@ class TestButterdiff:
         irregular = Signal(Grid(np.cumsum(np.linspace(0.005, 0.015, 100))), np.zeros(100))
         with pytest.raises(UnsupportedMethodError, match="butter_single_pass requires a uniform grid"):
             butter_single_pass(irregular, order=2, cutoff_hz=5.0)
+
+    @pytest.mark.parametrize("order", [2.5, np.float64(1.5)])
+    def test_fractional_order_refused(self, order):
+        s = Signal(Grid.regular(100, 0.01), np.zeros(100))
+        with pytest.raises(ValidationError, match="order must be an integer"):
+            butterdiff(s, order=order, cutoff_hz=5.0)
+
+    def test_integral_float_order_is_that_order(self):
+        s = Signal(Grid.regular(100, 0.01), np.sin(np.arange(100.0)))
+        assert np.array_equal(butterdiff(s, order=3.0, cutoff_hz=5.0).smoothed,
+                              butterdiff(s, order=3, cutoff_hz=5.0).smoothed)
+
+
+class TestButterAgainstScipy:
+    """The Butterworth sections and filters equal ``scipy.signal``'s bit for bit, and
+    ``butterdiff`` and ``butter_single_pass`` equal ``tests/butter_reference.py``."""
+
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_sections(self, order):
+        from scipy.signal import butter
+
+        for fs in (100.0, 200.0, 1 / 0.37, 3.0):
+            for cutoff in np.geomspace(1e-4, 0.95, 40) * (fs / 2):
+                expected = butter(order, cutoff, fs=fs, output="sos")
+                got = _butter_sos(order, cutoff, fs)
+                assert np.array_equal(got, expected), (fs, cutoff)
+                assert np.array_equal(np.signbit(got), np.signbit(expected)), (fs, cutoff)
+
+    @pytest.mark.parametrize("n", [2, 3, 13, 400, 10_000, 20_000])
+    def test_filters(self, n):
+        from scipy.signal import butter, sosfilt, sosfiltfilt
+
+        x = np.random.default_rng(n).standard_normal(n).cumsum()
+        for order in range(1, 9):
+            for cutoff in (0.01, 3.0, 47.0) if n <= 400 else (3.0,):
+                sos = butter(order, cutoff, fs=100.0, output="sos")
+                for padlen in sorted({p for p in (0, 1, 24, n - 2) if 0 <= p <= n - 2}):
+                    got = _sosfiltfilt(sos, x, padlen)
+                    assert np.array_equal(got, sosfiltfilt(sos, x, padlen=padlen)), (order, padlen)
+                    assert got.flags.c_contiguous
+                got = _sosfilt(sos, x.tolist(), [(0.0, 0.0)] * len(sos))
+                assert np.array_equal(got, sosfilt(sos, x)), order
+
+    @staticmethod
+    def _same(signal, **phi):
+        got, expected = butterdiff(signal, **phi), butter_reference.butterdiff(signal, **phi)
+        assert np.array_equal(got.smoothed, expected.smoothed)
+        assert np.array_equal(got.derivative, expected.derivative)
+        assert np.array_equal(butter_single_pass(signal, **phi),
+                              butter_reference.butter_single_pass(signal, **phi))
+
+    def test_butterdiff_signals(self):
+        t = 0.001 * np.arange(20_000)
+        self._same(Signal(Grid(t), np.sin(2 * np.pi * 5.0 * t)), order=2, cutoff_hz=5.0)
+        self._same(Signal(Grid.regular(200, 0.01), np.full(200, 4.0)), order=3, cutoff_hz=2.0)
+        t = 0.01 * np.arange(1000)
+        self._same(Signal(Grid(t), np.sin(2 * np.pi * 1.0 * t)), order=4, cutoff_hz=3.0)
+
+    @pytest.mark.parametrize("n", [400, 10_000])
+    def test_registry_defaults(self, n):
+        rng = np.random.default_rng(n)
+        s = Signal(Grid.regular(n, 0.01), np.sin(0.05 * np.arange(n)) + 0.1 * rng.standard_normal(n))
+        spec = get_method("butter")
+        phi = methods.resolve(spec, methods._bounded_params(spec, s))
+        self._same(s, **phi)
+        assert np.array_equal(methods.apply_method("butter", s).derivative,
+                              butter_reference.butterdiff(s, **phi).derivative)
 
 
 class TestPolydiff:
