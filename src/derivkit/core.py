@@ -279,6 +279,20 @@ def _solve_banded(k: int, ab: np.ndarray, rhs: np.ndarray, what: str) -> np.ndar
     return x
 
 
+def _solve_spd_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Solve the symmetric positive definite band matrix ``M`` by LAPACK ``pbsv``
+    (banded Cholesky). ``ab`` holds its diagonal and ``k`` subdiagonals,
+    ``ab[i - j, j] = M[i, j]`` for ``i >= j``; a Fortran-ordered ``ab`` is overwritten by
+    the factor. Returns None when the factorization breaks down (``M`` is not numerically
+    positive definite) or the solution is non-finite, for the caller to fall back to a
+    pivoting solve."""
+    pbsv, = get_lapack_funcs(("pbsv",), (ab,))
+    _, x, info = pbsv(ab, rhs, lower=1, overwrite_ab=True)
+    if info != 0 or not np.all(np.isfinite(x)):
+        return None
+    return x
+
+
 def _reflect_pad(values: np.ndarray, h: int) -> np.ndarray:
     """``np.pad(values, h, mode="reflect")``, a new C-contiguous array, without its overhead:
     two reversed slices, or for ``h >= len(values)`` the mirror images repeated with period

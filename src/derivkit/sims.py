@@ -13,6 +13,7 @@ execution order and parallelism.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,6 +34,8 @@ SWEEP_AXES = ("outliers", "noise_type", "noise_scale", "dt", "cutoff_f")
 WORKERS_ENV = "DERIVKIT_WORKERS"
 #: RK4 micro-steps per sample step in the simulations that integrate an ODE.
 RK4_SUBSTEPS = 10
+#: Outlier injection corrupts 1% of the samples, so it needs at least this many.
+_MIN_OUTLIER_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,10 @@ def simulate(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
     return x.copy(), xdot.copy(), grid
 
 
+def _sample_count(case: SimulationCase) -> int:
+    return int(round(case.T / case.dt))
+
+
 @lru_cache(maxsize=64)
 def _simulate(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
     """Cached (x, xdot, grid) of a case; every array is bit-identical to the
@@ -145,7 +152,7 @@ def _simulate(case: SimulationCase) -> tuple[np.ndarray, np.ndarray, Grid]:
     ``A @ x + B @ u`` matrix products per step: a scalar rewrite of those
     would not reproduce the BLAS summation order.
     """
-    n = int(round(case.T / case.dt))
+    n = _sample_count(case)
     t = case.dt * np.arange(n)
     grid = Grid(t)
 
@@ -226,11 +233,16 @@ def add_noise(clean: Signal, spec: NoiseSpec) -> Signal:
     return Signal(clean.grid, clean.values + eta)
 
 
+def _require_outlier_samples(n: int) -> None:
+    if n < _MIN_OUTLIER_SAMPLES:
+        raise ValidationError(
+            f"outlier injection needs at least {_MIN_OUTLIER_SAMPLES} samples, got {n}")
+
+
 def add_outliers(y: Signal, seed: int = 0) -> Signal:
     """Corrupt a random 1% of samples by +-[50%, 150%] of the series range."""
     n = len(y)
-    if n < 100:
-        raise ValidationError(f"outlier injection needs at least 100 samples, got {n}")
+    _require_outlier_samples(n)
     rng = seeded_stream(seed, "outliers")
     count = int(round(0.01 * n))
     idx = rng.choice(n, size=count, replace=False)
@@ -247,13 +259,17 @@ _CENTRAL = {"noise_type": "normal", "noise_scale": 1.0, "outliers": False}
 
 def _cell_settings(task: dict, seed: int = 0):
     """The ``SimulationCase``, ``NoiseSpec`` and ``TuneSpec`` of a cell, whose axis
-    value replaces its setting at the central point; each refuses a bad value."""
+    value replaces its setting at the central point; each refuses a bad value, as does
+    outlier injection on too short a simulation."""
     setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["spec"].cutoff_hz)
     setting[task["axis"]] = task["value"]
-    return (SimulationCase(task["case"], T=task["T"], dt=setting["dt"]),
+    case = SimulationCase(task["case"], T=task["T"], dt=setting["dt"])
+    outliers = bool(setting["outliers"])
+    if outliers:
+        _require_outlier_samples(_sample_count(case))
+    return (case,
             NoiseSpec(family=setting["noise_type"], scale=setting["noise_scale"], seed=seed),
-            replace(task["spec"], cutoff_hz=setting["cutoff_f"],
-                    outliers=bool(setting["outliers"]), seed=seed))
+            replace(task["spec"], cutoff_hz=setting["cutoff_f"], outliers=outliers, seed=seed))
 
 
 def _run_cell(task: dict) -> dict:
@@ -301,9 +317,10 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     simulation spans ``T`` at step ``dt`` (the ``dt`` axis overrides the step).
     The tuner budget (``starts``, ``max_evals``) is deliberately small: trends,
     not confidence intervals. Tuner settings that :class:`TuneSpec` refuses,
-    ``seeds < 1``, and an axis value that a cell's :class:`SimulationCase`,
-    :class:`NoiseSpec` or :class:`TuneSpec` would refuse raise
-    :class:`ValidationError` before any cell runs.
+    ``seeds < 1``, an axis value that is not a number, string, boolean or
+    None, one that a cell's :class:`SimulationCase`, :class:`NoiseSpec` or
+    :class:`TuneSpec` would refuse, and outliers on a simulation of fewer than
+    100 samples raise :class:`ValidationError` before any cell runs.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -317,6 +334,10 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     if seeds < 1:
         raise ValidationError(f"seeds must be >= 1, got {seeds!r}")
     spec = TuneSpec(cutoff_hz=cutoff_hz, starts=starts, max_evals=max_evals)
+    for value in values:  # cells are grouped by value, so each must be a hashable scalar
+        if not (value is None or isinstance(value, (str, numbers.Number, np.generic))):
+            raise ValidationError(f"{axis} value {value!r}: must be a number, string, "
+                                  f"boolean or None")
     tasks = [{"method": method, "case": case, "axis": axis, "value": value, "seed": seed,
               "T": T, "dt": dt, "spec": spec}
              for method in method_list for case in case_names for value in values

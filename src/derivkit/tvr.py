@@ -8,12 +8,16 @@ piecewise-quadratic (nu=3) derivatives.
 
 Solved by a primal-dual interior-point method on the problem and its
 box-constrained dual (Kim, Koh, Boyd & Gorinevsky, "l1 trend filtering",
-SIAM Review 2009). Each Newton step solves one banded system, so an
-iteration costs O(N), and the iteration count hardly grows with N (17 to 32
-at N = 1e4 with the registry defaults). The solver stops on a certified
-relative duality gap, ``TvrSpec.tol``. Note the fidelity term is not
-normalized by N while TV is, so useful gamma values grow with the signal
-length.
+SIAM Review 2009). Each Newton step is one banded Cholesky solve of the dual
+Schur complement ``E E^T + diag(b)``, as in that paper, so an iteration
+costs O(N), and the iteration count hardly grows with N (17 to 32 at
+N = 1e4 with the registry defaults). Where ``E E^T`` is numerically
+singular and the box inactive (nu = 3, or gamma >= 1e3) the Cholesky can
+break down; that step instead solves the full KKT system in ``x`` and the
+dual variable by a pivoting banded LU, and ``flags["lu_steps"]`` counts
+such steps. The solver stops on a certified relative duality gap,
+``TvrSpec.tol``. Note the fidelity term is not normalized by N while TV is,
+so useful gamma values grow with the signal length.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (DerivativeResult, Signal, ValidationError, _band, _require_finite_settings,
-                   _require_uniform, _solve_banded)
+                   _require_uniform, _solve_banded, _solve_spd_banded)
 from .fd import _first_diff_matrix
 from .smoothers import _gaussian_blur
 
@@ -90,6 +94,17 @@ def _kkt_band(E: sp.csr_matrix) -> tuple[int, np.ndarray]:
     return _band(rows, cols, vals, n + m)
 
 
+def _schur_band(E: sp.csr_matrix, Et: sp.csr_matrix) -> np.ndarray:
+    """The lower band of ``E E^T`` as ``core._solve_spd_banded`` reads it,
+    ``band[i - j, j] = (E E^T)[i, j]``, Fortran-ordered for cheap per-step copies."""
+    coo = (E @ Et).tocoo()  # a sparse product holds no duplicate entries
+    lower = coo.row >= coo.col
+    d, j = coo.row[lower] - coo.col[lower], coo.col[lower]
+    band = np.zeros((int(d.max(initial=0)) + 1, E.shape[0]), order="F")
+    band[d, j] = coo.data[lower]
+    return band
+
+
 def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
                     max_iter: int):
     """Minimize ``||y - x||^2 + weight * ||E x||_1`` by a primal-dual interior-point method.
@@ -98,20 +113,28 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
     The dual of the problem is ``min_{|z| <= lam} 1/2 ||E^T z||^2 - (E y)^T z``
     with ``x = y - E^T z`` at the optimum (Kim, Koh, Boyd & Gorinevsky, SIAM
     Review 2009). Newton steps are taken on the barrier-perturbed optimality
-    conditions in ``x``, ``z`` and the box multipliers ``mu1, mu2``; each
-    solves one banded system ``[[I, E^T], [E, -diag(barrier)]]``; eliminating
-    ``x`` from it would give the dual Newton matrix ``E E^T + diag(barrier)``.
-    Keeping ``x`` an unknown of the system, rather than recovering it as
-    ``y - E^T z``, keeps the steps accurate when ``E E^T`` is numerically
-    singular: its condition number reaches 1e20 at N = 2000, nu = 3, where
-    large gamma leaves the box inactive on long stretches.
+    conditions in ``x``, ``z`` and the box multipliers ``mu1, mu2``, whose
+    linear system is ``[[I, E^T], [E, -diag(b)]] [dx; dz] = [-r_p; r_z]``
+    with the barrier ``b = mu1 / s1 + mu2 / s2`` on the box slacks ``s1, s2``
+    and the primal residual ``r_p = x + E^T z - y``. Each step eliminates
+    ``dx``: the dual Schur complement ``E E^T + diag(b)`` is SPD with
+    half-bandwidth ``2 nu + 1``, and one banded Cholesky of
+    ``(E E^T + diag(b)) dz = -E r_p - r_z`` gives ``dz``, then
+    ``dx = -r_p - E^T dz``. The band of ``E E^T`` is built once per solve.
+
+    Where ``E E^T`` is numerically singular and the box is inactive (nu = 3,
+    or gamma >= 1e3: its condition number reaches 1e20 at N = 2000, nu = 3),
+    the Cholesky can break down. That step then solves the interleaved system
+    itself by a pivoting banded LU, which keeps ``x`` an unknown and so stays
+    accurate; its band is built on the first such step, and these steps are
+    counted in ``lu_steps``.
 
     Every iterate gives an objective value and, through its dual point, a
     lower bound ``2 (E y)^T z - ||E^T z||^2``. The method stops once the best
     objective exceeds the best bound by at most ``tol`` relative, or by no
     more than the rounding error of evaluating ``lam ||E x||_1``. Returns the
-    best ``x``, its objective, the relative gap, whether it converged and
-    the iteration count.
+    best ``x``, its objective, the relative gap, whether it converged, the
+    iteration count and the number of LU steps.
     """
     m = E.shape[0]
     scale = float(np.sqrt(E.multiply(E).sum(axis=1).max())) or 1.0  # E = 0 for N = 3, nu >= 2
@@ -119,9 +142,9 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
     Et = E.T.tocsr()
     abs_E = abs(E)
     lam = 0.5 * weight * scale
-    k, kkt = _kkt_band(E)
-    z_diag = (k, slice(1, None, 2))
-    rhs = np.zeros(kkt.shape[1])
+    schur = _schur_band(E, Et)
+    kkt = None  # the interleaved LU's band, built on the first Cholesky breakdown
+    lu_steps = 0
     # rounding error of one entry of E x, relative to (|E| |x|)_i
     rounding = np.finfo(float).eps * float(np.max(np.diff(E.indptr)))
     Ey = E @ y
@@ -130,11 +153,12 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
     z = np.zeros(m)
     mu1 = np.ones(m)
     mu2 = np.ones(m)
+    Ex, Etz = E @ x, Et @ z
     t = 1e-10
     step = np.inf
 
-    def residuals(x, z, mu1, mu2):
-        return (x + Et @ z - y, mu1 - mu2 - E @ x,
+    def residuals(x, z, mu1, mu2, Ex, Etz):
+        return (x + Etz - y, mu1 - mu2 - Ex,
                 mu1 * (lam - z) - 1.0 / t, mu2 * (lam + z) - 1.0 / t)
 
     def norm(res):
@@ -144,10 +168,9 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
     converged = False
     iterations = 0
     for it in range(max_iter + 1):
-        obj = float(np.sum((y - x) ** 2) + 2.0 * lam * np.sum(np.abs(E @ x)))
+        obj = float(np.sum((y - x) ** 2) + 2.0 * lam * np.sum(np.abs(Ex)))
         if obj < best_obj:
             best_obj, best_x = obj, x
-        Etz = Et @ z
         best_bound = max(best_bound, float(2.0 * (Ey @ z) - Etz @ Etz))
         resolution = 2.0 * lam * rounding * float(np.sum(abs_E @ np.abs(best_x)))
         if best_obj - best_bound <= max(tol * best_obj, resolution):
@@ -159,13 +182,25 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
         if step >= 0.2:  # after a short step, recentre before tightening the barrier
             t = max(4.0 * m * _MU / (best_obj - best_bound), 1.2 * t)
         s1, s2 = lam - z, lam + z
-        res = residuals(x, z, mu1, mu2)
+        res = residuals(x, z, mu1, mu2, Ex, Etz)
         r_p, r_d, r_c1, r_c2 = res
-        kkt[z_diag] = -(mu1 / s1 + mu2 / s2)
-        rhs[0::2] = -r_p
-        rhs[1::2] = r_d - r_c1 / s1 + r_c2 / s2
-        sol = _solve_banded(k, kkt, rhs, "singular Newton system in tvrdiff")
-        dx, dz = sol[0::2], sol[1::2]
+        b = mu1 / s1 + mu2 / s2
+        r_z = r_d - r_c1 / s1 + r_c2 / s2
+        ab = schur.copy(order="F")
+        ab[0] += b
+        dz = _solve_spd_banded(ab, -(E @ r_p) - r_z)
+        if dz is not None:
+            dx = -r_p - Et @ dz
+        else:
+            lu_steps += 1
+            if kkt is None:
+                k, kkt = _kkt_band(E)
+                rhs = np.zeros(kkt.shape[1])
+            kkt[k, 1::2] = -b  # the z diagonal
+            rhs[0::2] = -r_p
+            rhs[1::2] = r_z
+            sol = _solve_banded(k, kkt, rhs, "singular Newton system in tvrdiff")
+            dx, dz = sol[0::2], sol[1::2]
         dmu1 = (mu1 * dz - r_c1) / s1
         dmu2 = -(mu2 * dz + r_c2) / s2
 
@@ -178,12 +213,13 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
         r_norm = norm(res)
         for _ in range(_MAX_BACKTRACK):
             new = (x + step * dx, z + step * dz, mu1 + step * dmu1, mu2 + step * dmu2)
-            if norm(residuals(*new)) <= (1.0 - _ALPHA * step) * r_norm:
+            Ex, Etz = E @ new[0], Et @ new[1]
+            if norm(residuals(*new, Ex, Etz)) <= (1.0 - _ALPHA * step) * r_norm:
                 break
             step *= _BETA
         x, z, mu1, mu2 = new
     gap = (best_obj - best_bound) / best_obj if best_obj > 0 else 0.0
-    return best_x, best_obj, gap, converged, iterations
+    return best_x, best_obj, gap, converged, iterations, lu_steps
 
 
 def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
@@ -194,8 +230,9 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     duality gap ``(objective - dual bound) / objective`` at which it stops,
     and ``spec.max_iter`` caps the number of Newton iterations. The iterate
     with the lowest objective is returned; ``flags`` report ``converged``,
-    ``iterations``, ``objective`` and the certified relative
-    ``duality_gap``. A ``spec.soften_sigma`` blurs the derivative with a
+    ``iterations``, ``objective``, the certified relative ``duality_gap``,
+    and ``lu_steps``, the Newton steps that fell back from the banded
+    Cholesky to the LU. A ``spec.soften_sigma`` blurs the derivative with a
     Gaussian of that many samples and is recorded in ``phi``.
     """
     dt = _require_uniform(signal, "tvrdiff")
@@ -203,8 +240,8 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     n = len(y)
     D = _first_diff_matrix(n, dt)
     E = _difference_operator(n, dt, spec.nu, D)
-    x, obj, gap, converged, iterations = _interior_point(y, E, spec.gamma / n, spec.tol,
-                                                         spec.max_iter)
+    x, obj, gap, converged, iterations, lu_steps = _interior_point(
+        y, E, spec.gamma / n, spec.tol, spec.max_iter)
     phi = {"nu": spec.nu, "gamma": spec.gamma}
     derivative = D @ x
     if spec.soften_sigma is not None:
@@ -216,7 +253,7 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
         method="tvr",
         phi=phi,
         flags={"converged": converged, "iterations": iterations, "objective": obj,
-               "duality_gap": gap},
+               "duality_gap": gap, "lu_steps": lu_steps},
     )
 
 

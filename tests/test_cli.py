@@ -348,10 +348,13 @@ class TestBench:
         ("cutoff_f", -3, "cutoff_f value -3: cutoff_hz must be positive"),
         ("noise_type", "bogus", "noise_type value 'bogus': unknown noise family 'bogus'"),
         ("noise_scale", -1, "noise_scale value -1: scale must be >= 0"),
-        ("dt", -0.01, "dt value -0.01: dt must be positive")])
+        ("dt", -0.01, "dt value -0.01: dt must be positive"),
+        ("outliers", [1], "outliers value [1]: must be a number, string, boolean or None")])
     def test_bad_axis_value_exits_3_and_names_it(self, tmp_path, capsys, axis, value, message):
-        # before, each failed every replicate of its cell and the sweep exited 5
-        good = {"cutoff_f": 3, "noise_type": "normal", "noise_scale": 1, "dt": 0.01}[axis]
+        # before, each failed every replicate of its cell and the sweep exited 5; a list
+        # value ran its cells and then raised TypeError (exit 1)
+        good = {"cutoff_f": 3, "noise_type": "normal", "noise_scale": 1, "dt": 0.01,
+                "outliers": False}[axis]
         config = {"methods": ["savgol"], "cases": ["sine_sum"], "axis": axis,
                   "values": [good, value], "seeds": 2, "starts": 1, "max_evals": 4}
         cfg = tmp_path / "cfg.json"
@@ -360,6 +363,19 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir),
                      "--workers", "1"]) == 3
         assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
+
+    def test_outliers_on_a_short_span_exits_3(self, tmp_path, capsys):
+        # before, every replicate recorded the refusal and the sweep exited 5
+        config = {"methods": ["savgol"], "cases": ["sine_sum"], "axis": "outliers",
+                  "values": [True], "seeds": 1, "T": 0.5}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--workers", "1"]) == 3
+        assert ("validation error: outliers value True: outlier injection needs at least "
+                "100 samples, got 50") in capsys.readouterr().err
         assert not (out_dir / "summary.json").exists()
 
     def test_non_integer_worker_variable_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -241,7 +241,10 @@ class TestBenchmarkSweep:
         ("noise_scale", float("inf"), "scale must be finite, got inf"),
         ("noise_scale", -1.0, "scale must be >= 0"),
         ("dt", -0.01, "dt must be positive"),
-        ("dt", "x", "must be real number, not str")])
+        ("dt", "x", "must be real number, not str"),
+        ("outliers", [1], "must be a number, string, boolean or None"),
+        ("noise_scale", (1.0,), "must be a number, string, boolean or None"),
+        ("noise_type", {"family": "normal"}, "must be a number, string, boolean or None")])
     def test_bad_axis_value_refused_before_any_cell(self, monkeypatch, axis, value, message):
         # before, each failed every replicate of its own cell (dt raised mid-sweep)
         from derivkit import sims
@@ -250,10 +253,24 @@ class TestBenchmarkSweep:
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(sims, "_run_cell", no_cell)
-        good = {"cutoff_f": 3.0, "noise_type": "normal", "noise_scale": 1.0, "dt": 0.01}[axis]
+        good = {"cutoff_f": 3.0, "noise_type": "normal", "noise_scale": 1.0, "dt": 0.01,
+                "outliers": False}[axis]
         with pytest.raises(ValidationError, match=re.escape(f"{axis} value {value!r}: {message}")):
             benchmark_sweep(["savgol"], ["sine_sum", "lorenz_x"], axis, [good, value], seeds=2,
                             workers=1)
+
+    def test_outliers_on_a_short_span_refused_before_any_cell(self, monkeypatch):
+        # before, every replicate recorded the refusal of add_outliers and the sweep went on
+        from derivkit import sims
+
+        def no_cell(task):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(sims, "_run_cell", no_cell)
+        message = "outliers value True: outlier injection needs at least 100 samples, got 50"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            benchmark_sweep(["savgol"], ["sine_sum"], "outliers", [False, True], seeds=1,
+                            T=0.5, workers=1)
 
     def test_invalid_axis(self):
         with pytest.raises(ValidationError):

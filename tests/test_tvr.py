@@ -20,9 +20,9 @@ from derivkit import (
     total_variation,
     tvrdiff,
 )
-from derivkit import core
+from derivkit import core, tvr
 from derivkit.sims import CASE_NAMES
-from derivkit.tvr import _difference_operator
+from derivkit.tvr import _difference_operator, _kkt_band, _schur_band
 
 
 def noisy_triangle(n=400, dt=0.01, sigma=0.1, seed=0, amp=0.8, period=2.0):
@@ -156,6 +156,14 @@ class TestTvrdiff:
         signal, _, _ = noisy_triangle(n=120, seed=9)
 
         def lapack_with_failing_solve(names, arrays):
+            if names == ("pbsv",):  # the Cholesky breaks down, so every step takes the LU
+                pbsv, = get_lapack_funcs(names, arrays)
+
+                def pbsv_breakdown(*args, **kwargs):
+                    c, x, _ = pbsv(*args, **kwargs)
+                    return c, x, 1
+
+                return (pbsv_breakdown,)
             gbsv, gbcon = get_lapack_funcs(names, arrays)
 
             def gbsv_nan(*args, **kwargs):
@@ -294,13 +302,78 @@ class TestAgainstAdmm:
 class TestIterationCount:
     """Newton iterations on the long-signal benchmark instances: N = 1e4, registry defaults."""
 
-    @pytest.mark.parametrize("method,case", [("tvr", "logistic_growth"),
-                                             ("smooth_accel_tvr", "lti_second_order")])
-    def test_converges_within_60_iterations(self, method, case):
+    INSTANCES = [("tvr", "logistic_growth"), ("smooth_accel_tvr", "lti_second_order")]
+
+    @staticmethod
+    def instance(case):
         x, _, grid = simulate(SimulationCase(case, T=100.0, dt=0.01))
         noise = NoiseSpec(family="normal", scale=1.0, seed=CASE_NAMES.index(case))
-        r = apply_method(method, add_noise(Signal(grid, x), noise))
+        return add_noise(Signal(grid, x), noise)
+
+    @pytest.mark.parametrize("method,case", INSTANCES)
+    def test_converges_within_60_iterations(self, method, case):
+        r = apply_method(method, self.instance(case))
         assert len(r.smoothed) == 10_000
         assert r.flags["converged"] is True
         assert r.flags["iterations"] <= 60
         assert r.flags["duality_gap"] <= 1e-8
+
+    @pytest.mark.parametrize("method,case", INSTANCES)
+    def test_cholesky_steps_match_the_lu_steps(self, monkeypatch, method, case):
+        # every step of the default run takes the Schur Cholesky; forcing its breakdown
+        # makes every step solve the interleaved KKT system by LU instead
+        signal = self.instance(case)
+        r = apply_method(method, signal)
+        monkeypatch.setattr(tvr, "_solve_spd_banded", lambda ab, rhs: None)
+        lu = apply_method(method, signal)
+        assert r.flags["lu_steps"] == 0
+        assert lu.flags["lu_steps"] == lu.flags["iterations"]
+        assert r.flags["iterations"] == lu.flags["iterations"]
+        assert r.flags["objective"] == pytest.approx(lu.flags["objective"], rel=1e-12)
+
+
+class TestNewtonStep:
+    """One Newton step of ``_interior_point``: the Schur Cholesky against dense and LU solves."""
+
+    def test_cholesky_breakdown_falls_back_to_lu(self):
+        # nu = 3 at large gamma: E E^T is numerically singular where the box is inactive
+        t, y = square_sine(400)
+        r = tvrdiff(Signal(Grid(t), y), TvrSpec(gamma=1e3, nu=3))
+        assert r.flags["converged"] is True
+        assert 0 < r.flags["lu_steps"] < r.flags["iterations"]
+
+    def test_accepted_step_solves_the_kkt_system(self):
+        # [[I, E^T], [E, -diag(b)]] [dx; dz] = [-r_p; r_z], with the barrier b spanning
+        # 1e-8 to 1e8 across entries or across instances
+        rng = np.random.default_rng(0)
+        accepted = 0
+        for trial in range(120):
+            n, nu = int(rng.integers(4, 201)), int(rng.integers(1, 4))
+            E = _difference_operator(n, float(rng.choice([0.001, 0.01, 1 / 3])), nu)
+            E = (E / np.sqrt(E.multiply(E).sum(axis=1).max())).tocsr()
+            m = E.shape[0]
+            b = (10.0 ** rng.uniform(-8, 8, m) if trial % 2
+                 else 10.0 ** rng.uniform(-8, 8) * 10.0 ** rng.uniform(0, 1, m))
+            r_p, r_z = rng.standard_normal(n), rng.standard_normal(m)
+            dense = np.block([[np.eye(n), E.T.toarray()], [E.toarray(), -np.diag(b)]])
+            rhs = np.concatenate([-r_p, r_z])
+            want = np.linalg.solve(dense, rhs)
+
+            ab = _schur_band(E, E.T.tocsr())
+            ab[0] += b
+            dz = core._solve_spd_banded(ab, -(E @ r_p) - r_z)
+            k, kkt = _kkt_band(E)
+            kkt[k, 1::2] = -b
+            interleaved = np.empty(n + m)
+            interleaved[0::2], interleaved[1::2] = -r_p, r_z
+            lu = core._solve_banded(k, kkt, interleaved, "KKT system")
+            lu = np.concatenate([lu[0::2], lu[1::2]])
+            if dz is None:
+                continue
+            accepted += 1
+            step = np.concatenate([-r_p - E.T @ dz, dz])
+            floor = np.finfo(float).eps * np.linalg.norm(rhs)
+            residual = np.linalg.norm(dense @ step - rhs)
+            assert residual <= 10 * max(np.linalg.norm(dense @ lu - rhs), floor), (n, nu)
+            assert np.linalg.norm(step - want) <= 1e-8 * np.linalg.norm(want), (n, nu)
+        assert accepted >= 100
