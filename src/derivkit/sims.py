@@ -260,11 +260,16 @@ _CENTRAL = {"noise_type": "normal", "noise_scale": 1.0, "outliers": False}
 def _cell_settings(task: dict, seed: int = 0):
     """The ``SimulationCase``, ``NoiseSpec`` and ``TuneSpec`` of a cell, whose axis
     value replaces its setting at the central point; each refuses a bad value, as does
-    outlier injection on too short a simulation."""
+    outlier injection on too short a simulation. ``outliers`` takes a boolean, 0 or 1
+    (a string such as ``"false"`` is refused, not read as true)."""
     setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["spec"].cutoff_hz)
     setting[task["axis"]] = task["value"]
     case = SimulationCase(task["case"], T=task["T"], dt=setting["dt"])
-    outliers = bool(setting["outliers"])
+    outliers = setting["outliers"]
+    if not (isinstance(outliers, (bool, np.bool_))
+            or isinstance(outliers, numbers.Integral) and outliers in (0, 1)):
+        raise ValidationError("outliers must be a boolean, 0 or 1")
+    outliers = bool(outliers)
     if outliers:
         _require_outlier_samples(_sample_count(case))
     return (case,

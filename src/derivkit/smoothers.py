@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.polynomial import polyder, polyvander
+from numpy.polynomial.polynomial import polyvander
 from scipy.interpolate import BSpline
 from scipy.linalg import companion
 from scipy.optimize import brentq
@@ -253,6 +253,31 @@ def butter_single_pass(signal: Signal, order: int, cutoff_hz: float) -> np.ndarr
     return np.array(_sosfilt(sos, signal.values.tolist(), [(0.0, 0.0)] * len(sos)))
 
 
+def _window_fits(offsets: np.ndarray, degree: int) -> tuple:
+    """``(fit, full_rank)`` for least-squares polynomials on a stack of windows whose
+    sample offsets from their window's start are the rows of ``offsets``.
+
+    Each window is mapped onto [-1, 1] from its own start, as ``Polynomial.fit`` maps
+    its domain, and fitted as ``lstsq`` fits it: columns scaled to unit norm, singular
+    values kept above ``window * eps`` of the largest (``full_rank`` when all are).
+    ``fit(Y)`` takes the samples as a stack ``(len(offsets), window, k)`` of k columns
+    per entry and returns the fitted values and slopes in the same shape."""
+    window = offsets.shape[1]
+    pad = float(window == 1)  # a lone point gets Polynomial.fit's domain [t - 1, t + 1]
+    scale = 2.0 / (offsets[:, -1:] + 2 * pad)
+    V = polyvander((offsets + pad) * scale - 1, degree)
+    norms = np.sqrt(np.square(V).sum(axis=-2))[..., None]
+    U, sv, Vh = np.linalg.svd(V / norms.mT, full_matrices=False)
+    keep = sv > window * np.finfo(float).eps * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[..., None]
+    dV = V[..., :degree] * (np.arange(1, degree + 1) * scale[..., None])  # d/dt of V[..., 1:]
+
+    def fit(Y):
+        coef = Vh.mT @ (inv * (U.mT @ Y)) / norms
+        return V @ coef, dV @ coef[:, 1:]
+    return fit, bool(keep.all())
+
+
 def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int = 3,
              weight_kernel: KernelSpec | None = None) -> DerivativeResult:
     """Sliding-window polynomial fits, combined by (weighted) averaging.
@@ -260,8 +285,11 @@ def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int
     Fits use the actual timestamps, so irregular grids are fine. Windows
     advance by ``stride``; a final window is anchored to the tail so every
     sample is covered. Each window is fitted as ``Polynomial.fit`` fits it
-    (``RankWarning`` included), by one batched SVD per block of windows
-    holding about N samples: memory is O(N * (degree + 1)) at any stride.
+    (``RankWarning`` included), but in offsets from its first sample, so
+    epoch timestamps lose no precision. On a uniform grid every window has
+    the offsets ``i * grid.dt``, and one SVD serves them all; on an
+    irregular grid each block of windows takes one batched SVD. Blocks hold
+    about N samples, so memory is O(N * (degree + 1)) at any stride.
     Overlapping fit evaluations are averaged uniformly unless a weight kernel
     (center-heavy weighting within each window) is given.
     """
@@ -279,20 +307,18 @@ def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int
     starts = np.unique(np.append(np.arange(0, n - window + 1, stride), n - window))
     weights = (np.ones(window) if weight_kernel is None
                else _kernel_weights(weight_kernel.kind, window, weight_kernel.sigma))
+    if signal.grid.uniform:  # every window has the same shape: one fit for all
+        uniform_fit = _window_fits(signal.grid.dt * np.arange(window)[None], degree)
     acc, full_rank = np.zeros((2, n)), True  # weighted fit values and slopes
     for block in np.array_split(starts, -(-len(starts) * window // n)):
         idx = block[:, None] + np.arange(window)
-        lo, hi = t[block] - (window == 1), t[block + window - 1] + (window == 1)  # fit's domain
-        scale = 2.0 / (hi - lo)  # onto [-1, 1], as Polynomial.fit maps it
-        V = polyvander(((-hi - lo) / (hi - lo))[:, None] + scale[:, None] * t[idx], degree)
-        norms = np.sqrt(np.square(V).sum(axis=-2))
-        U, sv, Vh = np.linalg.svd(V / norms[:, None, :], full_matrices=False)
-        keep = sv > window * np.finfo(float).eps * sv[:, :1]
-        full_rank &= bool(keep.all())
-        proj = np.divide(np.vecdot(U, y[idx, None], axis=-2), sv, out=np.zeros_like(sv), where=keep)
-        coef = np.vecdot(Vh, proj[..., None], axis=-2) / norms
-        slope = np.vecdot(V[..., : max(degree, 1)], polyder(coef, axis=-1)[:, None])
-        for total, part in zip(acc, (np.vecdot(V, coef[:, None]), slope * scale[:, None])):
+        fit, block_full_rank = uniform_fit if signal.grid.uniform else _window_fits(
+            t[idx] - t[block, None], degree)
+        full_rank &= block_full_rank
+        # the block's windows: columns of one stack entry, or one column per entry
+        k = len(block) if signal.grid.uniform else 1
+        for total, part in zip(acc, fit(y[idx].reshape(-1, k, window).mT)):
+            part = part.transpose(2, 0, 1).reshape(-1, window)
             total += np.bincount(idx.ravel(), (weights * part).ravel(), n)
     if not full_rank:
         warnings.warn("The fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
@@ -586,7 +612,7 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
         y = fit(t)
     flags["spline"] = {"knots": fit.t.tolist(), "coefficients": fit.c.tolist()}
     return DerivativeResult(
-        smoothed=fit(t),
+        smoothed=y,
         derivative=fit(t, nu=1),
         method="splinediff",
         phi={"degree": spec.degree, "mode": spec.mode, "lam": spec.lam,

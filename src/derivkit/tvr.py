@@ -11,11 +11,13 @@ box-constrained dual (Kim, Koh, Boyd & Gorinevsky, "l1 trend filtering",
 SIAM Review 2009). Each Newton step is one banded Cholesky solve of the dual
 Schur complement ``E E^T + diag(b)``, as in that paper, so an iteration
 costs O(N), and the iteration count hardly grows with N (17 to 32 at
-N = 1e4 with the registry defaults). Where ``E E^T`` is numerically
-singular and the box inactive (nu = 3, or gamma >= 1e3) the Cholesky can
-break down; that step instead solves the full KKT system in ``x`` and the
-dual variable by a pivoting banded LU, and ``flags["lu_steps"]`` counts
-such steps. The solver stops on a certified relative duality gap,
+N = 1e4 with the registry defaults). ``E`` has N - 1 rows and rank
+N - 1 - nu, so ``E E^T`` is singular, with a nu-dimensional null space, at
+every N and gamma: only the barrier diagonal ``b`` makes the complement
+definite, and the Cholesky can break down wherever ``b`` is negligible on
+``null(E^T)``. That step instead solves the full KKT system in ``x`` and
+the dual variable by a pivoting banded LU, and ``flags["lu_steps"]``
+counts such steps. The solver stops on a certified relative duality gap,
 ``TvrSpec.tol``. Note the fidelity term is not normalized by N while TV is,
 so useful gamma values grow with the signal length.
 """
@@ -117,14 +119,15 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
     linear system is ``[[I, E^T], [E, -diag(b)]] [dx; dz] = [-r_p; r_z]``
     with the barrier ``b = mu1 / s1 + mu2 / s2`` on the box slacks ``s1, s2``
     and the primal residual ``r_p = x + E^T z - y``. Each step eliminates
-    ``dx``: the dual Schur complement ``E E^T + diag(b)`` is SPD with
-    half-bandwidth ``2 nu + 1``, and one banded Cholesky of
+    ``dx``: the dual Schur complement ``E E^T + diag(b)`` is symmetric, positive
+    definite for ``b > 0``, with half-bandwidth ``2 nu + 1``, and one banded Cholesky of
     ``(E E^T + diag(b)) dz = -E r_p - r_z`` gives ``dz``, then
     ``dx = -r_p - E^T dz``. The band of ``E E^T`` is built once per solve.
 
-    Where ``E E^T`` is numerically singular and the box is inactive (nu = 3,
-    or gamma >= 1e3: its condition number reaches 1e20 at N = 2000, nu = 3),
-    the Cholesky can break down. That step then solves the interleaved system
+    ``E E^T`` alone is singular: ``E`` has N - 1 rows and rank N - 1 - nu, so
+    its null space has dimension nu at every N and gamma. Wherever ``b`` is
+    negligible on ``null(E^T)``, the Cholesky can break down, not only at
+    nu = 3 or large gamma. That step then solves the interleaved system
     itself by a pivoting banded LU, which keeps ``x`` an unknown and so stays
     accurate; its band is built on the first such step, and these steps are
     counted in ``lu_steps``.

@@ -349,7 +349,9 @@ class TestBench:
         ("noise_type", "bogus", "noise_type value 'bogus': unknown noise family 'bogus'"),
         ("noise_scale", -1, "noise_scale value -1: scale must be >= 0"),
         ("dt", -0.01, "dt value -0.01: dt must be positive"),
-        ("outliers", [1], "outliers value [1]: must be a number, string, boolean or None")])
+        ("outliers", [1], "outliers value [1]: must be a number, string, boolean or None"),
+        ("outliers", "false", "outliers value 'false': outliers must be a boolean, 0 or 1"),
+        ("outliers", 2, "outliers value 2: outliers must be a boolean, 0 or 1")])
     def test_bad_axis_value_exits_3_and_names_it(self, tmp_path, capsys, axis, value, message):
         # before, each failed every replicate of its cell and the sweep exited 5; a list
         # value ran its cells and then raised TypeError (exit 1)

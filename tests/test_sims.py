@@ -9,6 +9,7 @@ from derivkit import (
     NoiseSpec,
     Signal,
     SimulationCase,
+    TuneSpec,
     ValidationError,
     add_noise,
     add_outliers,
@@ -244,7 +245,11 @@ class TestBenchmarkSweep:
         ("dt", "x", "must be real number, not str"),
         ("outliers", [1], "must be a number, string, boolean or None"),
         ("noise_scale", (1.0,), "must be a number, string, boolean or None"),
-        ("noise_type", {"family": "normal"}, "must be a number, string, boolean or None")])
+        ("noise_type", {"family": "normal"}, "must be a number, string, boolean or None"),
+        ("outliers", "false", "outliers must be a boolean, 0 or 1"),
+        ("outliers", 2, "outliers must be a boolean, 0 or 1"),
+        ("outliers", 1.0, "outliers must be a boolean, 0 or 1"),
+        ("outliers", None, "outliers must be a boolean, 0 or 1")])
     def test_bad_axis_value_refused_before_any_cell(self, monkeypatch, axis, value, message):
         # before, each failed every replicate of its own cell (dt raised mid-sweep)
         from derivkit import sims
@@ -258,6 +263,17 @@ class TestBenchmarkSweep:
         with pytest.raises(ValidationError, match=re.escape(f"{axis} value {value!r}: {message}")):
             benchmark_sweep(["savgol"], ["sine_sum", "lorenz_x"], axis, [good, value], seeds=2,
                             workers=1)
+
+    @pytest.mark.parametrize("value, expected", [
+        (True, True), (False, False), (np.True_, True), (np.False_, False), (1, True),
+        (0, False), (np.int64(1), True)])
+    def test_outliers_axis_takes_booleans_and_0_or_1(self, value, expected):
+        # before, any non-empty string (such as "false") turned outliers on
+        from derivkit import sims
+
+        task = {"case": "sine_sum", "T": 4.0, "dt": 0.01, "spec": TuneSpec(),
+                "axis": "outliers", "value": value}
+        assert sims._cell_settings(task)[2].outliers is expected
 
     def test_outliers_on_a_short_span_refused_before_any_cell(self, monkeypatch):
         # before, every replicate recorded the refusal of add_outliers and the sweep went on

@@ -366,6 +366,22 @@ class TestPolydiff:
                             weight_kernel=KernelSpec(kind="gaussian", window=3, sigma=5.0))
         assert not np.allclose(uniform.smoothed, weighted.smoothed)
 
+    @pytest.mark.parametrize("irregular", [False, True], ids=["uniform", "irregular"])
+    def test_epoch_offset_changes_no_bit(self, irregular):
+        # Dyadic timestamps: 1.7e9 + t is exact and the fitted step is 2**-7 at both
+        # offsets, so only mapping windows in absolute time could move a bit. It did:
+        # by 2.9e-6 (uniform) and 7.0e-7 (irregular) relative in the derivative.
+        rng = np.random.default_rng(7)
+        n = 1000
+        k = 2.0**-7 * (np.sort(rng.choice(2 * n, n, replace=False)) if irregular
+                       else np.arange(n))
+        y = np.sin(2 * k) + 0.1 * rng.standard_normal(n)
+        ref = methods.apply_method("poly", Signal(Grid(k), y))
+        out = methods.apply_method("poly", Signal(Grid(1.7e9 + k), y))
+        assert Grid(1.7e9 + k).uniform is not irregular
+        assert np.array_equal(out.smoothed, ref.smoothed)
+        assert np.array_equal(out.derivative, ref.derivative)
+
     def test_window_validation(self):
         s = Signal(Grid.regular(50, 0.1), np.zeros(50))
         with pytest.raises(ValidationError):
@@ -399,6 +415,9 @@ class TestPolydiffAgainstLoop:
         g = self.GRIDS[kind](n, rng)
         s = Signal(g, np.sin(3 * (g.points - g.points[0])) + 0.1 * rng.standard_normal(n))
         kernel = KernelSpec(kind="gaussian", window=3, sigma=5.0)
+        # Polynomial.fit on raw epoch timestamps loses their digits; polydiff fits a
+        # uniform grid in the offsets i * dt, so the loop runs on those
+        t = g.dt * np.arange(n) if kind == "epoch" else g.points
         for window in sorted({degree + 1, 2 * (degree + 1), 25, n}):
             # square and nearly square systems carry the loop's own rounding
             tol = 1e-12 if window >= 2 * (degree + 1) else 1e-9
@@ -407,7 +426,7 @@ class TestPolydiffAgainstLoop:
                     weights = None if wk is None else _kernel_weights("gaussian", window, 5.0)
                     got, warned = self._run(lambda: polydiff(s, window, stride, degree, wk))
                     ref, ref_warned = self._run(
-                        lambda: loop_polydiff(g.points, s.values, window, stride, degree, weights))
+                        lambda: loop_polydiff(t, s.values, window, stride, degree, weights))
                     assert warned == ref_warned
                     for a, b in zip((got.smoothed, got.derivative), ref):
                         np.testing.assert_allclose(a, b, rtol=0, atol=tol * np.max(np.abs(b)),

@@ -542,7 +542,8 @@ class TestAutotune:
     # butter and spline when their one continuous parameter moved to the grid and
     # Brent search; kernel when it dropped its window parameter for the blur's
     # 2 ceil(4 sigma) + 1; fourier, iterated_fd, poly and savgol when Nelder-Mead
-    # moved to scipy's, which kept fourier's and iterated_fd's phi and loss bits.
+    # moved to scipy's, which kept fourier's and iterated_fd's phi and loss bits; poly's
+    # loss bits again when a uniform grid's windows came to share one fit (same phi, counts).
     GOLDEN = {
         "butter": ({"cutoff_hz": 6.399358731675087, "order": 2}, "0x1.970ef7e4c23e9p-4",
                    77, 77, 0),
@@ -550,7 +551,7 @@ class TestAutotune:
         "fourier": ({"keep_modes": 69, "pad": 50}, "0x1.9fe751253dbcdp-4", 137, 29, 0),
         "iterated_fd": ({"iterations": 14, "order": 2}, "0x1.9dde016b0d1d2p-4", 135, 27, 0),
         "kernel": ({"sigma": 2.6875556124205735}, "0x1.a0730d975a4b3p-4", 73, 73, 0),
-        "poly": ({"degree": 5, "window": 77}, "0x1.b0bc405f9efaap-4", 192, 60, 0),
+        "poly": ({"degree": 5, "window": 77}, "0x1.b0bc405f9efb6p-4", 192, 60, 0),
         "savgol": ({"degree": 4, "post_smooth_sigma": 2.8062914821122704, "window": 5},
                    "0x1.9a48c9a0d3258p-4", 240, 237, 0),
         "spline": ({"degree": 3, "iterations": 1, "lam": 4.572874357092328e-05},
