@@ -4,7 +4,7 @@ Commands: ``diff`` (differentiate a CSV), ``tune`` (pick hyperparameters),
 ``simulate`` (generate benchmark data), ``bench`` (run a sweep), and
 ``spectrum`` (power spectrum diagnostic). Every output file is accompanied
 by a JSON manifest recording the command, inputs, parameters, seed, tool
-version, and timestamp.
+version, and timestamp; ``diff``'s also holds the method's scalar solver flags.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numeric
 failure, 5 partial benchmark failure.
@@ -135,9 +135,12 @@ def cmd_diff(args) -> int:
     _write_csv(args.out, ["t", "y", "x_hat", "dxdt"],
                [signal.t, signal.values, np.asarray(result.smoothed),
                 np.asarray(result.derivative)])
+    # a nested flag is output, not a diagnostic: spline's knots and coefficients, which phi
+    # reproduces, would take ~25 ms of JSON at N = 1e4
+    flags = {k: v for k, v in result.flags.items() if not isinstance(v, dict)}
     _write_manifest(args.out, {"command": "diff", "input": args.input,
-                               "method": args.method, "phi": phi,
-                               "nu": args.nu, "seed": None})
+                               "method": args.method, "phi": phi, "nu": args.nu,
+                               "flags": flags, "seed": None})
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ callers who want to re-check a signal themselves.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -21,6 +22,8 @@ from scipy.linalg import get_lapack_funcs
 
 #: Relative tolerance used to decide whether a grid is uniformly spaced.
 UNIFORM_RTOL = 1e-9
+#: Environment variable capping the worker processes of the sweep and of the tuner.
+WORKERS_ENV = "DERIVKIT_WORKERS"
 
 
 class ValidationError(ValueError):
@@ -44,6 +47,27 @@ def _require_finite_settings(**settings: float | None) -> None:
     for name, value in settings.items():
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def _worker_count(requested: int | None) -> int:
+    """Worker processes to run: the CPUs this process may use (its affinity mask, where the
+    platform has one), capped by ``requested`` and by ``DERIVKIT_WORKERS``; at least one.
+    A ``DERIVKIT_WORKERS`` that is not an integer >= 1 is refused."""
+    env = os.environ.get(WORKERS_ENV)
+    if env:
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+        if cap < 1:
+            raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {env!r}")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
+    if requested is not None:
+        cap = min(cap, requested)
+    return max(cap, 1)
 
 
 def _as_float_array(values, name: str) -> np.ndarray:

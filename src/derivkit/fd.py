@@ -17,6 +17,7 @@ are solved once per call.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -45,6 +46,15 @@ CONDITION_LIMIT = 1e12
 ITERATE_STRIDE = 8
 
 
+def _derivative_order(nu) -> int:
+    """``nu`` as an int, refused with a ValidationError unless it is a whole number >= 1."""
+    if not (isinstance(nu, numbers.Real) and float(nu).is_integer()):
+        raise ValidationError(f"derivative order must be an integer, got {nu!r}")
+    if nu < 1:
+        raise ValidationError(f"derivative order must be >= 1, got {nu}")
+    return int(nu)
+
+
 @dataclass(frozen=True)
 class Stencil:
     """Sample offsets combined linearly to approximate a derivative.
@@ -59,10 +69,9 @@ class Stencil:
     def __post_init__(self):
         offs = tuple(float(s) for s in self.offsets)
         object.__setattr__(self, "offsets", offs)
+        object.__setattr__(self, "nu", _derivative_order(self.nu))
         for s in offs:
             _require_finite_settings(offsets=s)
-        if self.nu < 1:
-            raise ValidationError(f"derivative order must be >= 1, got {self.nu}")
         if len(offs) <= self.nu:
             raise ValidationError(
                 f"stencil length {len(offs)} must exceed derivative order {self.nu}"
@@ -222,8 +231,9 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
     edge points fall back to one-sided second-order schemes and near-edge
     points shrink the centered stencil rather than grow a one-sided one.
     Irregular grids take one batched Vandermonde solve over the interior
-    windows, in units of the independent variable.
+    windows, in units of the independent variable. ``nu`` must be a whole number >= 1.
     """
+    nu = _derivative_order(nu)
     y = signal.values
     plan = _fd_plan(len(y), nu, order, signal.grid.dt, signal.grid.points)
     return DerivativeResult(smoothed=y, derivative=plan.apply(y), method="fd",

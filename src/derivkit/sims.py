@@ -14,14 +14,13 @@ execution order and parallelism.
 from __future__ import annotations
 
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, Signal, ValidationError, _require_finite_settings
+from .core import Grid, Signal, ValidationError, _require_finite_settings, _worker_count
 from .methods import apply_method, get_method
 from .tune import TuneSpec, autotune, error_correlation, rmse, seeded_stream, stable_key
 
@@ -30,8 +29,6 @@ CASE_NAMES = ("sine_sum", "triangles", "cruise_control", "lti_second_order",
 NOISE_FAMILIES = ("normal", "laplace", "uniform")
 SWEEP_AXES = ("outliers", "noise_type", "noise_scale", "dt", "cutoff_f")
 
-#: Environment variable capping benchmark worker processes.
-WORKERS_ENV = "DERIVKIT_WORKERS"
 #: RK4 micro-steps per sample step in the simulations that integrate an ODE.
 RK4_SUBSTEPS = 10
 #: Outlier injection corrupts 1% of the samples, so it needs at least this many.
@@ -297,17 +294,6 @@ def _run_cell(task: dict) -> dict:
     except Exception as exc:  # cell failures are recorded, the sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
-
-
-def _worker_count(requested: int | None) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if requested is not None:
-        cap = min(cap, requested)
-    return max(cap, 1)
 
 
 def benchmark_sweep(methods, cases, axis: str, values, seeds: int,

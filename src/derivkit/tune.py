@@ -7,9 +7,15 @@ lands near the Pareto front of the (RMSE, error-correlation) plane.
 
 A method whose one tunable parameter is continuous (``kernel``, ``butter``,
 ``spline``, ``tvr``, ``rts``) is searched by a grid and bounded Brent searches;
-every other method (two or more tunable parameters, or one integer one:
-``fd``, ``fourier``, ``iterated_fd``) by scipy's Nelder-Mead from several
-seeded starts, each held to an exact evaluation budget.
+every other method, with one integer parameter (``fd``, ``fourier``,
+``iterated_fd``) or two or more (``savgol``, ``poly``, ``rbf``, ``robust``,
+``smooth_accel_tvr``), by scipy's Nelder-Mead from several seeded starts, each
+held to an exact evaluation budget. The starts are independent, so they run
+split among forked processes, one per usable CPU up to ``DERIVKIT_WORKERS``,
+with results identical to running them one after another: every start point
+is drawn first, and the results are merged in start order. The search stays
+in one process for a single start, off Linux, inside a ``multiprocessing``
+worker such as the benchmark sweep's, or while other Python threads run.
 
 Two things keep one evaluation cheap without changing a bit of its loss. Each
 search passes one stage memo to every run of the method, so ``iterated_fd``
@@ -25,8 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
+import pickle
 import sys
+import threading
+import warnings
 from dataclasses import dataclass
+from signal import SIGKILL
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -38,6 +50,7 @@ from .core import (
     ValidationError,
     _cumtrapz,
     _require_finite_settings,
+    _worker_count,
     total_variation,
 )
 from .methods import _bounded_params, get_method, resolve
@@ -246,9 +259,10 @@ class TuneSpec:
     declared to contain outliers.
 
     Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each making
-    at most ``max_evals`` evaluations. The one-parameter grid and Brent search
-    draws nothing, so ``seed`` does not affect it. Either way a search makes at
-    most ``starts * max_evals`` evaluations in all.
+    at most ``max_evals`` evaluations; the starts may run in forked processes
+    (see :func:`autotune`), which changes no result. The one-parameter grid and
+    Brent search draws nothing, so ``seed`` does not affect it. Either way a
+    search makes at most ``starts * max_evals`` evaluations in all.
     """
 
     cutoff_hz: float = 3.0
@@ -269,20 +283,79 @@ class TuneSpec:
         return 2.0 if self.outliers else 6.0
 
 
-def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals: int,
-                 rng: np.random.Generator):
-    """scipy's Nelder-Mead from ``starts`` points drawn uniformly in the box ``[lo_t, hi_t]``.
+def _start_processes(starts: int) -> int:
+    """How many processes a search's ``starts`` run in: :func:`~derivkit.core._worker_count`
+    of them, or one on a platform other than Linux, inside a ``multiprocessing`` worker
+    (such as :func:`~derivkit.sims.benchmark_sweep`'s, whose pool already fills the CPUs),
+    or while another Python thread is alive, which a forked child would lack."""
+    processes = _worker_count(starts)
+    if (processes == 1 or sys.platform != "linux" or threading.active_count() > 1
+            or multiprocessing.parent_process() is not None):
+        return 1
+    return processes
 
-    Each start steps ``0.15 * (hi_t - lo_t)`` along every axis for its first simplex,
-    uses the standard coefficients (1, 2, 0.5, 0.5), stops once every vertex lies within
-    ``DIAMETER_TOL`` of the best in the infinity norm, and makes at most ``max_evals``
-    evaluations, the first simplex included. Returns the best point evaluated, its f and
-    the evaluations, or (None, inf, evaluations) when every evaluation failed; ties go to
-    the earlier evaluation. The best point is kept here, not taken from scipy's result:
-    a start whose budget runs out right after a reflection ends without that point in
-    its simplex, even when it beat every vertex.
-    """
-    best_x, best_loss, total_evals = None, sys.float_info.max, 0
+
+def _fork_map(run, count: int, processes: int) -> list:
+    """``[run(i) for i in range(count)]``, split among this process and ``processes - 1``
+    forked children: child ``k`` runs every ``processes``-th ``i`` from ``k``, this process
+    those from 0. Each child sends its results back pickled through a pipe and exits; once
+    every child is reaped, each ``i`` that no child reported (it died, or ``run`` raised) is
+    run here, in order, so the results and any exception are the serial loop's. No child
+    outlives the call."""
+    results, children = {}, []
+    try:
+        for k in range(1, processes):
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # from Python 3.12 fork warns of any OS thread; with no Python thread
+                    # alive, those are the BLAS pool's, which OpenBLAS stops before a fork
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump({i: run(i) for i in range(k, count, processes)}, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        for i in range(0, count, processes):
+            try:
+                results[i] = run(i)
+            except Exception:  # raised again below, after every earlier i
+                pass
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status == 0:
+                results.update(pickle.loads(payload))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[i] if i in results else run(i) for i in range(count)]
+
+
+def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, max_evals: int):
+    """One start of scipy's Nelder-Mead from ``x0``, its first simplex stepping ``step``
+    along each axis. Returns the best point evaluated, its f and the evaluations, or
+    (None, the largest float, evaluations) when every evaluation failed; ties go to the
+    earlier evaluation. The best point is kept here, not taken from scipy's result: a
+    start whose budget runs out right after a reflection ends without that point in its
+    simplex, even when it beat every vertex."""
+    best_x, best_loss = None, sys.float_info.max
 
     def finite(x: np.ndarray) -> float:
         nonlocal best_x, best_loss
@@ -293,12 +366,42 @@ def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals:
             best_x, best_loss = x, float(loss)
         return loss
 
-    for _ in range(starts):
-        x0 = rng.uniform(lo_t, hi_t)
-        res = minimize(finite, x0, method="Nelder-Mead", options={
-            "initial_simplex": np.vstack([x0, x0 + np.diag(0.15 * (hi_t - lo_t))]),
-            "maxfev": max_evals, "xatol": DIAMETER_TOL, "fatol": math.inf})
-        total_evals += res.nfev
+    res = minimize(finite, x0, method="Nelder-Mead", options={
+        "initial_simplex": np.vstack([x0, x0 + np.diag(step)]),
+        "maxfev": max_evals, "xatol": DIAMETER_TOL, "fatol": math.inf})
+    return best_x, best_loss, res.nfev
+
+
+def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals: int,
+                 rng: np.random.Generator, log: list | None = None, processes: int = 1):
+    """scipy's Nelder-Mead from ``starts`` points drawn uniformly in the box ``[lo_t, hi_t]``.
+
+    Each start steps ``0.15 * (hi_t - lo_t)`` along every axis for its first simplex,
+    uses the standard coefficients (1, 2, 0.5, 0.5), stops once every vertex lies within
+    ``DIAMETER_TOL`` of the best in the infinity norm, and makes at most ``max_evals``
+    evaluations, the first simplex included (:func:`_nelder_mead`). Returns the best point
+    evaluated, its f and the evaluations, or (None, inf, evaluations) when every
+    evaluation failed; ties go to the earlier evaluation.
+
+    Every start point is drawn first; the starts then run in ``processes`` processes
+    (:func:`_fork_map`), each with its own copy of whatever ``fn`` keeps. ``log``, a list
+    that ``fn`` appends to, ends up holding each start's entries in start order, as when
+    the starts run one after another here.
+    """
+    x0s = [rng.uniform(lo_t, hi_t) for _ in range(starts)]
+    entries = [] if log is None else log
+
+    def run(i: int):
+        n = len(entries)
+        return *_nelder_mead(fn, x0s[i], 0.15 * (hi_t - lo_t), max_evals), entries[n:]
+
+    best_x, best_loss, total_evals, merged = None, sys.float_info.max, 0, []
+    for x, loss, evals, logged in _fork_map(run, starts, processes):
+        if loss < best_loss:
+            best_x, best_loss = x, loss
+        total_evals += evals
+        merged += logged
+    entries[:] = merged
     return best_x, best_loss if best_x is not None else math.inf, total_evals
 
 
@@ -381,19 +484,32 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     with the lowest loss. Evaluations that raise count as an infinite loss;
     ``info`` reports the search that ran (``"grid+brent"`` or
     ``"nelder-mead"``), the evaluation count, the number of distinct
-    canonical parameter sets, the number of failed evaluations and the
-    first few failure reasons.
+    canonical parameter sets, the number of failed evaluations, the
+    first few failure reasons and how many processes the search ran in.
 
-    Each distinct canonical parameter set is run and scored once; a repeat is
-    served from a memo of its loss (or failure reason) and still counts as an
-    evaluation, and a repeated failure as a failed evaluation, so the counts
-    mean what they would if every evaluation ran the method. Every run of one
-    search shares one stage memo (see :mod:`derivkit.methods`), which the
-    search drops when it returns: ``iterated_fd`` continues from the nearest
-    stored iterate, and ``savgol`` only re-blurs a stored slope when one of its
-    16 latest ``(window, degree)`` pairs recurs. The loss certifies its Huber location from
-    two breakpoints where it can (:func:`_certified_location`). Neither
-    changes a bit of any loss.
+    Each distinct canonical parameter set is run and scored once per process; a
+    repeat is served from a memo of its loss (or failure reason) and still
+    counts as an evaluation, and a repeated failure as a failed evaluation, so
+    the counts mean what they would if every evaluation ran the method. Every
+    run of one search in one process shares one stage memo (see
+    :mod:`derivkit.methods`), which the search drops when it returns:
+    ``iterated_fd`` continues from the nearest stored iterate, and ``savgol``
+    only re-blurs a stored slope when one of its 16 latest ``(window, degree)``
+    pairs recurs. The loss certifies its Huber location from two breakpoints
+    where it can (:func:`_certified_location`). Neither changes a bit of any
+    loss.
+
+    The Nelder-Mead starts run split among this process and forked children:
+    one process per CPU this process may use, at most ``spec.starts`` and at
+    most ``DERIVKIT_WORKERS``. Each child runs its share of the starts with its
+    own copy of both memos and sends back, per start, the best point, its loss,
+    the evaluation count and each evaluation's parameter set and failure. The
+    reports are merged in start order, and a start no child reported is rerun
+    here, so ``phi`` and every ``info`` entry but ``processes`` are those of a
+    serial search. The search stays serial with one start, one usable CPU or
+    ``DERIVKIT_WORKERS=1``, off Linux, inside a ``multiprocessing`` worker (such
+    as :func:`~derivkit.sims.benchmark_sweep`'s), and while another Python
+    thread is alive. No child outlives the call.
     """
     spec = spec or TuneSpec()
     mspec = get_method(method)
@@ -414,7 +530,7 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
             p.name: _untransform(min(max(xi, lo), hi), p.scale, p.lo, p.hi)
             for p, xi, lo, hi in zip(params, x, lo_t, hi_t)})
 
-    failures: list[str] = []
+    log: list[tuple[tuple, str | None]] = []  # (canonical phi, failure) per evaluation
     memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
     stages: dict = {}  # the method's own stage memo, shared by every run of this search
 
@@ -430,19 +546,19 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
             else:
                 memo[key] = (loss if math.isfinite(loss) else math.inf), None
         loss, failure = memo[key]
-        if failure is not None:
-            failures.append(failure)
+        log.append((key, failure))
         return loss
 
     if len(params) == 1 and params[0].scale != "integer":
-        search = "grid+brent"
+        search, processes = "grid+brent", 1
         best_x, best_loss, total_evals = _grid_brent(
             objective, lo_t[0], hi_t[0], spec.starts * spec.max_evals)
     else:
-        search = "nelder-mead"
+        search, processes = "nelder-mead", _start_processes(spec.starts)
         best_x, best_loss, total_evals = _multi_start(
             objective, lo_t, hi_t, spec.starts, spec.max_evals,
-            seeded_stream(spec.seed, "autotune", method))
+            seeded_stream(spec.seed, "autotune", method), log, processes)
+    failures = [failure for _, failure in log if failure is not None]
     if best_x is None or not math.isfinite(best_loss):
         detail = "; ".join(failures[-FAILURE_REASONS:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")
@@ -451,8 +567,9 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
         method=method,
         phi=to_phi(best_x),
         info={"loss": best_loss, "gamma": gamma, "m": m,
-              "evaluations": total_evals, "distinct_evaluations": len(memo),
+              "evaluations": total_evals,
+              "distinct_evaluations": len({key for key, _ in log}),
               "failed_evaluations": len(failures),
               "failure_reasons": failures[:FAILURE_REASONS], "search": search,
-              "seed": spec.seed},
+              "processes": processes, "seed": spec.seed},
     )

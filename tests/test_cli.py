@@ -107,6 +107,32 @@ class TestDiff:
                      "--out", str(again)]) == 0
         assert again.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("nu", ["0", "-1"])
+    def test_fd_order_below_one_exits_3(self, tmp_path, sine_csv, capsys, nu):
+        code = main(["diff", str(sine_csv), "--method", "fd", "--nu", nu,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert f"derivative order must be >= 1, got {nu}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, keys", [
+        ("tvr", ["converged", "duality_gap", "iterations", "lu_steps", "objective"]),
+        ("smooth_accel_tvr", ["converged", "duality_gap", "iterations", "lu_steps",
+                              "objective"]),
+        ("robust", ["converged", "iterations", "objective"]),
+        ("spline", []),  # its one flag is the fit itself, which phi reproduces
+        ("fd", []),
+        ("savgol", [])])
+    def test_manifest_records_the_solver_flags(self, tmp_path, sine_csv, method, keys):
+        out = tmp_path / "o.csv"
+        assert main(["diff", str(sine_csv), "--method", method, "--out", str(out)]) == 0
+        flags = json.loads((tmp_path / "o.csv.manifest.json").read_text())["flags"]
+        assert sorted(flags) == keys
+        signal = Signal.from_arrays(*read_csv(sine_csv)[1].T)
+        want = apply_method(method, signal).flags
+        assert flags == {k: want[k] for k in keys}
+        if "converged" in keys:
+            assert flags["converged"] is True and flags["iterations"] >= 1
+
     def test_unsorted_t_exits_3(self, tmp_path):
         path = tmp_path / "bad.csv"
         with open(path, "w") as fh:
@@ -167,6 +193,28 @@ class TestTune:
             assert code == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_json_identical_with_and_without_a_worker_cap(self, tmp_path, sine_csv,
+                                                          monkeypatch, method):
+        texts = []
+        for workers in ("1", None):
+            if workers is None:
+                monkeypatch.delenv("DERIVKIT_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("DERIVKIT_WORKERS", workers)
+            out = tmp_path / f"{workers}.json"
+            assert main(["tune", str(sine_csv), "--method", method, "--starts", "3",
+                         "--max-evals", "20", "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_worker_variable_below_one_exits_3(self, tmp_path, sine_csv, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("DERIVKIT_WORKERS", "0")
+        assert main(["tune", str(sine_csv), "--method", "savgol",
+                     "--out", str(tmp_path / "t.json")]) == 3
+        assert "DERIVKIT_WORKERS must be >= 1, got '0'" in capsys.readouterr().err
 
     def test_gamma_recorded(self, tmp_path, sine_csv):
         out = tmp_path / "t.json"

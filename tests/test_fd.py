@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from derivkit import (
     Stencil,
     UnsupportedMethodError,
     ValidationError,
+    apply_method,
     fd_derivative,
     irregular_coefficients,
     iterated_fd,
@@ -170,6 +173,30 @@ class TestFdDerivative:
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             fd_derivative(Signal(Grid.regular(2, 1.0), np.zeros(2)), nu=1, order=2)
+
+    @pytest.mark.parametrize("nu, message", [
+        (0, "derivative order must be >= 1, got 0"),
+        (-1, "derivative order must be >= 1, got -1"),
+        (2.5, "derivative order must be an integer, got 2.5"),
+        (np.nan, "derivative order must be an integer, got nan")])
+    def test_order_below_one_or_fractional_refused(self, nu, message):
+        # nu = 0 returned the input as its derivative, -1 died in math.factorial, and 2.5
+        # raised a TypeError
+        s = Signal(Grid.regular(50, 0.1), np.sin(0.1 * np.arange(50)))
+        for run in (lambda: fd_derivative(s, nu=nu), lambda: apply_method("fd", s, nu=nu),
+                    lambda: Stencil((-1, 0, 1), nu)):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                run()
+
+    def test_whole_orders_given_as_other_types_are_ints(self):
+        s = Signal(Grid.regular(50, 0.1), np.sin(0.1 * np.arange(50)))
+        want = fd_derivative(s, nu=2).derivative
+        for nu in (2.0, np.int64(2)):
+            r = fd_derivative(s, nu=nu)
+            assert type(r.phi["nu"]) is int and np.array_equal(r.derivative, want)
+        # True is 1: it used to index the Vandermonde right-hand side as a mask
+        assert np.array_equal(fd_derivative(s, nu=True).derivative,
+                              fd_derivative(s, nu=1).derivative)
 
     def test_irregular_matches_uniform_when_equispaced(self):
         # same values presented as an irregular grid must agree exactly

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -309,6 +310,21 @@ class TestBenchmarkSweep:
         assert _worker_count(4) == 1
         monkeypatch.setenv("DERIVKIT_WORKERS", "3")
         assert _worker_count(2) == 2 and _worker_count(None) == 3
+
+    @pytest.mark.parametrize("env", ["0", "-3"])
+    def test_worker_variable_below_one_refused(self, monkeypatch, env):
+        monkeypatch.setenv("DERIVKIT_WORKERS", env)
+        with pytest.raises(ValidationError, match=f"DERIVKIT_WORKERS must be >= 1, got '{env}'"):
+            _worker_count(None)
+        with pytest.raises(ValidationError, match="DERIVKIT_WORKERS must be >= 1"):
+            benchmark_sweep(["savgol"], ["sine_sum"], "noise_scale", [1.0], seeds=1)
+
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch):
+        # the affinity mask, not the machine's CPU count
+        monkeypatch.delenv("DERIVKIT_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert _worker_count(None) == 2 and _worker_count(1) == 1
 
     def test_failures_recorded_not_raised(self):
         # chebyshev-style failure: fourier methods reject irregular grids, but

@@ -1,7 +1,10 @@
 import itertools
 import math
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -448,7 +451,8 @@ class TestNelderMead:
     def test_returns_the_best_point_evaluated(self, monkeypatch, method, name):
         # in both, a start's budget ran out right after a reflection that beat every vertex,
         # so scipy's result left it out: loss 0.096756 after 0.096433 was evaluated (savgol),
-        # 0.12366 after 0.12003 (poly)
+        # 0.12366 after 0.12003 (poly). One process, so every loss lands in the closure.
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
         losses = []
         search = tune._multi_start
         monkeypatch.setattr(tune, "_multi_start", lambda fn, *args: search(
@@ -532,6 +536,7 @@ class TestAutotune:
             return base.run(signal, phi, nu, memo)
 
         monkeypatch.setitem(methods._REGISTRY, "poly", replace(base, run=counted))
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")  # every run lands in this process's list
         s, _ = noisy_sine(n=200, seed=6)
         info = autotune("poly", s, TuneSpec(starts=2, max_evals=60, seed=0)).info
         assert len(runs) == len(set(runs)) == info["distinct_evaluations"]
@@ -648,6 +653,178 @@ class TestAutotune:
         tuned = apply_method("savgol", s, config.phi)
         default = apply_method("savgol", s, {})
         assert rmse(tuned.derivative, deriv) <= rmse(default.derivative, deriv) * 1.05
+
+
+def _tune_report(config) -> tuple:
+    """Everything ``autotune`` returns but the process count, with the loss as hex."""
+    info = dict(config.info)
+    del info["processes"]
+    return config.phi, info.pop("loss").hex(), info
+
+
+def _forking(monkeypatch, processes=3):
+    """Split every Nelder-Mead search among up to ``processes`` processes, whatever the
+    CPU count."""
+    monkeypatch.delenv("DERIVKIT_WORKERS", raising=False)
+    monkeypatch.setattr(tune, "_start_processes", lambda starts: min(starts, processes))
+
+
+class TestParallelStarts:
+    """Nelder-Mead starts split among forked processes give the serial search's result."""
+
+    GOLDENS = [(method, False) for method in sorted(TestAutotune.GOLDEN)] + [
+        (method, True) for method in sorted(TestAutotune.GOLDEN_OUTLIERS)]
+
+    @pytest.mark.parametrize("workers", ["1", None])
+    @pytest.mark.parametrize("method, outliers", GOLDENS)
+    def test_goldens_hold_with_and_without_a_worker_cap(self, monkeypatch, method, outliers,
+                                                        workers):
+        if workers is None:
+            monkeypatch.delenv("DERIVKIT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("DERIVKIT_WORKERS", workers)
+        config = autotune(method, noisy_sine()[0],
+                          TuneSpec(outliers=outliers, starts=3, max_evals=80, seed=0))
+        info = config.info
+        golden = (TestAutotune.GOLDEN_OUTLIERS if outliers else TestAutotune.GOLDEN)[method]
+        assert (config.phi, info["loss"].hex(), info["evaluations"],
+                info["distinct_evaluations"], info["failed_evaluations"]) == golden
+        processes = 1 if workers or info["search"] == "grid+brent" else min(
+            3, len(os.sched_getaffinity(0)))
+        assert info["processes"] == processes
+
+    @pytest.mark.parametrize("method", ["fd", "fourier", "iterated_fd", "poly", "savgol",
+                                        "rbf", "robust", "smooth_accel_tvr"])
+    def test_every_nelder_mead_method_matches_one_process(self, monkeypatch, method):
+        s, _ = noisy_sine(n=120, seed=3)
+        spec = TuneSpec(starts=4, max_evals=12, seed=5)
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        serial = autotune(method, s, spec)
+        _forking(monkeypatch)
+        forked = autotune(method, s, spec)
+        assert (serial.info["processes"], forked.info["processes"]) == (1, 3)
+        assert _tune_report(forked) == _tune_report(serial)
+
+    def test_failure_reasons_match_one_process(self, monkeypatch):
+        from dataclasses import replace
+
+        from derivkit import methods
+
+        base = methods.get_method("savgol")
+
+        def flaky(signal, phi, nu, memo):
+            if phi["post_smooth_sigma"] > 5.0:
+                raise NumericError(f"post_smooth_sigma={phi['post_smooth_sigma']:g} refused")
+            return base.run(signal, phi, nu, memo)
+
+        def broken(signal, phi, nu, memo):
+            raise NumericError(f"window={phi['window']} refused")
+
+        monkeypatch.setitem(methods._REGISTRY, "flaky_savgol", replace(base, run=flaky))
+        monkeypatch.setitem(methods._REGISTRY, "broken_savgol", replace(base, run=broken))
+        s, _ = noisy_sine(n=200, seed=5)
+        spec = TuneSpec(starts=4, max_evals=40, seed=1)
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        serial = autotune("flaky_savgol", s, spec)
+        with pytest.raises(NumericError) as serial_error:
+            autotune("broken_savgol", s, spec)
+        _forking(monkeypatch)
+        assert _tune_report(autotune("flaky_savgol", s, spec)) == _tune_report(serial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as forked_error:
+                autotune("broken_savgol", s, spec)
+        assert str(forked_error.value) == str(serial_error.value)
+        assert str(serial_error.value).count("refused") == 3
+
+    def test_a_child_that_dies_before_reporting_changes_nothing(self, monkeypatch):
+        s, _ = noisy_sine(n=200, seed=2)
+        spec = TuneSpec(starts=5, max_evals=30, seed=4)
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        serial = autotune("savgol", s, spec)
+        parent, search = os.getpid(), tune._nelder_mead
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return search(*args)
+
+        _forking(monkeypatch)
+        monkeypatch.setattr(tune, "_nelder_mead", dying)
+        forked = autotune("savgol", s, spec)
+        assert forked.info["processes"] == 3
+        assert _tune_report(forked) == _tune_report(serial)
+
+    def test_the_earliest_start_to_raise_raises(self, monkeypatch):
+        # in two processes start 1 runs in the child and start 2 here, and as in a serial
+        # search, start 1's exception is the one raised
+        x0s = list(np.random.default_rng(0).uniform(np.zeros(2), np.ones(2), (3, 2)))
+        search = tune._nelder_mead
+
+        def raising(fn, x0, step, max_evals):
+            i = next(k for k, x in enumerate(x0s) if np.array_equal(x, x0))
+            if i:
+                raise RuntimeError(f"start {i}")
+            return search(fn, x0, step, max_evals)
+
+        monkeypatch.setattr(tune, "_nelder_mead", raising)
+        with pytest.raises(RuntimeError, match="start 1"):
+            tune._multi_start(lambda x: float(x @ x), np.zeros(2), np.ones(2), 3, 10,
+                              np.random.default_rng(0), None, 2)
+
+    def test_no_child_outlives_autotune(self):
+        # a fresh interpreter owns no other children, so any left over would be reaped here
+        script = textwrap.dedent("""
+            import os
+            import numpy as np
+            from derivkit import Grid, NumericError, Signal, TuneSpec, autotune, tune
+            tune._start_processes = lambda starts: min(starts, 3)
+            t = 0.01 * np.arange(200)
+            s = Signal(Grid(t), np.sin(t) + 0.1 * np.random.default_rng(0).standard_normal(200))
+            spec = TuneSpec(starts=4, max_evals=20)
+            assert autotune("savgol", s, spec).info["processes"] == 3
+            search, parent = tune._nelder_mead, os.getpid()
+            def dying(*args):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return search(*args)
+            tune._nelder_mead = dying
+            autotune("poly", s, spec)
+            def raising(*args):
+                raise NumericError("refused")
+            tune._nelder_mead = raising
+            try:
+                autotune("poly", s, spec)
+            except NumericError:
+                pass
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no children")
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "no children"
+
+    def test_serial_inside_a_sweep_worker(self, monkeypatch):
+        # each cell reports its search's process count as its failure
+        from derivkit import sims
+
+        real = sims.autotune
+
+        def reporting(method, signal, spec):
+            raise RuntimeError(f"processes={real(method, signal, spec).info['processes']}")
+
+        monkeypatch.delenv("DERIVKIT_WORKERS", raising=False)
+        monkeypatch.setattr(tune, "_worker_count", lambda requested: requested)
+        monkeypatch.setattr(sims, "_worker_count", lambda requested: 2)
+        monkeypatch.setattr(sims, "autotune", reporting)
+        table = sims.benchmark_sweep(["savgol"], ["sine_sum"], "noise_scale", [1.0, 2.0],
+                                     seeds=1, starts=3, max_evals=10)
+        assert [f for cell in table for f in cell["failures"]] == [
+            "RuntimeError: processes=1"] * 2
 
 
 def _nelder_mead_search(method, spec):
