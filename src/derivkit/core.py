@@ -49,6 +49,20 @@ def _require_finite_settings(**settings: float | None) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int. A bool, a fractional or non-finite number, a non-number and a
+    whole number outside ``[lo, hi]`` are refused by ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and value.is_integer())):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if hi is not None and not lo <= value <= hi:
+        raise ValidationError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    if value < lo:
+        raise ValidationError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
 def _worker_count(requested: int | None) -> int:
     """Worker processes to run: the CPUs this process may use (its affinity mask, where the
     platform has one), capped by ``requested`` and by ``DERIVKIT_WORKERS``; at least one.
@@ -136,7 +150,7 @@ class Grid:
     @staticmethod
     def regular(n: int, dt: float, t0: float = 0.0) -> "Grid":
         """Uniform grid of ``n`` points spaced ``dt`` starting at ``t0``."""
-        return Grid(t0 + dt * np.arange(n))
+        return Grid(t0 + dt * np.arange(_require_int("n", n, 2)))
 
 
 @dataclass(frozen=True)

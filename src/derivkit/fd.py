@@ -17,7 +17,6 @@ are solved once per call.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from .core import (
     ValidationError,
     _cumtrapz,
     _require_finite_settings,
+    _require_int,
     _require_uniform,
 )
 
@@ -44,15 +44,6 @@ from .core import (
 CONDITION_LIMIT = 1e12
 #: ``_iterated_fd`` keeps every ``ITERATE_STRIDE``-th iterate in its memo for later calls.
 ITERATE_STRIDE = 8
-
-
-def _derivative_order(nu) -> int:
-    """``nu`` as an int, refused with a ValidationError unless it is a whole number >= 1."""
-    if not (isinstance(nu, numbers.Real) and float(nu).is_integer()):
-        raise ValidationError(f"derivative order must be an integer, got {nu!r}")
-    if nu < 1:
-        raise ValidationError(f"derivative order must be >= 1, got {nu}")
-    return int(nu)
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,7 @@ class Stencil:
     def __post_init__(self):
         offs = tuple(float(s) for s in self.offsets)
         object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "nu", _derivative_order(self.nu))
+        object.__setattr__(self, "nu", _require_int("derivative order", self.nu, 1))
         for s in offs:
             _require_finite_settings(offsets=s)
         if len(offs) <= self.nu:
@@ -133,7 +124,7 @@ def irregular_coefficients(distances, nu: int) -> np.ndarray:
     for x in d:
         _require_finite_settings(distances=x)
     stencil = Stencil(tuple(d), nu)  # validates distinctness and length
-    return _vandermonde_solve(np.asarray(stencil.offsets), nu, 1.0)
+    return _vandermonde_solve(np.asarray(stencil.offsets), stencil.nu, 1.0)
 
 
 def _effective_order(size: int, nu: int) -> int:
@@ -199,8 +190,6 @@ def _read_only(plan: _FdPlan) -> _FdPlan:
 def _fd_plan(n_points: int, nu: int, order: int, dt: float | None, t=None) -> _FdPlan:
     """The plan on a uniform grid of step ``dt`` (stencils in steps, scaled by
     ``dt^-nu``; cached, read-only), or, for ``dt=None``, on the irregular points ``t``."""
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
     if dt is not None:
         return _uniform_plan(n_points, nu, order, dt)
     h, edges = _edge_plan(n_points, nu, order)
@@ -233,7 +222,7 @@ def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResu
     Irregular grids take one batched Vandermonde solve over the interior
     windows, in units of the independent variable. ``nu`` must be a whole number >= 1.
     """
-    nu = _derivative_order(nu)
+    nu, order = _require_int("derivative order", nu, 1), _require_int("order", order, 1)
     y = signal.values
     plan = _fd_plan(len(y), nu, order, signal.grid.dt, signal.grid.points)
     return DerivativeResult(smoothed=y, derivative=plan.apply(y), method="fd",
@@ -277,8 +266,7 @@ def _iterated_fd(signal: Signal, order: int, iterations: int, memo: dict) -> Der
     25 arrays. Each pass is the same arithmetic, so the result keeps every bit.
     """
     dt = _require_uniform(signal, "iterated_fd")
-    if iterations < 0:
-        raise ValidationError(f"iterations must be >= 0, got {iterations}")
+    order, iterations = _require_int("order", order, 1), _require_int("iterations", iterations, 0)
     if iterations and len(signal) < (needed := max(2 * _centered_halfwidth(1, order) + 1, 5)):
         raise ValidationError(f"iterated_fd needs at least {needed} samples")
     plan, smoothing = _iterated_plans(len(signal), order, dt)

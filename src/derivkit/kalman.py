@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import (DerivativeResult, NumericError, Signal, ValidationError,
-                   _require_finite_settings, _solve_banded)
+                   _require_finite_settings, _require_int, _solve_banded)
 
 _PSD_SLACK = 1e-10
 
@@ -146,8 +146,9 @@ class RobustSpec:
                                  huber_m_measurement=self.huber_m_measurement, tol=self.tol)
         if self.huber_m_process <= 0 or self.huber_m_measurement <= 0:
             raise ValidationError("Huber radii must be positive")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValidationError("tol must be > 0 and max_iter >= 1")
+        if self.tol <= 0:
+            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        object.__setattr__(self, "max_iter", _require_int("max_iter", self.max_iter, 1))
 
 
 class KalmanTrack(NamedTuple):
@@ -372,6 +373,7 @@ def constant_derivative_model(nu: int, dt: float, q: float, r: float,
     _require_finite_settings(dt=dt, q=q, r=r)
     if dt <= 0 or q <= 0 or r <= 0:
         raise ValidationError("dt, q, and r must be positive")
+    nu = _check_chain(nu, q)
     d = nu + 1
     A, Q = _integrator_chain(nu, [dt], q)
     C = np.zeros((1, d))
@@ -382,11 +384,10 @@ def constant_derivative_model(nu: int, dt: float, q: float, r: float,
                                R=np.array([[r]]), x0=x0, P0=10.0 * np.eye(d))
 
 
-def _check_chain(nu: int, q: float) -> None:
-    if nu not in (1, 2, 3):
-        raise ValidationError(f"nu must be 1, 2, or 3, got {nu}")
+def _check_chain(nu, q: float) -> int:
     if q <= 0:
         raise ValidationError("q must be positive")
+    return _require_int("nu", nu, 1, 3)
 
 
 def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +396,6 @@ def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]
     ``A[i, j] = h^(j-i) / (j-i)!`` on and above the diagonal, and
     ``Q[i, j] = q h^p / ((nu-i)! (nu-j)! p)`` with ``p = 2 nu + 1 - i - j``.
     """
-    _check_chain(nu, q)
     h = np.asarray(steps, dtype=float)[:, None, None]
     i, j = np.indices((nu + 1, nu + 1))
     fact = np.array([math.factorial(k) for k in range(nu + 1)], dtype=float)
@@ -409,7 +409,7 @@ def _integrator_chain(nu: int, steps, q: float) -> tuple[np.ndarray, np.ndarray]
 def constant_derivative_continuous(nu: int, q: float) -> ContinuousModel:
     """Continuous counterpart of the constant-derivative model (integrator chain)."""
     _require_finite_settings(q=q)
-    _check_chain(nu, q)
+    nu = _check_chain(nu, q)
     d = nu + 1
     Ac = np.diag(np.ones(d - 1), k=1)
     Qc = np.zeros((d, d))
@@ -674,6 +674,7 @@ def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> Deri
     (:func:`_map_means`); the covariance-form scans behind :func:`kalman_filter`
     and :func:`rts_smooth` are not run, as no covariance is returned.
     """
+    nu = _check_chain(nu, q)
     A, c, C, Q, R, x0, P0 = _naive_model(signal, nu, q, r)
     xr = _map_means(A, c, C, Q, np.linalg.inv(R), x0, P0, signal.values[:, None])
     return DerivativeResult(
@@ -694,7 +695,7 @@ def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
     each (:func:`_robust_map_core`); ``flags`` report ``converged``,
     ``iterations`` and the ``objective`` of the returned states.
     """
-    spec = spec or RobustSpec()
+    spec, nu = spec or RobustSpec(), _check_chain(nu, q)
     result = _robust_map_core(*_naive_model(signal, nu, q, r), signal.values[:, None], spec)
     return DerivativeResult(
         smoothed=result.states[:, 0],

@@ -146,10 +146,10 @@ def _fd_params(signal: Signal):
     return (ParamSpec("order", 2, 8, "integer", 2),)
 
 
-def _fd_canonical(phi):
-    out = dict(phi)
-    out["order"] = round(phi["order"] / 2) * 2
-    return out
+def _even_order(phi):
+    """An odd accuracy order raised to the even one that runs: the centered stencils reach
+    only even orders (``fd._effective_order``). Every order bound is even."""
+    return {**phi, "order": phi["order"] + phi["order"] % 2}
 
 
 def _fd_run(signal, phi, nu, memo):
@@ -329,9 +329,9 @@ def _robust_run(signal, phi, nu, memo):
 
 
 register(MethodSpec("fd", "finite differences (no smoothing)",
-                    _fd_params, _fd_run, _fd_canonical, supports_nu=True))
+                    _fd_params, _fd_run, _even_order, supports_nu=True))
 register(MethodSpec("iterated_fd", "iterated finite differences (IIR smoothing)",
-                    _ifd_params, _ifd_run))
+                    _ifd_params, _ifd_run, _even_order))
 register(MethodSpec("kernel", "gaussian kernel smoothing + finite differences",
                     _kernel_params, _kernel_run))
 register(MethodSpec("butter", "zero-phase Butterworth smoothing + finite differences",

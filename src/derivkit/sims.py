@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, Signal, ValidationError, _require_finite_settings, _worker_count
+from .core import (Grid, Signal, ValidationError, _require_finite_settings, _require_int,
+                   _worker_count)
 from .methods import apply_method, get_method
 from .tune import TuneSpec, autotune, error_correlation, rmse, seeded_stream, stable_key
 
@@ -322,8 +323,7 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     for case in case_names:
         if case not in CASE_NAMES:
             raise ValidationError(f"cases must be names from {CASE_NAMES}, got {case!r}")
-    if seeds < 1:
-        raise ValidationError(f"seeds must be >= 1, got {seeds!r}")
+    seeds = _require_int("seeds", seeds, 1)
     spec = TuneSpec(cutoff_hz=cutoff_hz, starts=starts, max_evals=max_evals)
     for value in values:  # cells are grouped by value, so each must be a hashable scalar
         if not (value is None or isinstance(value, (str, numbers.Number, np.generic))):

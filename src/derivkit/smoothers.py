@@ -32,6 +32,7 @@ from .core import (
     _band_index,
     _reflect_pad,
     _require_finite_settings,
+    _require_int,
     _require_uniform,
     _solve_banded,
 )
@@ -51,11 +52,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in _KERNEL_KINDS:
             raise ValidationError(f"kernel kind must be one of {_KERNEL_KINDS}, got {self.kind!r}")
-        _require_finite_settings(window=self.window, sigma=self.sigma)
-        if self.window != int(self.window):
-            raise ValidationError(f"window must be an integer, got {self.window}")
-        object.__setattr__(self, "window", int(self.window))
-        if self.window < 3 or self.window % 2 == 0:
+        _require_finite_settings(sigma=self.sigma)
+        object.__setattr__(self, "window", _require_int("window", self.window, 3))
+        if self.window % 2 == 0:
             raise ValidationError(f"window must be odd and >= 3, got {self.window}")
         if self.kind == "gaussian" and self.sigma <= 0:
             raise ValidationError(f"gaussian sigma must be positive, got {self.sigma}")
@@ -210,17 +209,15 @@ def _sosfiltfilt(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
 
 def _butter_design(signal: Signal, order: int, cutoff_hz: float, what: str):
     """Second-order sections of the order-``order`` Butterworth low-pass at ``cutoff_hz``
-    for the signal's uniform grid, and its sampling rate; ``what`` names the caller."""
+    for the signal's uniform grid, its sampling rate and the order as an int; ``what``
+    names the caller."""
     fs = 1.0 / _require_uniform(signal, what)
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    if order != int(order):
-        raise ValidationError(f"order must be an integer, got {order}")
+    order = _require_int("order", order, 1)
     if not 0 < cutoff_hz < fs / 2:
         raise ValidationError(
             f"cutoff must lie in (0, {fs / 2}) Hz for dt={signal.grid.dt}, got {cutoff_hz}"
         )
-    return _butter_sos(int(order), cutoff_hz, fs), fs
+    return _butter_sos(order, cutoff_hz, fs), fs, order
 
 
 def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> DerivativeResult:
@@ -234,7 +231,7 @@ def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> Deriva
     0.16 us per sample and section (x86-64, CPython 3.11): ~3.5 ms at
     N = 1e4 and order 2, where scipy's compiled loop took ~1 ms.
     """
-    sos, fs = _butter_design(signal, order, cutoff_hz, "butterdiff")
+    sos, fs, order = _butter_design(signal, order, cutoff_hz, "butterdiff")
     # Generous odd-extension padding: initial-condition transients decay over
     # several filter time constants before they can reach the data.
     padlen = int(min(len(signal) - 2, max(24, np.ceil(4 * fs / cutoff_hz))))
@@ -294,13 +291,12 @@ def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int
     (center-heavy weighting within each window) is given.
     """
     n = len(signal)
+    degree, window = _require_int("degree", degree, 0), _require_int("window", window, 1)
     if window > n:
         raise ValidationError(f"window {window} exceeds signal length {n}")
     if window < degree + 1:
         raise ValidationError(f"window {window} must be at least degree+1 = {degree + 1}")
-    stride = window // 2 if stride is None else stride
-    if not 1 <= stride <= window:
-        raise ValidationError(f"stride must lie in [1, window], got {stride}")
+    stride = window // 2 if stride is None else _require_int("stride", stride, 1, window)
     t = signal.grid.points
     y = signal.values
 
@@ -338,19 +334,20 @@ def savgol_coefficients(window: int, degree: int) -> tuple[np.ndarray, np.ndarra
     polynomial at the window center; the second row gives its slope per
     sample step.
     """
-    c_value, c_slope = _savgol_rows(window, degree)
+    c_value, c_slope = _savgol_rows(_require_int("window", window, 3),
+                                    _require_int("degree", degree, 0))
     return c_value.copy(), c_slope.copy()
 
 
-@lru_cache(maxsize=128)
+# room for every pair the registry allows (63 odd windows x 8 degrees = 504, ~1 MB of rows)
+@lru_cache(maxsize=512)
 def _savgol_rows(window: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """``savgol_coefficients``' rows, cached and read-only."""
-    if window < 3 or window % 2 == 0:
+    """``savgol_coefficients``' rows for an int window >= 3 and degree >= 0, cached and
+    read-only."""
+    if window % 2 == 0:
         raise ValidationError(f"window must be odd and >= 3, got {window}")
     if degree >= window:
         raise ValidationError(f"degree {degree} must be less than window {window}")
-    if degree < 0:
-        raise ValidationError("degree must be >= 0")
     P = np.linalg.pinv(polyvander(np.arange(window) - window // 2, degree))
     rows = P[0], P[1] if degree >= 1 else np.zeros(window)
     for row in rows:
@@ -385,6 +382,7 @@ def _savgoldiff(signal: Signal, window: int, degree: int, post_smooth_sigma: flo
     pairs in 1264-1442 calls, and the bound makes 217-274 of those calls compute their
     stage, against 131-188 without it."""
     dt = _require_uniform(signal, "savgoldiff")
+    window, degree = _require_int("window", window, 3), _require_int("degree", degree, 0)
     _require_finite_settings(post_smooth_sigma=post_smooth_sigma)
     if post_smooth_sigma is not None and post_smooth_sigma < 0:
         raise ValidationError(f"post_smooth_sigma must be >= 0, got {post_smooth_sigma}")
@@ -427,14 +425,12 @@ class SplineSpec:
     def __post_init__(self):
         if self.mode not in _SPLINE_MODES:
             raise ValidationError(f"mode must be one of {_SPLINE_MODES}, got {self.mode!r}")
-        if self.degree < 1:
-            raise ValidationError(f"degree must be >= 1, got {self.degree}")
+        for name in ("degree", "iterations"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), 1))
         # s = inf is a bound every fit meets, so bound mode returns the least-squares line
         _require_finite_settings(lam=self.lam, s=None if self.s == np.inf else self.s)
         if self.lam < 0 or self.s < 0:
             raise ValidationError("lam and s must be >= 0")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
         if self.mode == "lambda" and self.s != 0.0:
             raise ValidationError("bound s is unused in lambda mode; leave it at 0")
         if self.mode == "bound" and self.lam != 0.0:

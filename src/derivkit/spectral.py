@@ -13,7 +13,7 @@ import numpy as np
 from scipy.fft import dct, idct
 
 from .core import (DerivativeResult, Signal, ValidationError, _reflect_pad,
-                   _require_finite_settings, _require_uniform)
+                   _require_finite_settings, _require_int, _require_uniform)
 
 #: Absolute tolerance (on the [-1, 1] reference interval) for cosine-spaced layouts.
 NODE_TOL = 1e-8
@@ -29,10 +29,6 @@ def _fourier_pass(values: np.ndarray, dt: float, nu: int | None, keep_modes: int
     n = len(values)
     if n < 4:
         raise ValidationError(f"spectral methods need n >= 4, got {n}")
-    if nu is not None and nu < 1:
-        raise ValidationError(f"derivative order must be >= 1, got {nu}")
-    if keep_modes is not None and not (1 <= keep_modes <= n / 2):
-        raise ValidationError(f"keep_modes must lie in [1, {n // 2}], got {keep_modes}")
     coef = np.fft.rfft(values)
     k = np.arange(n // 2 + 1)
     if keep_modes is not None:
@@ -45,6 +41,11 @@ def _fourier_pass(values: np.ndarray, dt: float, nu: int | None, keep_modes: int
     return smoothed, np.fft.irfft(coef * (1j * k) ** nu, n) * scale
 
 
+def _keep_modes(keep_modes, n: int) -> int | None:
+    """``keep_modes`` as an int in [1, n // 2] for a transform of ``n`` samples, or None."""
+    return None if keep_modes is None else _require_int("keep_modes", keep_modes, 1, n // 2)
+
+
 def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = None) -> DerivativeResult:
     """Differentiate a signal assumed periodic on [t0, t0 + N*dt).
 
@@ -53,6 +54,7 @@ def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = Non
     ideal low-pass to both outputs before differentiation.
     """
     dt = _require_uniform(signal, "fourier_derivative")
+    nu, keep_modes = _require_int("derivative order", nu, 1), _keep_modes(keep_modes, len(signal))
     smoothed, deriv = _fourier_pass(signal.values, dt, nu, keep_modes,
                                     smooth=keep_modes is not None)
     return DerivativeResult(
@@ -66,6 +68,7 @@ def fourier_derivative(signal: Signal, nu: int = 1, keep_modes: int | None = Non
 def fourier_lowpass(signal: Signal, keep_modes: int) -> Signal:
     """Ideal low-pass: zero every Fourier mode with integer wavenumber |k| >= keep_modes."""
     dt = _require_uniform(signal, "fourier_lowpass")
+    keep_modes = _keep_modes(keep_modes, len(signal))
     return Signal(signal.grid, _fourier_pass(signal.values, dt, None, keep_modes)[0])
 
 
@@ -86,8 +89,7 @@ def power_spectrum(signal: Signal) -> tuple[np.ndarray, np.ndarray]:
 
 def cheb_nodes(n: int) -> np.ndarray:
     """Chebyshev-Lobatto nodes cos(pi*j/(n-1)), descending from 1 to -1."""
-    if n < 2:
-        raise ValidationError(f"cheb_nodes needs n >= 2, got {n}")
+    n = _require_int("n", n, 2)
     return np.cos(np.pi * np.arange(n) / (n - 1))
 
 
@@ -115,8 +117,7 @@ def chebyshev_derivative(values, a: float = -1.0, b: float = 1.0, nu: int = 1,
         raise ValidationError("values must be a 1-D sequence of length >= 2")
     if not np.all(np.isfinite(v)):
         raise ValidationError("values must be finite")
-    if nu < 1:
-        raise ValidationError(f"derivative order must be >= 1, got {nu}")
+    nu = _require_int("derivative order", nu, 1)
     _require_finite_settings(a=a, b=b)
     if not b > a:
         raise ValidationError(f"need b > a, got [{a}, {b}]")
@@ -167,12 +168,9 @@ def fourier_extension_derivative(signal: Signal, pad: int = 0, extension: str = 
     differentiation and the original index range is sliced back out.
     """
     dt = _require_uniform(signal, "fourier_extension_derivative")
-    if pad < 0:
-        raise ValidationError(f"pad must be >= 0, got {pad}")
+    pad, nu = _require_int("pad", pad, 0), _require_int("derivative order", nu, 1)
     if extension not in ("none", "even"):
         raise ValidationError(f"extension must be 'none' or 'even', got {extension!r}")
-    if nu < 1:
-        raise ValidationError(f"derivative order must be >= 1, got {nu}")
     y = signal.values
     n = len(y)
 
@@ -187,6 +185,7 @@ def fourier_extension_derivative(signal: Signal, pad: int = 0, extension: str = 
             z[-pad:] = np.convolve(zp[-k:], box, mode="same")[w:-w]
 
     ext = np.concatenate([z, z[-2:0:-1]]) if extension == "even" else z
+    keep_modes = _keep_modes(keep_modes, len(ext))
     smoothed, deriv = _fourier_pass(ext, dt, nu, keep_modes)
     return DerivativeResult(
         smoothed=smoothed[pad : pad + n],

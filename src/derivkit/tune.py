@@ -50,6 +50,7 @@ from .core import (
     ValidationError,
     _cumtrapz,
     _require_finite_settings,
+    _require_int,
     _worker_count,
     total_variation,
 )
@@ -275,8 +276,8 @@ class TuneSpec:
         _require_finite_settings(cutoff_hz=self.cutoff_hz)
         if self.cutoff_hz <= 0:
             raise ValidationError("cutoff_hz must be positive")
-        if self.starts < 1 or self.max_evals < 1:
-            raise ValidationError("starts and max_evals must be >= 1")
+        for name in ("starts", "max_evals"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), 1))
 
     @property
     def resolved_m(self) -> float:

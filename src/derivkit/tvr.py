@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (DerivativeResult, Signal, ValidationError, _band, _require_finite_settings,
-                   _require_uniform, _solve_banded, _solve_spd_banded)
+                   _require_int, _require_uniform, _solve_banded, _solve_spd_banded)
 from .fd import _first_diff_matrix
 from .smoothers import _gaussian_blur
 
@@ -64,12 +64,12 @@ class TvrSpec:
 
     def __post_init__(self):
         _require_finite_settings(gamma=self.gamma, tol=self.tol, soften_sigma=self.soften_sigma)
-        if self.nu not in (1, 2, 3):
-            raise ValidationError(f"nu must be 1, 2, or 3, got {self.nu}")
+        object.__setattr__(self, "nu", _require_int("nu", self.nu, 1, 3))
         if self.gamma <= 0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValidationError("tol must be > 0 and max_iter >= 1")
+        if self.tol <= 0:
+            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        object.__setattr__(self, "max_iter", _require_int("max_iter", self.max_iter, 1))
         if self.soften_sigma is not None and self.soften_sigma < 0:
             raise ValidationError("soften_sigma must be >= 0")
 

@@ -377,8 +377,8 @@ class TestBench:
         assert "bench config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("starts", 0, "starts and max_evals must be >= 1"),
-        ("max_evals", 0, "starts and max_evals must be >= 1"),
+        ("starts", 0, "starts must be >= 1, got 0"),
+        ("max_evals", 0, "max_evals must be >= 1, got 0"),
         ("cutoff_hz", -3, "cutoff_hz must be positive")])
     def test_bad_tuner_setting_exits_3(self, tmp_path, capsys, key, value, message):
         # refused once, up front, rather than recorded as a failure in every cell (exit 5)

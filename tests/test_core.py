@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,25 +14,50 @@ from derivkit import (
     DerivativeResult,
     Grid,
     KernelSpec,
+    RobustSpec,
     Signal,
+    SplineSpec,
+    Stencil,
     TuneSpec,
+    TvrSpec,
     UnsupportedMethodError,
     ValidationError,
     apply_method,
     autotune,
+    benchmark_sweep,
+    butterdiff,
+    cheb_nodes,
+    chebyshev_derivative,
     constant_derivative_continuous,
+    constant_derivative_model,
     cumtrapz,
+    fd_derivative,
+    fourier_derivative,
+    fourier_extension_derivative,
     fourier_lowpass,
     get_method,
+    irregular_coefficients,
+    iterated_fd,
     kalman_irregular,
     kernel_smooth,
+    kerneldiff,
     method_names,
+    polydiff,
     power_spectrum,
     proxy_loss,
     robust_proxy_loss,
+    robustdiff,
+    rtsdiff,
+    savgol_coefficients,
+    savgoldiff,
+    splinediff,
+    stencil_coefficients,
     total_variation,
+    tvrdiff,
     validate,
 )
+from derivkit.core import _require_int
+from derivkit.smoothers import butter_single_pass
 
 
 @functools.cache
@@ -260,6 +287,134 @@ class TestRegistry:
         config = autotune(method, signal, TuneSpec(starts=2, max_evals=20, seed=0))
         spec = get_method(method)
         self._assert_resolved(spec, methods._bounded_params(spec, signal), config.phi)
+
+    @pytest.mark.parametrize("method, order, runs", [
+        ("fd", 2, 2), ("fd", 3, 4), ("fd", 5, 6), ("fd", 7, 8), ("iterated_fd", 3, 4),
+        ("iterated_fd", 5, 6)])
+    def test_fd_orders_name_the_order_that_runs(self, method, order, runs):
+        # a centered stencil reaches only even orders: an odd one runs as the next even one
+        signal = Signal(Grid.regular(100, 0.01), np.sin(0.1 * np.arange(100.0)))
+        result = apply_method(method, signal, {"order": order})
+        assert result.phi["order"] == runs
+        want = apply_method(method, signal, {"order": runs})
+        assert np.array_equal(result.derivative, want.derivative)
+        if method == "fd":
+            assert np.array_equal(result.derivative,
+                                  fd_derivative(signal, order=order).derivative)
+
+
+def _signal(n: int = 64) -> Signal:
+    t = 0.05 * np.arange(n)
+    noise = 0.05 * np.random.default_rng(9).standard_normal(n)
+    return Signal(Grid(t), np.sin(t) + noise)
+
+
+def _spec_run(spec, run):
+    """For a setting held by a spec: the spec and the output ``run`` makes with it."""
+    return lambda value: (made := spec(value), run(made))
+
+
+#: Every integer setting, by its public function or spec: (the name its errors give, a whole
+#: value k, the phi key or spec field that records it or None, and a call with that value).
+#: A spec's call returns the spec and the output of the method that runs with it.
+INTEGER_SETTINGS = {
+    "Stencil.nu": ("derivative order", 2, "nu", _spec_run(
+        lambda v: Stencil((-1, 0, 1), v), lambda st: stencil_coefficients(st, 0.1))),
+    "irregular_coefficients.nu": ("derivative order", 2, None,
+                                  lambda v: irregular_coefficients([-0.1, 0.0, 0.2], v)),
+    "fd_derivative.nu": ("derivative order", 2, "nu", lambda v: fd_derivative(_signal(), nu=v)),
+    "fd_derivative.order": ("order", 4, "order", lambda v: fd_derivative(_signal(), order=v)),
+    "iterated_fd.order": ("order", 4, "order", lambda v: iterated_fd(_signal(), order=v)),
+    "iterated_fd.iterations": ("iterations", 3, "iterations",
+                               lambda v: iterated_fd(_signal(), iterations=v)),
+    "fourier_derivative.nu": ("derivative order", 2, "nu",
+                              lambda v: fourier_derivative(_signal(), nu=v)),
+    "fourier_derivative.keep_modes": ("keep_modes", 10, "keep_modes",
+                                      lambda v: fourier_derivative(_signal(), keep_modes=v)),
+    "fourier_lowpass.keep_modes": ("keep_modes", 10, None,
+                                   lambda v: fourier_lowpass(_signal(), v)),
+    "Grid.regular.n": ("n", 16, None, lambda v: Grid.regular(v, 0.1)),
+    "cheb_nodes.n": ("n", 16, None, cheb_nodes),
+    "chebyshev_derivative.nu": ("derivative order", 2, "nu", lambda v: chebyshev_derivative(
+        np.exp(cheb_nodes(16)), nu=v)),
+    "fourier_extension_derivative.pad": (
+        "pad", 8, "pad", lambda v: fourier_extension_derivative(_signal(), pad=v)),
+    "fourier_extension_derivative.nu": (
+        "derivative order", 2, "nu", lambda v: fourier_extension_derivative(_signal(), nu=v)),
+    "fourier_extension_derivative.keep_modes": (
+        "keep_modes", 10, "keep_modes",
+        lambda v: fourier_extension_derivative(_signal(), keep_modes=v)),
+    "constant_derivative_model.nu": ("nu", 2, None,
+                                     lambda v: constant_derivative_model(v, 0.1, 1.0, 1.0)),
+    "constant_derivative_continuous.nu": ("nu", 2, None,
+                                          lambda v: constant_derivative_continuous(v, 1.0)),
+    "rtsdiff.nu": ("nu", 3, "nu", lambda v: rtsdiff(_signal(), nu=v)),
+    "robustdiff.nu": ("nu", 1, "nu", lambda v: robustdiff(_signal(), nu=v)),
+    "RobustSpec.max_iter": ("max_iter", 3, "max_iter", _spec_run(
+        lambda v: RobustSpec(max_iter=v), lambda sp: robustdiff(_signal(), spec=sp))),
+    "TvrSpec.nu": ("nu", 2, "nu", _spec_run(
+        lambda v: TvrSpec(gamma=1.0, nu=v), lambda sp: tvrdiff(_signal(), sp))),
+    "TvrSpec.max_iter": ("max_iter", 5, "max_iter", _spec_run(
+        lambda v: TvrSpec(gamma=1.0, max_iter=v), lambda sp: tvrdiff(_signal(), sp))),
+    "KernelSpec.window": ("window", 11, "window", _spec_run(
+        lambda v: KernelSpec(window=v), lambda sp: kerneldiff(_signal(), sp))),
+    "butterdiff.order": ("order", 3, "order",
+                         lambda v: butterdiff(_signal(), order=v, cutoff_hz=1.0)),
+    "butter_single_pass.order": ("order", 3, None,
+                                 lambda v: butter_single_pass(_signal(), v, 1.0)),
+    "polydiff.window": ("window", 20, "window", lambda v: polydiff(_signal(), window=v)),
+    "polydiff.degree": ("degree", 2, "degree", lambda v: polydiff(_signal(), 20, degree=v)),
+    "polydiff.stride": ("stride", 5, "stride", lambda v: polydiff(_signal(), 20, stride=v)),
+    "savgoldiff.window": ("window", 11, "window", lambda v: savgoldiff(_signal(), v, 3)),
+    "savgoldiff.degree": ("degree", 4, "degree", lambda v: savgoldiff(_signal(), 11, v)),
+    "savgol_coefficients.window": ("window", 11, None, lambda v: savgol_coefficients(v, 3)),
+    "savgol_coefficients.degree": ("degree", 4, None, lambda v: savgol_coefficients(11, v)),
+    "SplineSpec.degree": ("degree", 4, "degree", _spec_run(
+        lambda v: SplineSpec(degree=v, lam=1e-3), lambda sp: splinediff(_signal(), sp))),
+    "SplineSpec.iterations": ("iterations", 2, "iterations", _spec_run(
+        lambda v: SplineSpec(iterations=v, lam=1e-3), lambda sp: splinediff(_signal(), sp))),
+    "TuneSpec.starts": ("starts", 2, "starts", _spec_run(
+        lambda v: TuneSpec(starts=v, max_evals=10), lambda sp: autotune("poly", _signal(), sp))),
+    "TuneSpec.max_evals": ("max_evals", 10, "max_evals", _spec_run(
+        lambda v: TuneSpec(starts=2, max_evals=v), lambda sp: autotune("poly", _signal(), sp))),
+    "benchmark_sweep.seeds": ("seeds", 2, None, lambda v: benchmark_sweep(
+        ["fd"], ["sine_sum"], "noise_scale", [1.0], seeds=v, starts=1, max_evals=2,
+        workers=1)),
+}
+
+
+class TestIntegerSettings:
+    """One rule for every integer setting: a whole number of any numeric type runs as the
+    int it equals; anything else is refused by the setting's name."""
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.nan, "3"], ids=repr)
+    @pytest.mark.parametrize("setting", sorted(INTEGER_SETTINGS))
+    def test_refused_by_name(self, setting, bad):
+        name, _, _, call = INTEGER_SETTINGS[setting]
+        with pytest.raises(ValidationError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("setting", sorted(INTEGER_SETTINGS))
+    def test_whole_float_runs_as_the_int(self, setting):
+        _, k, key, call = INTEGER_SETTINGS[setting]
+        got, want = call(float(k)), call(k)
+        # pickles hold every output bit, and tell an int from a float anywhere inside
+        assert pickle.dumps(got) == pickle.dumps(want)
+        if key is not None:  # the spec, or the result's phi, records the int
+            holder = got[0] if isinstance(got, tuple) else got
+            recorded = holder.phi[key] if isinstance(holder, DerivativeResult) else getattr(
+                holder, key)
+            assert type(recorded) is int
+
+    @pytest.mark.parametrize("value, hi, message", [
+        (0, None, "must be >= 1, got 0"), (-2.0, None, "must be >= 1, got -2"),
+        (np.int64(5), 4, "must lie in [1, 4], got 5"), (np.inf, None, "must be an integer, got inf"),
+        (None, None, "must be an integer, got None"),
+        (np.True_, None, "must be an integer, got np.True_")])
+    def test_range_and_type_messages(self, value, hi, message):
+        with pytest.raises(ValidationError, match=re.escape(f"setting {message}")):
+            _require_int("setting", value, 1, hi)
 
 
 class TestCumtrapz:

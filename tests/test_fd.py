@@ -194,9 +194,9 @@ class TestFdDerivative:
         for nu in (2.0, np.int64(2)):
             r = fd_derivative(s, nu=nu)
             assert type(r.phi["nu"]) is int and np.array_equal(r.derivative, want)
-        # True is 1: it used to index the Vandermonde right-hand side as a mask
-        assert np.array_equal(fd_derivative(s, nu=True).derivative,
-                              fd_derivative(s, nu=1).derivative)
+        # a bool is refused: True used to index the Vandermonde right-hand side as a mask
+        with pytest.raises(ValidationError, match="derivative order must be an integer, got True"):
+            fd_derivative(s, nu=True)
 
     def test_irregular_matches_uniform_when_equispaced(self):
         # same values presented as an irregular grid must agree exactly

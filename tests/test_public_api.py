@@ -9,7 +9,9 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,3 +146,14 @@ def test_import_loads_no_scipy_signal():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_integer_settings_are_checked_in_one_place():
+    # every integer setting goes through core._require_int; a second whole-number test
+    # elsewhere would let the rules drift apart again
+    from derivkit import core
+    pattern = re.compile(r"\.is_integer\(\)|!= int\(")
+    src = Path(derivkit.__file__).resolve().parent
+    hits = {path.name: len(pattern.findall(path.read_text())) for path in src.glob("*.py")}
+    assert {name: count for name, count in hits.items() if count} == {"core.py": 1}
+    assert pattern.search(inspect.getsource(core._require_int))

@@ -221,8 +221,8 @@ class TestBenchmarkSweep:
             assert a["ec_mean"] == b["ec_mean"]
 
     @pytest.mark.parametrize("setting, message", [
-        ({"starts": 0}, "starts and max_evals must be >= 1"),
-        ({"max_evals": 0}, "starts and max_evals must be >= 1"),
+        ({"starts": 0}, "starts must be >= 1, got 0"),
+        ({"max_evals": 0}, "max_evals must be >= 1, got 0"),
         ({"cutoff_hz": -3.0}, "cutoff_hz must be positive"),
         ({"seeds": 0}, "seeds must be >= 1, got 0")])
     def test_bad_tuner_settings_refused_before_any_cell(self, monkeypatch, setting, message):

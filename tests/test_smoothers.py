@@ -100,8 +100,8 @@ class TestKernelSmooth:
             KernelSpec(kind=kind, sigma=value)
 
     @pytest.mark.parametrize("window, message", [
-        (7.5, "window must be an integer"), (np.nan, "window must be finite"),
-        (np.inf, "window must be finite"), (-np.inf, "window must be finite")])
+        (7.5, "window must be an integer"), (np.nan, "window must be an integer"),
+        (np.inf, "window must be an integer"), (-np.inf, "window must be an integer")])
     def test_non_finite_or_non_integral_window_refused(self, window, message):
         with pytest.raises(ValidationError, match=message):
             KernelSpec(window=window)
@@ -523,6 +523,15 @@ class TestSavgol:
         for row in smoothers._savgol_rows(9, 3):
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 1.0
+
+    def test_row_cache_holds_every_registry_pair(self):
+        # a savgol search meets 131-188 pairs on N = 400; at 128 entries half of a
+        # search's lookups missed and recomputed a pseudoinverse
+        s = Signal(Grid.regular(1000, 0.01), np.zeros(1000))
+        params = {p.name: p for p in get_method("savgol").build_params(s)}
+        windows = range(params["window"].lo, params["window"].hi + 1, 2)
+        degrees = range(params["degree"].lo, params["degree"].hi + 1)
+        assert len(windows) * len(degrees) <= smoothers._savgol_rows.cache_info().maxsize
 
     def test_caller_owns_the_coefficients(self):
         rng = np.random.default_rng(7)
