@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import fd, kalman, smoothers, spectral, tvr
-from .core import DerivativeResult, Grid, Signal, ValidationError
+from .core import DerivativeResult, Grid, Signal, ValidationError, _require_int
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,10 @@ def describe(name: str, signal: Signal) -> str:
 def apply_method(name: str, signal: Signal, phi: dict | None = None, nu: int = 1
                  ) -> DerivativeResult:
     """Run a registered method on ``signal`` with ``phi`` resolved by :func:`resolve`:
-    missing parameters take their defaults, clamped into their bounds."""
+    missing parameters take their defaults, clamped into their bounds. ``nu``, the
+    derivative order, must be an integer >= 1, and 1 unless the method supports more."""
     spec = get_method(name)
+    nu = _require_int("derivative order", nu, 1)
     if nu != 1 and not spec.supports_nu:
         raise ValidationError(f"method {name!r} only produces first derivatives")
     return spec.run(signal, resolve(spec, _bounded_params(spec, signal), phi), nu, {})

@@ -308,11 +308,13 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
     any per-replicate failures. ``cases`` are names from ``CASE_NAMES``; every
     simulation spans ``T`` at step ``dt`` (the ``dt`` axis overrides the step).
     The tuner budget (``starts``, ``max_evals``) is deliberately small: trends,
-    not confidence intervals. Tuner settings that :class:`TuneSpec` refuses,
-    ``seeds < 1``, an axis value that is not a number, string, boolean or
-    None, one that a cell's :class:`SimulationCase`, :class:`NoiseSpec` or
-    :class:`TuneSpec` would refuse, and outliers on a simulation of fewer than
-    100 samples raise :class:`ValidationError` before any cell runs.
+    not confidence intervals. ``workers`` caps the worker processes (None: one
+    per usable CPU). Tuner settings that :class:`TuneSpec` refuses, ``seeds``
+    or ``workers`` that is not an integer >= 1, an axis value that is not a
+    number, string, boolean or None, one equal to an earlier value, one that a
+    cell's :class:`SimulationCase`, :class:`NoiseSpec` or :class:`TuneSpec`
+    would refuse, and outliers on a simulation of fewer than 100 samples raise
+    :class:`ValidationError` before any cell runs.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -324,11 +326,18 @@ def benchmark_sweep(methods, cases, axis: str, values, seeds: int,
         if case not in CASE_NAMES:
             raise ValidationError(f"cases must be names from {CASE_NAMES}, got {case!r}")
     seeds = _require_int("seeds", seeds, 1)
+    if workers is not None:
+        workers = _require_int("workers", workers, 1)
     spec = TuneSpec(cutoff_hz=cutoff_hz, starts=starts, max_evals=max_evals)
-    for value in values:  # cells are grouped by value, so each must be a hashable scalar
+    values = list(values)
+    for i, value in enumerate(values):  # cells are grouped by value: distinct scalars
         if not (value is None or isinstance(value, (str, numbers.Number, np.generic))):
             raise ValidationError(f"{axis} value {value!r}: must be a number, string, "
                                   f"boolean or None")
+        for earlier in values[:i]:
+            if earlier == value:
+                raise ValidationError(f"{axis} value {value!r}: repeats the earlier value "
+                                      f"{earlier!r}")
     tasks = [{"method": method, "case": case, "axis": axis, "value": value, "seed": seed,
               "T": T, "dt": dt, "spec": spec}
              for method in method_list for case in case_names for value in values

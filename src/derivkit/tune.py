@@ -6,22 +6,31 @@ penalize total variation. Minimizing them over a method's hyperparameters
 lands near the Pareto front of the (RMSE, error-correlation) plane.
 
 A method whose one tunable parameter is continuous (``kernel``, ``butter``,
-``spline``, ``tvr``, ``rts``) is searched by a grid and bounded Brent searches;
-every other method, with one integer parameter (``fd``, ``fourier``,
-``iterated_fd``) or two or more (``savgol``, ``poly``, ``rbf``, ``robust``,
-``smooth_accel_tvr``), by scipy's Nelder-Mead from several seeded starts, each
-held to an exact evaluation budget. The starts are independent, so they run
-split among forked processes, one per usable CPU up to ``DERIVKIT_WORKERS``,
-with results identical to running them one after another: every start point
-is drawn first, and the results are merged in start order. The search stays
-in one process for a single start, off Linux, inside a ``multiprocessing``
-worker such as the benchmark sweep's, or while other Python threads run.
+``spline``, ``tvr``, ``rts``) is searched by a grid and bounded Brent searches,
+which draw nothing; every other method, with one integer parameter (``fd``,
+``fourier``, ``iterated_fd``) or two or more (``savgol``, ``poly``, ``rbf``,
+``robust``, ``smooth_accel_tvr``), by scipy's Nelder-Mead from several seeded
+starts, each held to an exact evaluation budget. A search only drives one
+objective, which appends each evaluation's canonical parameter set, loss and
+failure to a log; the tuned parameters, their loss and every count are read
+from that log alone, so a new search only has to call the objective. A
+repeated parameter set is served from a memo of its loss or failure, and
+still counts as an evaluation.
+
+The Nelder-Mead starts are independent, so they run split among forked
+processes, one per usable CPU up to ``DERIVKIT_WORKERS``, with results identical
+to running them one after another: every start point is drawn first, each
+start sends back its slice of the log, and the slices are merged in start
+order. The calling process reruns any start that no child reported, and no
+child outlives the search. The search stays in one process for a single start,
+off Linux, inside a ``multiprocessing`` worker such as the benchmark sweep's, or
+while other Python threads run.
 
 Two things keep one evaluation cheap without changing a bit of its loss. Each
-search passes one stage memo to every run of the method, so ``iterated_fd``
-continues from its stored iterates and ``savgol`` re-blurs its stored slope
-rather than starting over. And the Huber location of the robust loss is
-taken from the two middle breakpoints of its influence sum whenever a
+search passes one stage memo to every run of the method in a process, so
+``iterated_fd`` continues from its stored iterates and ``savgol`` re-blurs its
+stored slope rather than starting over. And the Huber location of the robust
+loss is taken from the two middle breakpoints of its influence sum whenever a
 rounding-error bound certifies that they bracket the root, as they do when
 every residual lies within the Huber radius of the residuals' mean; otherwise
 all 2N breakpoints are sorted and searched.
@@ -38,6 +47,7 @@ import sys
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from signal import SIGKILL
 
 import numpy as np
@@ -260,10 +270,9 @@ class TuneSpec:
     declared to contain outliers.
 
     Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each making
-    at most ``max_evals`` evaluations; the starts may run in forked processes
-    (see :func:`autotune`), which changes no result. The one-parameter grid and
-    Brent search draws nothing, so ``seed`` does not affect it. Either way a
-    search makes at most ``starts * max_evals`` evaluations in all.
+    at most ``max_evals`` evaluations. The one-parameter grid and Brent search
+    draws nothing, so ``seed`` does not affect it. Either way a search makes at
+    most ``starts * max_evals`` evaluations in all.
     """
 
     cutoff_hz: float = 3.0
@@ -349,73 +358,27 @@ def _fork_map(run, count: int, processes: int) -> list:
     return [results[i] if i in results else run(i) for i in range(count)]
 
 
-def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, max_evals: int):
-    """One start of scipy's Nelder-Mead from ``x0``, its first simplex stepping ``step``
-    along each axis. Returns the best point evaluated, its f and the evaluations, or
-    (None, the largest float, evaluations) when every evaluation failed; ties go to the
-    earlier evaluation. The best point is kept here, not taken from scipy's result: a
-    start whose budget runs out right after a reflection ends without that point in its
-    simplex, even when it beat every vertex."""
-    best_x, best_loss = None, sys.float_info.max
-
-    def finite(x: np.ndarray) -> float:
-        nonlocal best_x, best_loss
-        # the largest float stands in for a failed evaluation's inf: scipy also stops only
-        # when the losses agree within fatol=inf, which inf - inf never does
-        loss = min(fn(x), sys.float_info.max)
-        if loss < best_loss:
-            best_x, best_loss = x, float(loss)
-        return loss
-
-    res = minimize(finite, x0, method="Nelder-Mead", options={
+def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, max_evals: int) -> None:
+    """One start of scipy's Nelder-Mead on ``fn`` from ``x0``: its first simplex steps
+    ``step`` along each axis, it uses the standard coefficients (1, 2, 0.5, 0.5), and it
+    stops once every vertex lies within ``DIAMETER_TOL`` of the best in the infinity norm
+    or after ``max_evals`` evaluations, the first simplex included."""
+    # the largest float stands in for a failed evaluation's inf: scipy also stops only
+    # when the losses agree within fatol=inf, which inf - inf never does
+    minimize(lambda x: min(fn(x), sys.float_info.max), x0, method="Nelder-Mead", options={
         "initial_simplex": np.vstack([x0, x0 + np.diag(step)]),
         "maxfev": max_evals, "xatol": DIAMETER_TOL, "fatol": math.inf})
-    return best_x, best_loss, res.nfev
 
 
-def _multi_start(fn, lo_t: np.ndarray, hi_t: np.ndarray, starts: int, max_evals: int,
-                 rng: np.random.Generator, log: list | None = None, processes: int = 1):
-    """scipy's Nelder-Mead from ``starts`` points drawn uniformly in the box ``[lo_t, hi_t]``.
-
-    Each start steps ``0.15 * (hi_t - lo_t)`` along every axis for its first simplex,
-    uses the standard coefficients (1, 2, 0.5, 0.5), stops once every vertex lies within
-    ``DIAMETER_TOL`` of the best in the infinity norm, and makes at most ``max_evals``
-    evaluations, the first simplex included (:func:`_nelder_mead`). Returns the best point
-    evaluated, its f and the evaluations, or (None, inf, evaluations) when every
-    evaluation failed; ties go to the earlier evaluation.
-
-    Every start point is drawn first; the starts then run in ``processes`` processes
-    (:func:`_fork_map`), each with its own copy of whatever ``fn`` keeps. ``log``, a list
-    that ``fn`` appends to, ends up holding each start's entries in start order, as when
-    the starts run one after another here.
-    """
-    x0s = [rng.uniform(lo_t, hi_t) for _ in range(starts)]
-    entries = [] if log is None else log
-
-    def run(i: int):
-        n = len(entries)
-        return *_nelder_mead(fn, x0s[i], 0.15 * (hi_t - lo_t), max_evals), entries[n:]
-
-    best_x, best_loss, total_evals, merged = None, sys.float_info.max, 0, []
-    for x, loss, evals, logged in _fork_map(run, starts, processes):
-        if loss < best_loss:
-            best_x, best_loss = x, loss
-        total_evals += evals
-        merged += logged
-    entries[:] = merged
-    return best_x, best_loss if best_x is not None else math.inf, total_evals
-
-
-def _grid_brent(fn, lo: float, hi: float, budget: int):
+def _grid_brent(fn, lo: float, hi: float, budget: int) -> None:
     """Minimize ``fn`` over one coordinate in ``[lo, hi]`` with at most ``budget`` evaluations.
 
     ``min(GRID_POINTS, budget)`` evenly spaced points from ``lo`` to ``hi`` find the best
     grid point, and a bounded Brent search (``xatol=XATOL``) refines inside the two grid
     cells around it. The proxy losses of ``tvr`` and ``rts`` can hold a second, deeper
     local minimum a few hundredths away in that bracket, so the bracket is then split at
-    the best point so far and Brent searches each side once more. Each search gets the
-    budget left. ``fn`` takes a length-1 array. Returns (best x evaluated, its value,
-    evaluations); ties go to the earlier evaluation.
+    the best point so far (the earlier of a tie) and Brent searches each side once more.
+    Each search gets the budget left. ``fn`` takes a length-1 array.
     """
     best_x, best_f, evals = None, math.inf, 0
 
@@ -425,7 +388,7 @@ def _grid_brent(fn, lo: float, hi: float, budget: int):
         point = np.array([x], dtype=float)
         f = fn(point)
         if f < best_f:
-            best_x, best_f = point, f
+            best_x, best_f = point[0], f
         return f
 
     def brent(a: float, b: float) -> None:
@@ -439,10 +402,9 @@ def _grid_brent(fn, lo: float, hi: float, budget: int):
     a, b = sorted(grid[[max(k - 1, 0), min(k + 1, len(grid) - 1)]])
     brent(a, b)
     if best_x is not None:
-        split = best_x[0]
+        split = best_x  # the search below the split may move best_x
         brent(a, split)
         brent(split, b)
-    return best_x, best_f, evals
 
 
 def _stable_int(part) -> int:
@@ -473,44 +435,17 @@ def _untransform(x: float, scale: str, lo: float, hi: float) -> float:
 def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> MethodConfig:
     """Pick hyperparameters for a registered method without ground truth.
 
-    The search minimizes :func:`robust_proxy_loss` in transformed parameter
-    space (log for positive reals, continuous-then-rounded for integers).
-    When the method's one tunable parameter is continuous, ``GRID_POINTS``
-    evenly spaced points, then bounded Brent searches around the best of
-    them, spend at most ``spec.starts * spec.max_evals`` evaluations, and
-    ``spec.seed`` plays no part. Otherwise scipy's Nelder-Mead starts from
-    ``spec.starts`` points drawn uniformly in the transformed box, deterministic
-    for a fixed seed, with at most ``spec.max_evals`` evaluations each, ties
-    broken by start index. The winner is the feasible parameter set
-    with the lowest loss. Evaluations that raise count as an infinite loss;
-    ``info`` reports the search that ran (``"grid+brent"`` or
-    ``"nelder-mead"``), the evaluation count, the number of distinct
-    canonical parameter sets, the number of failed evaluations, the
-    first few failure reasons and how many processes the search ran in.
-
-    Each distinct canonical parameter set is run and scored once per process; a
-    repeat is served from a memo of its loss (or failure reason) and still
-    counts as an evaluation, and a repeated failure as a failed evaluation, so
-    the counts mean what they would if every evaluation ran the method. Every
-    run of one search in one process shares one stage memo (see
-    :mod:`derivkit.methods`), which the search drops when it returns:
-    ``iterated_fd`` continues from the nearest stored iterate, and ``savgol``
-    only re-blurs a stored slope when one of its 16 latest ``(window, degree)``
-    pairs recurs. The loss certifies its Huber location from two breakpoints
-    where it can (:func:`_certified_location`). Neither changes a bit of any
-    loss.
-
-    The Nelder-Mead starts run split among this process and forked children:
-    one process per CPU this process may use, at most ``spec.starts`` and at
-    most ``DERIVKIT_WORKERS``. Each child runs its share of the starts with its
-    own copy of both memos and sends back, per start, the best point, its loss,
-    the evaluation count and each evaluation's parameter set and failure. The
-    reports are merged in start order, and a start no child reported is rerun
-    here, so ``phi`` and every ``info`` entry but ``processes`` are those of a
-    serial search. The search stays serial with one start, one usable CPU or
-    ``DERIVKIT_WORKERS=1``, off Linux, inside a ``multiprocessing`` worker (such
-    as :func:`~derivkit.sims.benchmark_sweep`'s), and while another Python
-    thread is alive. No child outlives the call.
+    Minimizes :func:`robust_proxy_loss` over the method's tunable parameters in
+    transformed space (log for positive reals, continuous-then-rounded for
+    integers) by the search the module docstring describes, in at most
+    ``spec.starts * spec.max_evals`` evaluations. ``phi`` is the first parameter
+    set evaluated with the lowest loss. An evaluation that raises counts as an
+    infinite loss; when no loss is finite, :class:`NumericError` names the last
+    few failures. ``info`` reports the loss, gamma, m, the evaluation count, the
+    number of distinct canonical parameter sets, the number of failed evaluations,
+    the first few failure reasons, the search that ran (``"grid+brent"`` or
+    ``"nelder-mead"``), how many processes it ran in and the seed. Only
+    ``processes`` depends on how many processes ran.
     """
     spec = spec or TuneSpec()
     mspec = get_method(method)
@@ -526,17 +461,14 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
     lo_t = np.array([_transform(p.lo, p.scale) for p in params])
     hi_t = np.array([_transform(p.hi, p.scale) for p in params])
 
-    def to_phi(x: np.ndarray) -> dict:
-        return resolve(mspec, all_params, {
-            p.name: _untransform(min(max(xi, lo), hi), p.scale, p.lo, p.hi)
-            for p, xi, lo, hi in zip(params, x, lo_t, hi_t)})
-
-    log: list[tuple[tuple, str | None]] = []  # (canonical phi, failure) per evaluation
+    log: list[tuple[tuple, float, str | None]] = []  # (canonical phi, loss, failure) each
     memo: dict[tuple, tuple[float, str | None]] = {}  # canonical phi -> (loss, failure)
     stages: dict = {}  # the method's own stage memo, shared by every run of this search
 
     def objective(x: np.ndarray) -> float:
-        phi = to_phi(x)
+        phi = resolve(mspec, all_params, {
+            p.name: _untransform(min(max(xi, lo), hi), p.scale, p.lo, p.hi)
+            for p, xi, lo, hi in zip(params, x, lo_t, hi_t)})
         key = tuple(sorted(phi.items()))
         if key not in memo:
             try:
@@ -546,30 +478,37 @@ def autotune(method: str, signal: Signal, spec: TuneSpec | None = None) -> Metho
                 memo[key] = math.inf, f"{phi}: {exc}"
             else:
                 memo[key] = (loss if math.isfinite(loss) else math.inf), None
-        loss, failure = memo[key]
-        log.append((key, failure))
-        return loss
+        log.append((key, *memo[key]))
+        return memo[key][0]
 
     if len(params) == 1 and params[0].scale != "integer":
         search, processes = "grid+brent", 1
-        best_x, best_loss, total_evals = _grid_brent(
-            objective, lo_t[0], hi_t[0], spec.starts * spec.max_evals)
+        runs = [partial(_grid_brent, objective, lo_t[0], hi_t[0], spec.starts * spec.max_evals)]
     else:
         search, processes = "nelder-mead", _start_processes(spec.starts)
-        best_x, best_loss, total_evals = _multi_start(
-            objective, lo_t, hi_t, spec.starts, spec.max_evals,
-            seeded_stream(spec.seed, "autotune", method), log, processes)
-    failures = [failure for _, failure in log if failure is not None]
-    if best_x is None or not math.isfinite(best_loss):
+        rng = seeded_stream(spec.seed, "autotune", method)
+        runs = [partial(_nelder_mead, objective, rng.uniform(lo_t, hi_t), 0.15 * (hi_t - lo_t),
+                        spec.max_evals) for _ in range(spec.starts)]
+
+    def run(i: int) -> list:
+        n = len(log)
+        runs[i]()
+        return log[n:]
+
+    log[:] = [entry for part in _fork_map(run, len(runs), processes) for entry in part]
+    # not scipy's result: a start whose budget runs out right after a reflection ends
+    # without that point in its simplex, even when it beat every vertex
+    key, loss, _ = min(log, key=lambda entry: entry[1])
+    failures = [failure for *_, failure in log if failure is not None]
+    if not math.isfinite(loss):
         detail = "; ".join(failures[-FAILURE_REASONS:]) or "no finite loss found"
         raise NumericError(f"autotune failed for {method!r}: {detail}")
 
     return MethodConfig(
         method=method,
-        phi=to_phi(best_x),
-        info={"loss": best_loss, "gamma": gamma, "m": m,
-              "evaluations": total_evals,
-              "distinct_evaluations": len({key for key, _ in log}),
+        phi=resolve(mspec, all_params, dict(key)),  # the registry's key order
+        info={"loss": loss, "gamma": gamma, "m": m, "evaluations": len(log),
+              "distinct_evaluations": len({entry[0] for entry in log}),
               "failed_evaluations": len(failures),
               "failure_reasons": failures[:FAILURE_REASONS], "search": search,
               "processes": processes, "seed": spec.seed},

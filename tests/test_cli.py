@@ -399,7 +399,9 @@ class TestBench:
         ("dt", -0.01, "dt value -0.01: dt must be positive"),
         ("outliers", [1], "outliers value [1]: must be a number, string, boolean or None"),
         ("outliers", "false", "outliers value 'false': outliers must be a boolean, 0 or 1"),
-        ("outliers", 2, "outliers value 2: outliers must be a boolean, 0 or 1")])
+        ("outliers", 2, "outliers value 2: outliers must be a boolean, 0 or 1"),
+        ("noise_scale", 1.0, "noise_scale value 1.0: repeats the earlier value 1"),
+        ("outliers", 0, "outliers value 0: repeats the earlier value False")])
     def test_bad_axis_value_exits_3_and_names_it(self, tmp_path, capsys, axis, value, message):
         # before, each failed every replicate of its cell and the sweep exited 5; a list
         # value ran its cells and then raised TypeError (exit 1)
@@ -413,6 +415,20 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir),
                      "--workers", "1"]) == 3
         assert f"validation error: {message}" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_3(self, tmp_path, capsys, workers):
+        # before, both ran the sweep in one process
+        config = {"methods": ["savgol"], "cases": ["sine_sum"], "axis": "noise_scale",
+                  "values": [1.0], "seeds": 1, "starts": 1, "max_evals": 4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--workers", workers]) == 3
+        assert (f"validation error: workers must be >= 1, got {workers}"
+                in capsys.readouterr().err)
         assert not (out_dir / "summary.json").exists()
 
     def test_outliers_on_a_short_span_exits_3(self, tmp_path, capsys):

@@ -380,6 +380,9 @@ INTEGER_SETTINGS = {
     "benchmark_sweep.seeds": ("seeds", 2, None, lambda v: benchmark_sweep(
         ["fd"], ["sine_sum"], "noise_scale", [1.0], seeds=v, starts=1, max_evals=2,
         workers=1)),
+    "benchmark_sweep.workers": ("workers", 1, None, lambda v: benchmark_sweep(
+        ["fd"], ["sine_sum"], "noise_scale", [1.0], seeds=1, starts=1, max_evals=2,
+        workers=v)),
 }
 
 
@@ -415,6 +418,20 @@ class TestIntegerSettings:
     def test_range_and_type_messages(self, value, hi, message):
         with pytest.raises(ValidationError, match=re.escape(f"setting {message}")):
             _require_int("setting", value, 1, hi)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "1", np.nan], ids=repr)
+    @pytest.mark.parametrize("method", ["savgol", "tvr", "fd", "fourier"])
+    def test_apply_method_refuses_a_derivative_order_by_name(self, method, bad):
+        # before, True ran as 1, and "1" and 2.5 got "only produces first derivatives"
+        with pytest.raises(ValidationError) as info:
+            apply_method(method, _signal(), nu=bad)
+        assert str(info.value) == f"derivative order must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("one", [1.0, np.int64(1)], ids=repr)
+    @pytest.mark.parametrize("method", ["savgol", "tvr", "fd", "fourier"])
+    def test_apply_method_runs_a_whole_derivative_order_as_the_int(self, method, one):
+        got, want = apply_method(method, _signal(), nu=one), apply_method(method, _signal())
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 class TestCumtrapz:

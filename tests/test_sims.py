@@ -224,7 +224,9 @@ class TestBenchmarkSweep:
         ({"starts": 0}, "starts must be >= 1, got 0"),
         ({"max_evals": 0}, "max_evals must be >= 1, got 0"),
         ({"cutoff_hz": -3.0}, "cutoff_hz must be positive"),
-        ({"seeds": 0}, "seeds must be >= 1, got 0")])
+        ({"seeds": 0}, "seeds must be >= 1, got 0"),
+        ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"workers": -3}, "workers must be >= 1, got -3")])
     def test_bad_tuner_settings_refused_before_any_cell(self, monkeypatch, setting, message):
         from derivkit import sims
 
@@ -250,7 +252,10 @@ class TestBenchmarkSweep:
         ("outliers", "false", "outliers must be a boolean, 0 or 1"),
         ("outliers", 2, "outliers must be a boolean, 0 or 1"),
         ("outliers", 1.0, "outliers must be a boolean, 0 or 1"),
-        ("outliers", None, "outliers must be a boolean, 0 or 1")])
+        ("outliers", None, "outliers must be a boolean, 0 or 1"),
+        ("noise_scale", 1, "repeats the earlier value 1.0"),
+        ("outliers", 0, "repeats the earlier value False"),
+        ("noise_type", "normal", "repeats the earlier value 'normal'")])
     def test_bad_axis_value_refused_before_any_cell(self, monkeypatch, axis, value, message):
         # before, each failed every replicate of its own cell (dt raised mid-sweep)
         from derivkit import sims

@@ -31,15 +31,14 @@ from derivkit import (
     total_variation,
     tune,
 )
-from derivkit.methods import _bounded_params, apply_method, resolve
+from derivkit.methods import _bounded_params, apply_method, method_names, resolve
 from derivkit.tune import (
     GRID_POINTS,
     MAD_NORMALIZER,
-    _multi_start,
     _robust_location,
     seeded_stream,
 )
-from tune_reference import median_robust_location, median_robust_proxy_loss
+from tune_reference import median_robust_location, median_robust_proxy_loss, multi_start
 
 
 def noisy_sine(n=400, dt=0.01, sigma=0.1, seed=0):
@@ -410,12 +409,13 @@ class TestStageMemo:
 
 
 class TestNelderMead:
-    """``_multi_start``: scipy's Nelder-Mead from points drawn in a box."""
+    """scipy's Nelder-Mead from points drawn in a box: the reference search that tracks
+    its own best point, and ``tune._nelder_mead``, which only drives the objective."""
 
     def test_minimizes_quadratic(self):
         fn = lambda x: float((x[0] - 1.5) ** 2 + 2 * (x[1] + 0.5) ** 2)
-        x, f, evals = _multi_start(fn, np.full(2, -2.0), np.full(2, 2.0), 2, 500,
-                                   np.random.default_rng(0))
+        x, f, evals = multi_start(fn, np.full(2, -2.0), np.full(2, 2.0), 2, 500,
+                                  np.random.default_rng(0))
         np.testing.assert_allclose(x, [1.5, -0.5], atol=5e-3)
         assert f == fn(x)
         assert evals <= 2 * 500
@@ -426,7 +426,7 @@ class TestNelderMead:
         for dim, max_evals, starts in itertools.product((1, 2, 3), range(1, 30), (1, 2)):
             calls = []
             fn = lambda x: (calls.append(1), float(rng.standard_normal()))[1]
-            *_, evals = _multi_start(fn, np.zeros(dim), np.ones(dim), starts, max_evals, rng)
+            *_, evals = multi_start(fn, np.zeros(dim), np.ones(dim), starts, max_evals, rng)
             assert evals == len(calls) <= starts * max_evals
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -437,12 +437,12 @@ class TestNelderMead:
         for max_evals in range(1, 30):
             calls = []
             fn = lambda x: (calls.append(1), float(rng.standard_normal()))[1]
-            *_, evals = _multi_start(fn, np.zeros(dim), np.ones(dim), 1, max_evals, rng)
-            assert evals == len(calls) <= max_evals
+            tune._nelder_mead(fn, rng.uniform(size=dim), np.full(dim, 0.15), max_evals)
+            assert 1 <= len(calls) <= max_evals
 
     def test_ties_go_to_the_earlier_evaluation(self):
-        x, f, _ = _multi_start(lambda x: 1.0, np.zeros(2), np.ones(2), 2, 10,
-                               np.random.default_rng(0))
+        x, f, _ = multi_start(lambda x: 1.0, np.zeros(2), np.ones(2), 2, 10,
+                              np.random.default_rng(0))
         assert np.array_equal(x, np.random.default_rng(0).uniform(np.zeros(2), np.ones(2)))
         assert f == 1.0
 
@@ -454,8 +454,8 @@ class TestNelderMead:
         # 0.12366 after 0.12003 (poly). One process, so every loss lands in the closure.
         monkeypatch.setenv("DERIVKIT_WORKERS", "1")
         losses = []
-        search = tune._multi_start
-        monkeypatch.setattr(tune, "_multi_start", lambda fn, *args: search(
+        search = tune._nelder_mead
+        monkeypatch.setattr(tune, "_nelder_mead", lambda fn, *args: search(
             lambda x: losses.append(fn(x)) or losses[-1], *args))
         config = autotune(method, _sim_signal(name), TuneSpec(starts=2, max_evals=16))
         assert config.info["loss"] == min(losses)
@@ -759,8 +759,13 @@ class TestParallelStarts:
     def test_the_earliest_start_to_raise_raises(self, monkeypatch):
         # in two processes start 1 runs in the child and start 2 here, and as in a serial
         # search, start 1's exception is the one raised
-        x0s = list(np.random.default_rng(0).uniform(np.zeros(2), np.ones(2), (3, 2)))
-        search = tune._nelder_mead
+        s, _ = noisy_sine(n=200, seed=2)
+        spec = TuneSpec(starts=3, max_evals=10, seed=0)
+        x0s, search = [], tune._nelder_mead
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        monkeypatch.setattr(tune, "_nelder_mead",
+                            lambda fn, x0, *args: x0s.append(x0) or search(fn, x0, *args))
+        autotune("savgol", s, spec)  # records the start points the search draws
 
         def raising(fn, x0, step, max_evals):
             i = next(k for k, x in enumerate(x0s) if np.array_equal(x, x0))
@@ -768,10 +773,10 @@ class TestParallelStarts:
                 raise RuntimeError(f"start {i}")
             return search(fn, x0, step, max_evals)
 
+        _forking(monkeypatch, 2)
         monkeypatch.setattr(tune, "_nelder_mead", raising)
         with pytest.raises(RuntimeError, match="start 1"):
-            tune._multi_start(lambda x: float(x @ x), np.zeros(2), np.ones(2), 3, 10,
-                              np.random.default_rng(0), None, 2)
+            autotune("savgol", s, spec)
 
     def test_no_child_outlives_autotune(self):
         # a fresh interpreter owns no other children, so any left over would be reaped here
@@ -828,21 +833,45 @@ class TestParallelStarts:
             "RuntimeError: processes=1"] * 2
 
 
+class TestResultFromTheLog:
+    """``phi`` and every count are read from the evaluation log: the tuned ``phi`` scores
+    the reported loss bit for bit, with every method, search and process count."""
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("outliers", [False, True])
+    @pytest.mark.parametrize("method", method_names())
+    def test_phi_reproduces_the_loss(self, monkeypatch, method, outliers, forked):
+        if forked:
+            _forking(monkeypatch)
+        else:
+            monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        s = _sim_signal("triangles/3", T=2.0)
+        spec = TuneSpec(outliers=outliers, starts=4, max_evals=30)
+        config = autotune(method, s, spec)
+        info = config.info
+        loss = robust_proxy_loss(apply_method(method, s, config.phi).derivative, s,
+                                 info["gamma"], info["m"])
+        assert loss == info["loss"]
+        assert info["distinct_evaluations"] <= info["evaluations"] <= 4 * 30
+        assert info["processes"] == (3 if forked and info["search"] == "nelder-mead" else 1)
+
+
 def _nelder_mead_search(method, spec):
     """The ten-start Nelder-Mead search that one continuous parameter had before the grid
     and Brent search, in ``_grid_brent``'s signature, for the same objective."""
 
     def search(fn, lo, hi, budget):
-        return tune._multi_start(fn, np.array([lo]), np.array([hi]), spec.starts,
-                                 spec.max_evals, seeded_stream(spec.seed, "autotune", method))
+        return multi_start(fn, np.array([lo]), np.array([hi]), spec.starts, spec.max_evals,
+                           seeded_stream(spec.seed, "autotune", method))
 
     return search
 
 
-def _sim_signal(name):
-    """``case/seed``: a simulated case at T = 4, dt = 0.01 with normal noise at scale 1."""
+def _sim_signal(name, T=4.0):
+    """``case/seed``: a simulated case at T (4 unless given), dt = 0.01 with normal noise
+    at scale 1."""
     case, seed = name.split("/")
-    x, _, grid = simulate(SimulationCase(case, T=4.0, dt=0.01))
+    x, _, grid = simulate(SimulationCase(case, T=T, dt=0.01))
     return add_noise(Signal(grid, x), NoiseSpec(family="normal", scale=1.0, seed=int(seed)))
 
 
@@ -935,6 +964,16 @@ class TestOneParameterSearch:
         s, _ = noisy_sine(n=200, seed=5)
         with pytest.raises(NumericError, match="autotune failed for 'broken_butter'"):
             autotune("broken_butter", s, TuneSpec(starts=2, max_evals=40))
+
+    def test_both_side_searches_split_at_one_point(self, monkeypatch):
+        # here the search below the split finds a better point, and the search above must
+        # still start from the split both were planned with
+        bounds, scalar = [], tune.minimize_scalar
+        monkeypatch.setattr(tune, "minimize_scalar", lambda f, **kwargs: bounds.append(
+            kwargs["bounds"]) or scalar(f, **kwargs))
+        autotune("spline", _sim_signal("triangles/0"), TuneSpec(outliers=True))
+        (a, b), (a1, split), (split2, b2) = bounds
+        assert (a1, b2) == (a, b) and split == split2 == -8.634694098727671
 
     @pytest.mark.parametrize("method", ["fd", "fourier", "iterated_fd"])
     def test_integer_or_several_parameters_keep_nelder_mead(self, method):
