@@ -19,6 +19,8 @@ import math
 import sys
 import time
 import warnings
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +59,7 @@ def _fmt(x: float) -> str:
 
 def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # "-sig" drops a byte-order mark
             first = fh.readline()
             if not first:
                 raise ValidationError(f"{path}: empty file")
@@ -67,6 +69,9 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
                 raise ValidationError(
                     f"{path}: header must contain columns {','.join(columns)}; got {','.join(header)}"
                 )
+            repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+            if repeated is not None:
+                raise ValidationError(f"{path}: header names column {repeated!r} twice")
             try:
                 with warnings.catch_warnings():  # a header-only file is reported below
                     warnings.simplefilter("ignore", UserWarning)
@@ -82,14 +87,139 @@ def _read_csv(path: str, columns: tuple[str, ...]) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
+_X_MIN, _X_MAX = -280, 290  # decimal exponents the fast path formats
+_TIE_MARGIN = 1e-9
+_WORD = np.dtype("<u8")  # 8 output bytes, first byte lowest, on any host
+
+
+def _word(byte, k: int):
+    """``byte`` (an ASCII code or array of them) shifted to byte ``k`` of a word."""
+    return np.asarray(byte).astype(_WORD) << _WORD.type(8 * k)
+
+
+@cache
+def _format_tables():
+    """Built on first use. For each k that ``_digits17`` reads, ``10**k = hi + lo + eta``
+    with ``hi``, ``lo`` doubles and ``|eta| <= 2**-106 * hi``, and ``hi`` cut into 26-bit
+    halves for Dekker's product; the four ASCII digits of 0..9999 as a word and their
+    trailing zeros; masks of the low 0..8 bytes of a word; the ``0.`` to ``0.000``
+    prefixes at bytes 1-5; and a ``.`` at byte d of the 16 digits after the first."""
+    hi, hi_hi, hi_lo, lo = [], [], [], []
+    for k in range(16 - _X_MAX, 17 - _X_MIN):
+        exact = Fraction(10) ** k
+        hi.append(float(exact))
+        lo.append(float(exact - Fraction(hi[-1])))
+        c = hi[-1] * 134217729.0  # 2**27 + 1
+        hi_hi.append(c - (c - hi[-1]))
+        hi_lo.append(hi[-1] - hi_hi[-1])
+    g = np.arange(10_000)
+    ascii4 = sum(_word(48 + g // 10 ** (3 - b) % 10, b) for b in range(4))
+    zeros4 = sum((g % 10 ** (b + 1) == 0).astype(np.int64) for b in range(4))
+    low = np.array([(1 << 8 * b) - 1 for b in range(9)], _WORD)
+    prefix = np.array([int.from_bytes(b"\0" + b"0.000"[:1 + b], "little") if b else 0
+                       for b in range(5)], _WORD)
+    dot = np.array([[46 << 8 * (d - 8 * w) if 8 * w <= d < 8 * w + 8 else 0 for w in (0, 1)]
+                    for d in range(18)], _WORD)
+    return [np.array(t) for t in (hi, hi_hi, hi_lo, lo)], ascii4, zeros4, low, prefix, dot
+
+
+def _digits17(a: np.ndarray):
+    """``(D, X, certified)`` for ``a >= 0``: where certified, ``%.17g`` prints ``a`` with
+    the 17 digits of ``D`` (``10**16 <= D < 10**17``) at decimal exponent ``X``; a zero is
+    certified with ``D = X = 0``. ``_write_csv`` gives the proof."""
+    (hi, hi_hi, hi_lo, lo), *_ = _format_tables()
+    ok = (a >= 10.0 ** _X_MIN) & (a < 10.0 ** (_X_MAX + 1))
+    zero = a == 0
+    a = np.where(ok, a, 1.0)
+    X = np.clip(np.floor(np.log10(a)).astype(np.int64), _X_MIN, _X_MAX)
+    k = _X_MAX - X  # row of 10**(16 - X)
+    hi, hi_hi, hi_lo, lo = hi[k], hi_hi[k], hi_lo[k], lo[k]
+    p = a * hi
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    r = ((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    n = np.rint(r)
+    D = p.astype(np.int64) + n.astype(np.int64)
+    ok &= (np.abs(r - n) < 0.5 - _TIE_MARGIN) | (lo == 0)
+    ok &= (D < 10**17) & ((D > 10**16) | ((D == 10**16) & (r >= n)))
+    return np.where(ok, D, 0), np.where(ok, X, 0), ok | zero
+
+
+def _format_words(v: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each of ``v`` as a row of four words, zero bytes padding it anywhere,
+    and byte 6 of the last word left 0 for a separator."""
+    _, ascii4, zeros4, low, prefix, dot = _format_tables()
+    D, X, fast = _digits17(np.abs(v))
+    first, rest = np.divmod(D, 10**16)
+    g1, g2 = np.divmod(rest // 10**8, 10**4)
+    g3, g4 = np.divmod(rest % 10**8, 10**4)
+    ndig = 17 - (zeros4[g4] + (g4 == 0) * (zeros4[g3] + (g3 == 0) * (
+        zeros4[g2] + (g2 == 0) * zeros4[g1])))
+    fixed, small = (X >= 0) & (X <= 16), (X < 0) & (X >= -4)  # 1.5, 0.0015; else 1.5e+20
+    point = np.where(fixed, X, np.where(small, -1, 0))  # digits 0..point come before "."
+    kept = np.where(fixed, np.maximum(ndig, point + 1), ndig)  # digits 0..kept - 1 print
+    digits1, digits2 = (ascii4[g1] | ascii4[g2] << _WORD.type(32),
+                        ascii4[g3] | ascii4[g4] << _WORD.type(32))
+    int1, int2 = low[np.clip(point, 0, 8)], low[np.clip(point - 8, 0, 8)]
+    frac1 = digits1 & low[np.clip(kept - 1, 0, 8)] & ~int1
+    frac2 = digits2 & low[np.clip(kept - 9, 0, 8)] & ~int2
+    dots = dot[np.where((kept > point + 1) & (point >= 0), point, 17)]
+    ax = np.abs(X)
+    words = np.empty((len(v), 4), _WORD)
+    words[:, 0] = _word(np.signbit(v) * 45, 0) | prefix[small * -X] | _word(48 + first, 7)
+    # the digits after the point move up one byte, to make room for it
+    words[:, 1] = digits1 & int1 | frac1 << _WORD.type(8) | dots[:, 0]
+    words[:, 2] = (digits2 & int2 | frac2 << _WORD.type(8) | frac1 >> _WORD.type(56)
+                   | dots[:, 1])
+    words[:, 3] = frac2 >> _WORD.type(56) | np.where(
+        fixed | small, 0, _word(101, 1) | _word(np.where(X < 0, 45, 43), 2)
+        | (ascii4[ax] >> _WORD.type(8) << _WORD.type(24)) & ~_word((ax < 100) * 255, 3))
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [b"%.17g" % x for x in v[slow].tolist()]  # at most 24 bytes
+        words[slow, :3] = np.array(text, "S24").view(_WORD).reshape(-1, 3)
+        words[slow, 3] = 0
+    return words
+
+
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """The text ``np.savetxt`` writes with ``fmt="%.17g"``, formatted a block of rows at a time."""
-    rows = np.column_stack(columns)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    """Write ``header`` and ``columns`` as exactly the bytes that ``np.savetxt(path,
+    np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header),
+    comments="")`` writes, formatting a block of rows at a time by array arithmetic.
+
+    Where ``_digits17`` certifies a value ``v``, its text is laid out from the 17 digits
+    of ``D`` and the exponent ``X``: the sign, a ``0.`` to ``0.000`` prefix for ``-4 <= X
+    < 0``, the digits with the point after digit ``X`` (``0 <= X <= 16``) or else after the
+    first, trailing zeros dropped, and ``e+XX`` or ``e-XXX`` outside ``-4 <= X <= 16``.
+    Pad bytes are zero and are dropped. Every other value is written by ``b"%.17g" % v``.
+
+    Why ``_digits17`` is exact. With ``X = floor(log10|v|)``, ``k = 16 - X`` and ``10**k =
+    hi + lo + eta`` (``hi``, ``lo`` doubles, ``|eta| <= 2**-106 * hi``), ``y = |v| * 10**k``
+    is formed as ``p + r``: ``p = fl(|v| * hi)``, and ``r`` sums that product's exact
+    rounding error (Dekker's two-product) and ``fl(|v| * lo)``. The rounding of ``|v| *
+    lo``, the rounding of the sum and the neglected ``|v| * eta`` are within ``2**-106 *
+    y``, ``2**-105 * y`` and ``2**-106 * y``, so ``|p + r - y| <= 2**-104 * y < 1e-13``, as
+    ``X`` is within one of the true exponent and ``y < 1e18``. Where ``D = p + rint(r) >=
+    10**16``, ``p >= 2**53`` is an even integer, so ``D`` is ``y`` rounded to an integer,
+    ties to even as ``%.17g`` rounds, when ``r`` lies more than ``_TIE_MARGIN`` from a
+    half-integer or when ``lo == 0`` (``10**k`` is a double and ``r`` is exact). ``D`` is
+    then the 17 digits ``%.17g`` prints at exponent ``X`` if ``10**16 <= D < 10**17``; at
+    ``D == 10**16`` the check ``r >= rint(r)`` keeps ``y`` above ``10**16 - 1e-13``, which
+    rounds to ``10**16`` at either exponent.
+
+    The fallback therefore takes inf and nan, ``|v|`` outside ``[1e-280, 1e291)``,
+    fractions within ``_TIE_MARGIN`` of 1/2, an ``X`` off by one next to a power of ten,
+    and roundings that carry into the next decade. Zeros stay on the fast path."""
+    rows = np.column_stack(columns).astype(float, copy=False)
+    seps = _word([44] * (rows.shape[1] - 1) + [10], 6)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for block in (rows[lo : lo + 2**14] for lo in range(0, len(rows), 2**14)):
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            words = _format_words(block.ravel())
+            words.reshape(len(block), -1, 4)[:, :, 3] |= seps
+            text = words.view(np.uint8)
+            fh.write(text[text != 0].tobytes())
 
 
 def _write_manifest(out_path: str, payload: dict) -> None:

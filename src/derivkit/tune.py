@@ -306,12 +306,14 @@ def _start_processes(starts: int) -> int:
 
 
 def _fork_map(run, count: int, processes: int) -> list:
-    """``[run(i) for i in range(count)]``, split among this process and ``processes - 1``
-    forked children: child ``k`` runs every ``processes``-th ``i`` from ``k``, this process
-    those from 0. Each child sends its results back pickled through a pipe and exits; once
-    every child is reaped, each ``i`` that no child reported (it died, or ``run`` raised) is
-    run here, in order, so the results and any exception are the serial loop's. No child
-    outlives the call."""
+    """``[run(i) for i in range(count)]``, which is what one process runs, else split among
+    this process and ``processes - 1`` forked children: child ``k`` runs every
+    ``processes``-th ``i`` from ``k``, this process those from 0. Each child sends its
+    results back pickled through a pipe and exits; once every child is reaped, each ``i``
+    that no child reported (it died, or ``run`` raised) is run here, in order, so the
+    results and any exception are the serial loop's. No child outlives the call."""
+    if processes == 1:
+        return [run(i) for i in range(count)]
     results, children = {}, []
     try:
         for k in range(1, processes):

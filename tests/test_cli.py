@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from derivkit import Signal, apply_method, power_spectrum
-from derivkit.cli import _write_csv, main
+from derivkit.cli import _digits17, _write_csv, main
 from derivkit.methods import method_names
 
 
@@ -179,6 +181,31 @@ class TestDiff:
                      "--out", str(tmp_path / "o2.csv")]) == 0
         assert main(["spectrum", str(out1),
                      "--out", str(tmp_path / "o3.csv")]) == 0
+
+
+class TestInputCsv:
+    def test_byte_order_mark_is_dropped(self, tmp_path, sine_csv):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + sine_csv.read_bytes())
+        outs = [tmp_path / "plain_out.csv", tmp_path / "bom_out.csv"]
+        for path, out in zip([sine_csv, bom], outs):
+            assert main(["diff", str(path), "--method", "savgol", "--out", str(out)]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
+    @pytest.mark.parametrize("header, name", [("t,y,y", "y"), ("t,t,y", "t")])
+    @pytest.mark.parametrize("command", [["diff", "--method", "fd", "--out", "o.csv"],
+                                         ["tune", "--method", "savgol"],
+                                         ["spectrum", "--out", "o.csv"]],
+                             ids=["diff", "tune", "spectrum"])
+    def test_repeated_column_exits_3_and_names_it(self, tmp_path, capsys, command, header,
+                                                  name):
+        path = tmp_path / "in.csv"
+        t = 0.01 * np.arange(100)
+        path.write_text(header + "\n" + "".join(f"{a!r},{a!r},{np.sin(a)!r}\n" for a in t))
+        args = [command[0], str(path)] + [str(tmp_path / a) if a == "o.csv" else a
+                                          for a in command[1:]]
+        assert main(args) == 3
+        assert f"header names column {name!r} twice" in capsys.readouterr().err
 
 
 class TestTune:
@@ -512,3 +539,43 @@ class TestCsvWriter:
         assert np.isneginf(db).any()
         assert out.read_bytes() == self.savetxt_bytes(tmp_path / "ref.csv",
                                                       ["freq_hz", "power_db"], [freqs, db])
+
+
+class TestCsvWriterFastPath:
+    """The array formatter writes ``np.savetxt``'s bytes on edge cases and keeps almost
+    every value off its ``%.17g`` fallback."""
+
+    def assert_savetxt_bytes(self, tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csv(str(tmp_path / "out.csv"), header, columns)
+        assert (tmp_path / "out.csv").read_bytes() == TestCsvWriter.savetxt_bytes(
+            tmp_path / "ref.csv", header, columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @example(bits=[0, 2**63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48,  # +-0 +-inf
+                   1, 2**52 - 1, 2**63 + 1])  # nan, -nan, subnormals
+    def test_arbitrary_bit_patterns(self, tmp_path_factory, bits):
+        values = np.array(bits, np.uint64).view(np.float64)
+        self.assert_savetxt_bytes(tmp_path_factory.mktemp("bits"), [values, values[::-1]])
+
+    def test_targeted_values(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+        integers = np.array([2.0**k + d for k in range(54, 64) for d in (-2**(k - 52), 0)]
+                            + [9007199254740993.0, 12345678901234567.0, 2.0**63])
+        values = np.concatenate([
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            [1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 9999999999999999.0,
+             0.99999999999999994, 0.000099999999999999991],
+            np.nextafter([1e23, 1e-5, 1e-4, 1e16, 1e17], 0),  # carries into the next decade
+            [1.5e-300, 2.5e300, 1e-100, 123.456e200, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, 2.0**-1074 * 3],  # three-digit exponents
+            integers, 1.7e9 + 1e-3 * np.arange(2000)])
+        self.assert_savetxt_bytes(tmp_path, [values, -values[::-1]])
+
+    def test_fast_path_certifies_almost_every_value(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-30, 30, 100_000)
+        assert _digits17(np.abs(values))[2].mean() >= 0.99
+        zeros = np.array([0.0, -0.0] * 500)
+        assert _digits17(np.abs(zeros))[2].all()

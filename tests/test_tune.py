@@ -778,6 +778,28 @@ class TestParallelStarts:
         with pytest.raises(RuntimeError, match="start 1"):
             autotune("savgol", s, spec)
 
+    @pytest.mark.parametrize("method, search", [("butter", "grid+brent"),
+                                                ("savgol", "nelder-mead")])
+    def test_one_process_runs_a_raising_start_once(self, monkeypatch, method, search):
+        from dataclasses import replace
+
+        from derivkit import methods
+
+        calls = []
+
+        def raising(signal, phi, nu, memo):
+            calls.append(phi)
+            raise RuntimeError("run refused")
+
+        monkeypatch.setitem(methods._REGISTRY, f"raising_{method}",
+                            replace(methods.get_method(method), run=raising))
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        s, spec = noisy_sine()[0], TuneSpec(starts=3, max_evals=20)
+        assert autotune(method, s, spec).info["search"] == search
+        with pytest.raises(RuntimeError, match="run refused"):
+            autotune(f"raising_{method}", s, spec)
+        assert len(calls) == 1
+
     def test_no_child_outlives_autotune(self):
         # a fresh interpreter owns no other children, so any left over would be reaped here
         script = textwrap.dedent("""
