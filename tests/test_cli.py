@@ -570,7 +570,9 @@ class TestCsvWriterFastPath:
             np.nextafter([1e23, 1e-5, 1e-4, 1e16, 1e17], 0),  # carries into the next decade
             [1.5e-300, 2.5e300, 1e-100, 123.456e200, 5e-324, 2.2250738585072014e-308,
              1.7976931348623157e308, 2.0**-1074 * 3],  # three-digit exponents
-            integers, 1.7e9 + 1e-3 * np.arange(2000)])
+            integers, 1.7e9 + 1e-3 * np.arange(2000),
+            # exact ties at the 17th digit, which round to even
+            2.0**50 + 0.25 + np.arange(200), np.ldexp(np.arange(1, 64, 2.0), -24)])
         self.assert_savetxt_bytes(tmp_path, [values, -values[::-1]])
 
     def test_fast_path_certifies_almost_every_value(self):
@@ -579,3 +581,4 @@ class TestCsvWriterFastPath:
         assert _digits17(np.abs(values))[2].mean() >= 0.99
         zeros = np.array([0.0, -0.0] * 500)
         assert _digits17(np.abs(zeros))[2].all()
+        assert _digits17(2.0**50 + 0.25 + np.arange(200))[2].all()  # exact ties
