@@ -467,9 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process for each set of registered method
+    ``names``, which its ``--method`` choices list."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(method_names()).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

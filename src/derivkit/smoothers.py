@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.polynomial.polynomial import polyvander
 from scipy.interpolate import BSpline
 from scipy.linalg import companion
@@ -35,6 +35,7 @@ from .core import (
     _require_int,
     _require_uniform,
     _solve_banded,
+    _solve_spd_banded,
 )
 from .fd import _fd_plan
 
@@ -617,16 +618,43 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     )
 
 
+#: ``rbfdiff`` reads its outputs in blocks of about this many band entries.
+_RBF_BLOCK = 1 << 16
+
+
+def _full_band(lower: np.ndarray, i0: int, out: np.ndarray) -> None:
+    """Write columns ``i0 .. i0 + w - 1`` of a symmetric band matrix ``M`` into the
+    ``(2b+1, w)`` array ``out``, ``out[k, i - i0] = M[i + k - b, i]``. ``lower`` is its lower
+    band, Fortran-ordered with ``b`` zero columns in front: ``lower[d, b + j] = M[j + d, j]``.
+    Row ``b + d`` is ``lower``'s row ``d``; row ``b - d`` is ``M[i - d, i] = M[i, i - d]``,
+    which lies ``b`` elements back along ``lower``'s column-major storage per step of ``d``."""
+    b = len(lower) - 1
+    w = out.shape[1]
+    out[b:] = lower[:, b + i0:b + i0 + w]
+    flat = lower.ravel(order="F")  # a view
+    step = flat.itemsize
+    out[:b] = as_strided(flat[(b + i0) * (b + 1) - b * b:], shape=(b, w),
+                         strides=(b * step, (b + 1) * step), writeable=False)
+
+
 def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> DerivativeResult:
     """Truncated-Gaussian radial basis fit with eigenvalue damping.
 
     One basis function sits on every sample. The kernel is cut off at radius
     ``rho``, so only a band of the collocation matrix is built: its half-width
     ``b`` is the most samples within ``rho`` on one side of a sample (about
-    ``rho / dt``), and memory is O(N b). Adding ``damping`` times the identity
-    shifts all eigenvalues up from zero, trading a little fit fidelity for a
-    dramatically smaller condition number. The derivative reuses the
-    coefficients with analytic kernel derivatives.
+    ``rho / dt``). Adding ``damping`` times the identity shifts all eigenvalues
+    up from zero, trading a little fit fidelity for a dramatically smaller
+    condition number. The derivative reuses the coefficients with analytic
+    kernel derivatives.
+
+    The damped matrix is symmetric, so only its diagonal and ``b`` subdiagonals are
+    built, ``b + 1`` rows of N, and a copy of them is factored by banded Cholesky
+    (LAPACK ``pbsv``). Both read-outs take one block of samples at a time from those
+    rows, by symmetry, so memory is about ``2 (b + 1)`` floats per sample. Where the
+    truncated kernel matrix is not numerically positive definite (small damping at a
+    wide sigma), the Cholesky breaks down and the full ``2b + 1``-row band is solved by
+    pivoting banded LU (``gbsv``) instead; ``flags["lu_steps"]`` is 1 then, else 0.
     """
     _require_finite_settings(sigma=sigma, rho=rho, damping=damping)
     if sigma <= 0:
@@ -641,18 +669,49 @@ def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> D
     # t is sorted: widened by a few ulps, this search reaches every |t_j - t_i| < rho
     b = int(np.max(np.searchsorted(t, t + rho + 4 * np.spacing(np.abs(t) + rho))
                    - np.arange(1, n + 1)))
-    # gaps[k, i] = t[i + k - b] - t[i] (padding lies beyond rho) and band[k, i] = M[i, i + k - b]
-    # for the symmetric M = A + damping I: LAPACK's band storage ab[b + i - j, j] = M[i, j].
-    padded = np.pad(t, b, constant_values=(t[0] - 2 * rho, t[-1] + 2 * rho))
-    gaps = sliding_window_view(padded, 2 * b + 1).T - t
-    band = np.where(np.abs(gaps) < rho, np.exp(-0.5 * (gaps / sigma) ** 2), 0.0)
-    band[b] += damping
-    coef = _solve_banded(b, band, signal.values, "banded radial-basis solve failed")
+    # the lower band of M = A + damping I, lower[d, b + j] = M[j + d, j], behind b zero
+    # columns for _full_band; ab = lower[:, b:] is LAPACK's lower band storage
+    lower = np.zeros((b + 1, n + b), order="F")
+    ab = lower[:, b:]
+    padded = np.pad(t, (0, b), constant_values=t[-1] + 2 * rho)  # padding lies beyond rho
+    np.subtract(sliding_window_view(padded, b + 1), t[:, None], out=ab.T)
+    far = ab >= rho
+    ab /= sigma
+    np.square(ab, out=ab)
+    ab *= -0.5
+    np.exp(ab, out=ab)
+    ab[far] = 0.0
+    del far
+    ab[0] += damping
+    coef = _solve_spd_banded(ab.copy(order="F"), signal.values)
+    lu_steps = int(coef is None)
+    if coef is None:
+        band = np.empty((2 * b + 1, n))
+        _full_band(lower, 0, band)
+        coef = _solve_banded(b, band, signal.values, "banded radial-basis solve failed")
+
+    # Each output sums its 2b + 1 products in one np.vecdot over a block's columns of the
+    # full band (kernel) or of the gap-weighted band (kernel derivative). Every block is a
+    # slice of buffers at least two columns wide, so its rows are never unit-stride: the
+    # BLAS dot behind vecdot then sums in one order, the order of one (2b+1, N) band.
     windows = sliding_window_view(np.pad(coef, b), 2 * b + 1)
-    gaps *= band  # over sigma^2, the kernel's derivative: zero on the diagonal, where damping sits
+    gap_windows = sliding_window_view(
+        np.pad(t, b, constant_values=(t[0] - 2 * rho, t[-1] + 2 * rho)), 2 * b + 1)
+    width = min(n, max(2, _RBF_BLOCK // (2 * b + 1)))
+    kernel, slope = np.empty((2 * b + 1, width)), np.empty((2 * b + 1, width))
+    smoothed, derivative = np.empty(n), np.empty(n)
+    for i0 in range(0, n, width):
+        i1 = min(i0 + width, n)
+        k, s = kernel[:, :i1 - i0], slope[:, :i1 - i0]
+        _full_band(lower, i0, k)
+        np.subtract(gap_windows[i0:i1].T, t[i0:i1], out=s)
+        s *= k  # over sigma^2, the kernel's derivative: zero on the diagonal, where damping sits
+        smoothed[i0:i1] = np.vecdot(k.T, windows[i0:i1])
+        derivative[i0:i1] = np.vecdot(s.T, windows[i0:i1])
     return DerivativeResult(
-        smoothed=np.vecdot(band.T, windows) - damping * coef,
-        derivative=np.vecdot(gaps.T, windows) / sigma**2,
+        smoothed=smoothed - damping * coef,
+        derivative=derivative / sigma**2,
         method="rbfdiff",
         phi={"sigma": sigma, "rho": rho, "damping": damping},
+        flags={"lu_steps": lu_steps},
     )

@@ -309,12 +309,14 @@ def _fork_map(run, count: int, processes: int) -> list:
     """``[run(i) for i in range(count)]``, which is what one process runs, else split among
     this process and ``processes - 1`` forked children: child ``k`` runs every
     ``processes``-th ``i`` from ``k``, this process those from 0. Each child sends its
-    results back pickled through a pipe and exits; once every child is reaped, each ``i``
-    that no child reported (it died, or ``run`` raised) is run here, in order, so the
-    results and any exception are the serial loop's. No child outlives the call."""
+    results back pickled through a pipe and exits. This process stops at its first ``i``
+    that raises. Once every child is reaped, the ``i`` are taken in order: that exception
+    is raised again at its ``i``, and each ``i`` that no child reported (it died, or
+    ``run`` raised) is run here, so the results and any exception are the serial loop's.
+    No child outlives the call."""
     if processes == 1:
         return [run(i) for i in range(count)]
-    results, children = {}, []
+    results, children, stop, error = {}, [], count, None
     try:
         for k in range(1, processes):
             read, write = os.pipe()
@@ -342,8 +344,9 @@ def _fork_map(run, count: int, processes: int) -> list:
         for i in range(0, count, processes):
             try:
                 results[i] = run(i)
-            except Exception:  # raised again below, after every earlier i
-                pass
+            except Exception as exc:  # raised again below, after every earlier i
+                stop, error = i, exc
+                break
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -357,7 +360,10 @@ def _fork_map(run, count: int, processes: int) -> list:
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return [results[i] if i in results else run(i) for i in range(count)]
+    ordered = [results[i] if i in results else run(i) for i in range(stop)]
+    if error is not None:
+        raise error
+    return ordered
 
 
 def _nelder_mead(fn, x0: np.ndarray, step: np.ndarray, max_evals: int) -> None:

@@ -175,8 +175,10 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
         if obj < best_obj:
             best_obj, best_x = obj, x
         best_bound = max(best_bound, float(2.0 * (Ey @ z) - Etz @ Etz))
-        resolution = 2.0 * lam * rounding * float(np.sum(abs_E @ np.abs(best_x)))
-        if best_obj - best_bound <= max(tol * best_obj, resolution):
+        # the rounding bound only matters, and is only computed, where the gap test fails
+        excess = best_obj - best_bound
+        if excess <= tol * best_obj or excess <= 2.0 * lam * rounding * float(
+                np.sum(abs_E @ np.abs(best_x))):
             converged = True
             break
         if it == max_iter:
@@ -209,10 +211,9 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
 
         # the multipliers and the box slacks stay positive along the step
         step = 1.0
-        for v, dv in ((mu1, dmu1), (mu2, dmu2), (s1, -dz), (s2, dz)):
-            neg = dv < 0
-            if np.any(neg):
-                step = min(step, _STEP_FRACTION * float(np.min(-v[neg] / dv[neg])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for v, dv in ((mu1, dmu1), (mu2, dmu2), (s1, -dz), (s2, dz)):
+                step = min(step, _STEP_FRACTION * float(np.min(np.where(dv < 0, -v / dv, np.inf))))
         r_norm = norm(res)
         for _ in range(_MAX_BACKTRACK):
             new = (x + step * dx, z + step * dz, mu1 + step * dmu1, mu2 + step * dmu2)

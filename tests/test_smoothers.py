@@ -975,6 +975,10 @@ class TestRbfAgainstDense:
         rho = RBF_TRUNCATION_FACTOR * sigma
         ref = dense_rbf(s.grid.points, s.values, sigma, rho, damping)
         out = rbfdiff(s, sigma=sigma, rho=rho, damping=damping)
+        if width == "8dt":
+            # the truncated kernel matrix is indefinite: at damping 1e-8 its banded
+            # Cholesky breaks down and the pivoting LU solves it instead
+            assert out.flags["lu_steps"] == (damping < 0.1)
         for got, want, weights in ((out.smoothed, ref.smoothed, ref.A),
                                    (out.derivative, ref.derivative, ref.Adot)):
             err = np.max(np.abs(got - want))
@@ -996,10 +1000,14 @@ class TestRbfAgainstDense:
         np.testing.assert_array_equal(out.derivative, 0.0)
 
     def test_failed_solve_reports_band_condition_estimate(self, monkeypatch):
+        # damping 1e-8 breaks the Cholesky down, so the LU fallback runs and fails here
         s = _rbf_signal("uniform")
 
         def lapack_with_failing_solve(names, arrays):
-            gbsv, gbcon = get_lapack_funcs(names, arrays)
+            funcs = get_lapack_funcs(names, arrays)
+            if names != ("gbsv", "gbcon"):
+                return funcs
+            gbsv, gbcon = funcs
 
             def gbsv_nan(*args, **kwargs):
                 lu, piv, x, info = gbsv(*args, **kwargs)
@@ -1009,9 +1017,9 @@ class TestRbfAgainstDense:
 
         monkeypatch.setattr(core, "get_lapack_funcs", lapack_with_failing_solve)
         with pytest.raises(NumericError, match="banded radial-basis solve failed") as exc:
-            rbfdiff(s, sigma=0.05, rho=0.25, damping=1e-3)
+            rbfdiff(s, sigma=0.05, rho=0.25, damping=1e-8)
         estimate = float(re.search(r"condition estimate ([^)]+)\)", str(exc.value)).group(1))
-        cond1 = np.linalg.cond(dense_rbf(s.grid.points, s.values, 0.05, 0.25, 1e-3).M, 1)
+        cond1 = np.linalg.cond(dense_rbf(s.grid.points, s.values, 0.05, 0.25, 1e-8).M, 1)
         # LAPACK's 1-norm estimate is a lower bound, printed to three digits
         assert cond1 / 10 <= estimate <= 1.01 * cond1
 
@@ -1022,28 +1030,47 @@ class TestRbfAgainstDense:
             rbfdiff(s, sigma=1e9, rho=2e9, damping=0.0)
 
     def test_1e5_irregular_samples_in_bounded_memory(self):
-        # The dense assembly needed 80 GB per N x N matrix here. The peak is
-        # the child's VmHWM: ru_maxrss keeps the high-water mark of the test
-        # process that started it, which the oracle cases above push past 600 MB.
-        script = textwrap.dedent("""
-            import re
-            from pathlib import Path
-            import numpy as np
-            from derivkit import Grid, Signal, apply_method
+        # The dense assembly needed 80 GB per N x N matrix here.
+        finite, peak_kb = _rbf_in_child("""
             rng = np.random.default_rng(0)
             t = 0.005 * np.sort(rng.choice(200_000, 100_000, replace=False))
             y = np.sin(t) + 0.1 * rng.standard_normal(len(t))
             out = apply_method("rbf", Signal(Grid(t), y))
-            finite = np.all(np.isfinite(out.smoothed)) and np.all(np.isfinite(out.derivative))
-            peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]
-            print(bool(finite), peak_kb)
         """)
-        src = str(Path(derivkit.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
-        finite, peak_kb = proc.stdout.split()
-        assert finite == "True"
-        assert int(peak_kb) < 500 * 1024
+        assert finite
+        assert peak_kb < 500 * 1024
+
+    def test_1e6_uniform_samples_in_bounded_memory(self):
+        # The LU beside the full band and the gaps, 7b + 3 rows of N in all, peaked at ~2 GB.
+        finite, peak_kb = _rbf_in_child("""
+            t = 0.01 * np.arange(1_000_000)
+            y = np.sin(t) + 0.1 * np.random.default_rng(0).standard_normal(len(t))
+            out = apply_method("rbf", Signal(Grid(t), y))
+        """)
+        assert finite
+        assert peak_kb <= 800 * 1024
+
+
+def _rbf_in_child(body: str) -> tuple[bool, int]:
+    """Run ``body``, which sets ``out`` to an ``rbf`` result, in a fresh interpreter.
+    Returns whether ``out`` is finite and the child's peak resident memory in kB, its
+    VmHWM: ru_maxrss keeps the high-water mark of the test process that started it,
+    which the oracle cases above push past 600 MB."""
+    script = textwrap.dedent("""
+        import re
+        from pathlib import Path
+        import numpy as np
+        from derivkit import Grid, Signal, apply_method, get_method
+    """) + textwrap.dedent(body) + textwrap.dedent("""
+        finite = np.all(np.isfinite(out.smoothed)) and np.all(np.isfinite(out.derivative))
+        peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]
+        print(bool(finite), peak_kb)
+    """)
+    src = str(Path(derivkit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
+    finite, peak_kb = proc.stdout.split()
+    return finite == "True", int(peak_kb)
 
 
 class TestRbfSigmaBound:
@@ -1064,26 +1091,15 @@ class TestRbfSigmaBound:
 
     def test_upper_bound_on_1e4_irregular_samples_in_bounded_memory(self):
         # at span/8 the half-bandwidth here would be ~5000 samples: a band wider than the matrix
-        script = textwrap.dedent("""
-            import re
-            from pathlib import Path
-            import numpy as np
-            from derivkit import Grid, Signal, apply_method, get_method
+        finite, peak_kb = _rbf_in_child("""
             rng = np.random.default_rng(1)
             t = 0.005 * np.sort(rng.choice(20_000, 10_000, replace=False))
             s = Signal(Grid(t), np.sin(t) + 0.1 * rng.standard_normal(len(t)))
             hi = {p.name: p for p in get_method("rbf").build_params(s)}["sigma"].hi
             out = apply_method("rbf", s, {"sigma": hi})
-            finite = np.all(np.isfinite(out.smoothed)) and np.all(np.isfinite(out.derivative))
-            peak_kb = re.search(r"VmHWM:\\s*(\\d+) kB", Path("/proc/self/status").read_text())[1]
-            print(bool(finite), peak_kb)
         """)
-        src = str(Path(derivkit.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=300, check=True)
-        finite, peak_kb = proc.stdout.split()
-        assert finite == "True"
-        assert int(peak_kb) < 500 * 1024
+        assert finite
+        assert peak_kb < 500 * 1024
 
 
 class TestConstantsMapToConstants:

@@ -778,9 +778,11 @@ class TestParallelStarts:
         with pytest.raises(RuntimeError, match="start 1"):
             autotune("savgol", s, spec)
 
-    @pytest.mark.parametrize("method, search", [("butter", "grid+brent"),
-                                                ("savgol", "nelder-mead")])
-    def test_one_process_runs_a_raising_start_once(self, monkeypatch, method, search):
+    @pytest.mark.parametrize("method, search, processes", [
+        ("butter", "grid+brent", 1), ("savgol", "nelder-mead", 1), ("savgol", "nelder-mead", 2)],
+        ids=["butter-grid+brent", "savgol-nelder-mead", "savgol-nelder-mead-2-processes"])
+    def test_one_process_runs_a_raising_start_once(self, monkeypatch, method, search,
+                                                   processes):
         from dataclasses import replace
 
         from derivkit import methods
@@ -788,17 +790,22 @@ class TestParallelStarts:
         calls = []
 
         def raising(signal, phi, nu, memo):
-            calls.append(phi)
+            calls.append(os.getpid())
             raise RuntimeError("run refused")
 
         monkeypatch.setitem(methods._REGISTRY, f"raising_{method}",
                             replace(methods.get_method(method), run=raising))
-        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        if processes == 1:
+            monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        else:
+            _forking(monkeypatch, processes)
         s, spec = noisy_sine()[0], TuneSpec(starts=3, max_evals=20)
-        assert autotune(method, s, spec).info["search"] == search
+        config = autotune(method, s, spec)
+        assert (config.info["search"], config.info["processes"]) == (search, processes)
         with pytest.raises(RuntimeError, match="run refused"):
             autotune(f"raising_{method}", s, spec)
-        assert len(calls) == 1
+        # the serial loop's start 0 raises; no later start runs in this process
+        assert calls.count(os.getpid()) == 1
 
     def test_no_child_outlives_autotune(self):
         # a fresh interpreter owns no other children, so any left over would be reaped here
