@@ -49,13 +49,16 @@ def _require_finite_settings(**settings: float | None) -> None:
             raise ValidationError(f"{name} must be finite, got {value}")
 
 
-def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+def _require_int(name: str, value, lo: int | None, hi: int | None = None) -> int:
     """``value`` as an int. A bool, a fractional or non-finite number, a non-number and a
-    whole number outside ``[lo, hi]`` are refused by ``name``."""
+    whole number outside ``[lo, hi]`` are refused by ``name``; with ``lo`` None, any whole
+    number passes."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
             isinstance(value, (float, np.floating)) and value.is_integer())):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     value = int(value)
+    if lo is None:
+        return value
     if hi is not None and not lo <= value <= hi:
         raise ValidationError(f"{name} must lie in [{lo}, {hi}], got {value}")
     if value < lo:

@@ -66,6 +66,7 @@ class NoiseSpec:
         _require_finite_settings(scale=self.scale)
         if self.scale < 0:
             raise ValidationError("scale must be >= 0")
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, None))
 
 
 def cruise_control_matrices(dt: float):
@@ -241,7 +242,7 @@ def add_outliers(y: Signal, seed: int = 0) -> Signal:
     """Corrupt a random 1% of samples by +-[50%, 150%] of the series range."""
     n = len(y)
     _require_outlier_samples(n)
-    rng = seeded_stream(seed, "outliers")
+    rng = seeded_stream(_require_int("seed", seed, None), "outliers")
     count = int(round(0.01 * n))
     idx = rng.choice(n, size=count, replace=False)
     signs = rng.choice([-1.0, 1.0], size=count)
@@ -258,21 +259,16 @@ _CENTRAL = {"noise_type": "normal", "noise_scale": 1.0, "outliers": False}
 def _cell_settings(task: dict, seed: int = 0):
     """The ``SimulationCase``, ``NoiseSpec`` and ``TuneSpec`` of a cell, whose axis
     value replaces its setting at the central point; each refuses a bad value, as does
-    outlier injection on too short a simulation. ``outliers`` takes a boolean, 0 or 1
-    (a string such as ``"false"`` is refused, not read as true)."""
+    outlier injection on too short a simulation."""
     setting = dict(_CENTRAL, dt=task["dt"], cutoff_f=task["spec"].cutoff_hz)
     setting[task["axis"]] = task["value"]
     case = SimulationCase(task["case"], T=task["T"], dt=setting["dt"])
-    outliers = setting["outliers"]
-    if not (isinstance(outliers, (bool, np.bool_))
-            or isinstance(outliers, numbers.Integral) and outliers in (0, 1)):
-        raise ValidationError("outliers must be a boolean, 0 or 1")
-    outliers = bool(outliers)
-    if outliers:
+    noise = NoiseSpec(family=setting["noise_type"], scale=setting["noise_scale"], seed=seed)
+    spec = replace(task["spec"], cutoff_hz=setting["cutoff_f"], outliers=setting["outliers"],
+                   seed=seed)
+    if spec.outliers:
         _require_outlier_samples(_sample_count(case))
-    return (case,
-            NoiseSpec(family=setting["noise_type"], scale=setting["noise_scale"], seed=seed),
-            replace(task["spec"], cutoff_hz=setting["cutoff_f"], outliers=outliers, seed=seed))
+    return case, noise, spec
 
 
 def _run_cell(task: dict) -> dict:

@@ -19,10 +19,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyvander
 from scipy.interpolate import BSpline
-from scipy.linalg import companion
+from scipy.linalg import companion, get_blas_funcs
 from scipy.optimize import brentq
 
 from .core import (
@@ -618,23 +618,26 @@ def splinediff(signal: Signal, spec: SplineSpec) -> DerivativeResult:
     )
 
 
-#: ``rbfdiff`` reads its outputs in blocks of about this many band entries.
-_RBF_BLOCK = 1 << 16
+def _rbf_gaps(t: np.ndarray, b: int, rho: float) -> np.ndarray:
+    """The gaps ``t[j + d] - t[j]``, d = 0..b, in LAPACK's lower band storage: a new
+    Fortran-ordered ``(b + 1, N)`` array. Past the last sample they lie beyond ``rho``."""
+    out = np.empty((b + 1, len(t)), order="F")
+    padded = np.pad(t, (0, b), constant_values=t[-1] + 2 * rho)
+    np.subtract(sliding_window_view(padded, b + 1), t[:, None], out=out.T)
+    return out
 
 
-def _full_band(lower: np.ndarray, i0: int, out: np.ndarray) -> None:
-    """Write columns ``i0 .. i0 + w - 1`` of a symmetric band matrix ``M`` into the
-    ``(2b+1, w)`` array ``out``, ``out[k, i - i0] = M[i + k - b, i]``. ``lower`` is its lower
-    band, Fortran-ordered with ``b`` zero columns in front: ``lower[d, b + j] = M[j + d, j]``.
-    Row ``b + d`` is ``lower``'s row ``d``; row ``b - d`` is ``M[i - d, i] = M[i, i - d]``,
-    which lies ``b`` elements back along ``lower``'s column-major storage per step of ``d``."""
-    b = len(lower) - 1
-    w = out.shape[1]
-    out[b:] = lower[:, b + i0:b + i0 + w]
-    flat = lower.ravel(order="F")  # a view
-    step = flat.itemsize
-    out[:b] = as_strided(flat[(b + i0) * (b + 1) - b * b:], shape=(b, w),
-                         strides=(b * step, (b + 1) * step), writeable=False)
+def _rbf_kernel(t: np.ndarray, b: int, sigma: float, rho: float) -> np.ndarray:
+    """The lower band of the truncated Gaussian kernel matrix ``A``, ``ab[d, j] = A[j + d, j]``,
+    stored as :func:`_rbf_gaps`; the mask of the gaps beyond ``rho`` is freed on return."""
+    ab = _rbf_gaps(t, b, rho)
+    far = ab >= rho
+    ab /= sigma
+    np.square(ab, out=ab)
+    ab *= -0.5
+    np.exp(ab, out=ab)
+    ab[far] = 0.0
+    return ab
 
 
 def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> DerivativeResult:
@@ -648,13 +651,17 @@ def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> D
     condition number. The derivative reuses the coefficients with analytic
     kernel derivatives.
 
-    The damped matrix is symmetric, so only its diagonal and ``b`` subdiagonals are
-    built, ``b + 1`` rows of N, and a copy of them is factored by banded Cholesky
-    (LAPACK ``pbsv``). Both read-outs take one block of samples at a time from those
-    rows, by symmetry, so memory is about ``2 (b + 1)`` floats per sample. Where the
-    truncated kernel matrix is not numerically positive definite (small damping at a
-    wide sigma), the Cholesky breaks down and the full ``2b + 1``-row band is solved by
-    pivoting banded LU (``gbsv``) instead; ``flags["lu_steps"]`` is 1 then, else 0.
+    Only the lower band of the symmetric ``M = A + damping I`` is built, ``b + 1`` rows of
+    N, and factored in place by banded Cholesky (LAPACK ``pbsv``). Before that, the gaps
+    weight it into ``W[d, j] = (t[j + d] - t[j]) A[j + d, j]``, and the derivative is
+    ``(W^T c - W c) / sigma^2``, two BLAS ``gbmv`` products. The smoothed values are
+    ``A c = y - damping c``, read from the solve with no product: closer to an
+    extended-precision reference than ``A c`` multiplied out. Memory is these two bands.
+    Where the truncated kernel matrix is not numerically positive definite (small damping
+    at a wide sigma), the Cholesky breaks down; the kernel band is built again, the full
+    ``2b + 1``-row band is solved by pivoting banded LU (``gbsv``), and the smoothed values
+    are ``A c`` by BLAS ``sbmv``, as the LU's larger residual would show in
+    ``y - damping c``. ``flags["lu_steps"]`` is 1 then, else 0.
     """
     _require_finite_settings(sigma=sigma, rho=rho, damping=damping)
     if sigma <= 0:
@@ -663,54 +670,36 @@ def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> D
         raise ValidationError(f"rho must exceed sigma, got rho={rho}, sigma={sigma}")
     if damping < 0:
         raise ValidationError(f"damping must be >= 0, got {damping}")
-    t = signal.grid.points
+    t, y = signal.grid.points, signal.values
     n = len(t)
 
     # t is sorted: widened by a few ulps, this search reaches every |t_j - t_i| < rho
     b = int(np.max(np.searchsorted(t, t + rho + 4 * np.spacing(np.abs(t) + rho))
                    - np.arange(1, n + 1)))
-    # the lower band of M = A + damping I, lower[d, b + j] = M[j + d, j], behind b zero
-    # columns for _full_band; ab = lower[:, b:] is LAPACK's lower band storage
-    lower = np.zeros((b + 1, n + b), order="F")
-    ab = lower[:, b:]
-    padded = np.pad(t, (0, b), constant_values=t[-1] + 2 * rho)  # padding lies beyond rho
-    np.subtract(sliding_window_view(padded, b + 1), t[:, None], out=ab.T)
-    far = ab >= rho
-    ab /= sigma
-    np.square(ab, out=ab)
-    ab *= -0.5
-    np.exp(ab, out=ab)
-    ab[far] = 0.0
-    del far
-    ab[0] += damping
-    coef = _solve_spd_banded(ab.copy(order="F"), signal.values)
+    kernel = _rbf_kernel(t, b, sigma, rho)
+    weighted = _rbf_gaps(t, b, rho)
+    weighted *= kernel
+    kernel[0] += damping
+    coef = _solve_spd_banded(kernel, y)
+    del kernel  # its factor, or a broken one: not read again, so freed before the read-outs
     lu_steps = int(coef is None)
     if coef is None:
-        band = np.empty((2 * b + 1, n))
-        _full_band(lower, 0, band)
-        coef = _solve_banded(b, band, signal.values, "banded radial-basis solve failed")
-
-    # Each output sums its 2b + 1 products in one np.vecdot over a block's columns of the
-    # full band (kernel) or of the gap-weighted band (kernel derivative). Every block is a
-    # slice of buffers at least two columns wide, so its rows are never unit-stride: the
-    # BLAS dot behind vecdot then sums in one order, the order of one (2b+1, N) band.
-    windows = sliding_window_view(np.pad(coef, b), 2 * b + 1)
-    gap_windows = sliding_window_view(
-        np.pad(t, b, constant_values=(t[0] - 2 * rho, t[-1] + 2 * rho)), 2 * b + 1)
-    width = min(n, max(2, _RBF_BLOCK // (2 * b + 1)))
-    kernel, slope = np.empty((2 * b + 1, width)), np.empty((2 * b + 1, width))
-    smoothed, derivative = np.empty(n), np.empty(n)
-    for i0 in range(0, n, width):
-        i1 = min(i0 + width, n)
-        k, s = kernel[:, :i1 - i0], slope[:, :i1 - i0]
-        _full_band(lower, i0, k)
-        np.subtract(gap_windows[i0:i1].T, t[i0:i1], out=s)
-        s *= k  # over sigma^2, the kernel's derivative: zero on the diagonal, where damping sits
-        smoothed[i0:i1] = np.vecdot(k.T, windows[i0:i1])
-        derivative[i0:i1] = np.vecdot(s.T, windows[i0:i1])
+        kernel = _rbf_kernel(t, b, sigma, rho)
+        band = np.zeros((2 * b + 1, n))
+        for d in range(b + 1):  # M[j + d, j] = M[j, j + d]
+            band[b + d, :n - d] = band[b - d, d:] = kernel[d, :n - d]
+        band[b] += damping
+        coef = _solve_banded(b, band, y, "banded radial-basis solve failed")
+        smoothed = get_blas_funcs("sbmv", (kernel,))(b, 1.0, kernel, coef, lower=1)
+    else:
+        smoothed = y - damping * coef
+    gbmv = get_blas_funcs("gbmv", (weighted,))
+    derivative = gbmv(n, n, b, 0, 1.0, weighted, coef, trans=1)
+    derivative = gbmv(n, n, b, 0, -1.0, weighted, coef, beta=1.0, y=derivative, overwrite_y=1)
+    derivative /= sigma**2
     return DerivativeResult(
-        smoothed=smoothed - damping * coef,
-        derivative=derivative / sigma**2,
+        smoothed=smoothed,
+        derivative=derivative,
         method="rbfdiff",
         phi={"sigma": sigma, "rho": rho, "damping": damping},
         flags={"lu_steps": lu_steps},

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import numbers
 import os
 import pickle
 import sys
@@ -267,7 +268,8 @@ class TuneSpec:
 
     The TV weight gamma is derived from ``cutoff_hz`` and the grid step by
     :func:`gamma_heuristic`. The Huber parameter is 6, or 2 when the data is
-    declared to contain outliers.
+    declared to contain outliers: ``outliers`` takes a boolean, 0 or 1, and is stored as
+    a bool (a string such as ``"false"`` is refused, not read as true).
 
     Nelder-Mead runs ``starts`` times from points drawn by ``seed``, each making
     at most ``max_evals`` evaluations. The one-parameter grid and Brent search
@@ -287,6 +289,11 @@ class TuneSpec:
             raise ValidationError("cutoff_hz must be positive")
         for name in ("starts", "max_evals"):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, None))
+        if not (isinstance(self.outliers, np.bool_)
+                or isinstance(self.outliers, numbers.Integral) and self.outliers in (0, 1)):
+            raise ValidationError("outliers must be a boolean, 0 or 1")
+        object.__setattr__(self, "outliers", bool(self.outliers))
 
     @property
     def resolved_m(self) -> float:

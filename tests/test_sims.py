@@ -171,6 +171,26 @@ class TestAddNoise:
             assert np.var(out.values) == pytest.approx(var, rel=0.1)
 
 
+    def test_whole_float_seed_draws_as_int(self):
+        # before, the stream hashed the seed's repr, so seed=1.0 drew another sample than 1
+        x, _, grid = simulate(SimulationCase("sine_sum"))
+        clean = Signal(grid, x)
+        assert NoiseSpec(seed=-2.0).seed == -2
+        np.testing.assert_array_equal(add_noise(clean, NoiseSpec(seed=1.0)).values,
+                                      add_noise(clean, NoiseSpec(seed=1)).values)
+        np.testing.assert_array_equal(add_outliers(clean, seed=1.0).values,
+                                      add_outliers(clean, seed=1).values)
+
+    @pytest.mark.parametrize("value", [True, 2.5, "1", None])
+    def test_seed_refused_unless_integer(self, value):
+        clean = Signal(Grid.regular(400, 0.01), np.zeros(400))
+        message = re.escape(f"seed must be an integer, got {value!r}")
+        with pytest.raises(ValidationError, match=message):
+            NoiseSpec(seed=value)
+        with pytest.raises(ValidationError, match=message):
+            add_outliers(clean, seed=value)
+
+
 class TestAddOutliers:
     def test_count_is_one_percent(self):
         x, _, grid = simulate(SimulationCase("sine_sum"))  # N = 400

@@ -641,6 +641,34 @@ class TestAutotune:
         assert TuneSpec().resolved_m == 6.0
         assert TuneSpec(outliers=True).resolved_m == 2.0
 
+    @pytest.mark.parametrize("value", ["false", 2, 1.0, None])
+    def test_outliers_refused_unless_boolean_0_or_1(self, value):
+        # before, any truthy value, "false" and 2 included, set the Huber M to 2
+        with pytest.raises(ValidationError, match="outliers must be a boolean, 0 or 1"):
+            TuneSpec(outliers=value)
+
+    @pytest.mark.parametrize("value, expected", [
+        (True, True), (False, False), (np.True_, True), (1, True), (np.int64(0), False)])
+    def test_outliers_stored_as_bool(self, value, expected):
+        assert TuneSpec(outliers=value).outliers is expected
+
+    @pytest.mark.parametrize("value", [True, 1.5, np.nan, "x", None])
+    def test_seed_refused_unless_integer(self, value):
+        # before, seeded_stream hashed the seed's repr, so any of these drew its own starts
+        message = re.escape(f"seed must be an integer, got {value!r}")
+        with pytest.raises(ValidationError, match=message):
+            TuneSpec(seed=value)
+
+    def test_whole_float_and_negative_seeds_run_as_ints(self):
+        # before, seed=1.0 drew other start points than seed=1 and tuned savgol to another phi
+        from dataclasses import replace
+
+        s, _ = noisy_sine(n=200, seed=5)
+        spec = TuneSpec(starts=3, max_evals=30, seed=1.0)
+        assert type(spec.seed) is int and TuneSpec(seed=np.int64(-3)).seed == -3
+        assert autotune("savgol", s, spec).phi == autotune("savgol", s, replace(spec, seed=1)).phi
+        assert autotune("savgol", s, replace(spec, seed=-3)).info["seed"] == -3
+
     def test_unknown_method(self):
         s, _ = noisy_sine(n=100)
         with pytest.raises(ValidationError, match="unknown method"):
