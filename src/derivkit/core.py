@@ -13,6 +13,7 @@ callers who want to re-check a signal themselves.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -43,9 +44,14 @@ class ConditioningWarning(UserWarning):
 
 
 def _require_finite_settings(**settings: float | None) -> None:
-    """Refuse the first setting that is NaN or infinite, by name; None is left to the caller."""
+    """Refuse the first setting that is a bool, not a real number, NaN or infinite, by
+    name; None is left to the caller."""
     for name, value in settings.items():
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
 
 

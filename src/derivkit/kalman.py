@@ -7,6 +7,11 @@ and continuous-to-discrete conversion via a block matrix exponential.
 Two primitives share the model stacks. Models may vary per step (``A_n``,
 ``Q_n``, ``R_n``, known drift ``B_n u_n``); a time-invariant one is a
 broadcast stack of length 1, so uniform and irregular grids share all code.
+On an irregular grid the model's matrices depend only on the step. Where the
+steps repeat, as on a uniform grid with samples dropped (a few dozen distinct
+steps in thousands), they are built, and ``Q`` factored, once per distinct
+step and then gathered per sample; a jittered grid, whose steps all differ,
+keeps one matrix per sample.
 
 - The public filter and smoother return covariances, and run in covariance
   form as associative scans (Särkkä & García-Fernández, "Temporal
@@ -576,8 +581,12 @@ def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
         raise NumericError(f"{name} is not positive definite") from exc
 
 
-def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec) -> RobustSmoothResult:
-    """IRLS on the joint MAP objective; model stacks as in :func:`_filter`.
+def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
+                     index: np.ndarray | None = None) -> RobustSmoothResult:
+    """IRLS on the joint MAP objective; model stacks as in :func:`_filter`, or, given
+    ``index``, ``A`` and ``Q`` with one matrix per distinct step, sample ``n`` taking
+    entry ``index[n]``. ``Q``'s Cholesky factor and its inverse are then taken once per
+    distinct step.
 
     The first iterate is the quadratic model's MAP estimate (the RTS means), and each
     iteration is one more :func:`_map_means` solve whose blocks carry the current loss
@@ -587,13 +596,15 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec) -> RobustSmoot
     MAP estimate.
     """
     n, d = len(ys), len(x0)
-    A = np.broadcast_to(A, (n, d, d))
     TR = np.linalg.inv(_cholesky(R, "R"))
-    # process residuals exist from step 1 on
-    LQ = _cholesky(_later(Q), "Q")
+    # process residuals exist from step 1 on; step 0's Q is step 1's on a distinct stack
+    LQ = _cholesky(_later(Q) if index is None else Q, "Q")
+    TQ = np.linalg.inv(LQ)
+    if index is not None:
+        A, Q, LQ, TQ = A[index], Q[index], LQ[index[1:]], TQ[index[1:]]
+    A = np.broadcast_to(A, (n, d, d))
     TRC = TR @ C
     TRy = _mv(TR, ys)
-    TQ = np.linalg.inv(LQ)
     Rinv = _T(TR) @ TR
     mu0, H_prior = _prior(A, c, Q, x0, P0)
 
@@ -644,11 +655,21 @@ def robust_map_smooth(model: LinearGaussianModel, measurements, inputs=None,
     return _robust_map_core(*_model_stacks(model, measurements, inputs), spec or RobustSpec())
 
 
-def _naive_model(signal: Signal, nu: int, q: float, r: float):
-    """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid."""
+def _naive_stacks(signal: Signal, nu: int, q: float, r: float):
+    """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid, and ``index``.
+
+    Where fewer than half of an irregular grid's steps are distinct, ``A`` and ``Q`` hold
+    one matrix per distinct step and sample ``n`` takes entry ``index[n]``. Otherwise
+    ``index`` is None, and they hold one matrix per sample, or one, broadcast, on a
+    uniform grid: there a gather would cost more than the chain it saves.
+    """
     if r <= 0:
         raise ValidationError("r must be positive")
-    A, Q = _integrator_chain(nu, [signal.grid.dt] if signal.grid.uniform else _steps(signal), q)
+    steps, index = [signal.grid.dt] if signal.grid.uniform else _steps(signal), None
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(steps)))
+    if 2 * distinct < len(steps):
+        steps, index = np.unique(steps, return_inverse=True)
+    A, Q = _integrator_chain(nu, steps, q)
     # Beyond float64's range of q / r, _equilibrate's scaling cannot settle
     # and the KKT solve returns a wrong derivative without failing.
     ratio = float(q) / float(r)
@@ -662,14 +683,24 @@ def _naive_model(signal: Signal, nu: int, q: float, r: float):
     # Seeding P0 proportionally to r makes the output depend on q and r only
     # through their ratio, exactly.
     P0 = 10.0 * r * np.eye(d)
-    return A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, P0
+    return (A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, P0), index
+
+
+def _naive_model(signal: Signal, nu: int, q: float, r: float):
+    """:func:`_naive_stacks`'s model with ``A`` and ``Q`` gathered per sample on an
+    irregular grid: the stacks :func:`_filter` takes."""
+    (A, c, C, Q, R, x0, P0), index = _naive_stacks(signal, nu, q, r)
+    if index is not None:
+        A, Q = A[index], Q[index]
+    return A, c, C, Q, R, x0, P0
 
 
 def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> DerivativeResult:
     """Constant-derivative-model RTS smoothing; derivative read from the state.
 
     Works on uniform and irregular grids: the integrator chain's closed-form
-    transition and noise matrices are evaluated at every step. The smoothed
+    transition and noise matrices are evaluated per step, once per distinct step
+    where the steps repeat (:func:`_naive_stacks`). The smoothed
     means are the model's MAP states, taken from one banded KKT solve
     (:func:`_map_means`); the covariance-form scans behind :func:`kalman_filter`
     and :func:`rts_smooth` are not run, as no covariance is returned.
@@ -696,7 +727,8 @@ def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
     ``iterations`` and the ``objective`` of the returned states.
     """
     spec, nu = spec or RobustSpec(), _check_chain(nu, q)
-    result = _robust_map_core(*_naive_model(signal, nu, q, r), signal.values[:, None], spec)
+    model, index = _naive_stacks(signal, nu, q, r)
+    result = _robust_map_core(*model, signal.values[:, None], spec, index)
     return DerivativeResult(
         smoothed=result.states[:, 0],
         derivative=result.states[:, 1],

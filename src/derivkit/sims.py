@@ -66,6 +66,8 @@ class NoiseSpec:
         _require_finite_settings(scale=self.scale)
         if self.scale < 0:
             raise ValidationError("scale must be >= 0")
+        # the noise stream is keyed by repr(scale): 1, 1.0 and np.float64(1.0) draw alike
+        object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "seed", _require_int("seed", self.seed, None))
 
 

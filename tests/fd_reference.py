@@ -4,10 +4,14 @@ These are the per-call stencils that ``derivkit.fd`` replaced with one plan
 built per call: the iterated-FD smoothing pass, which solved its stencils
 afresh on every pass, and TVR's order-2 first-derivative matrix with its
 coefficients typed in by hand. They exist only so tests can compare the
-plan against them.
+plan against them. ``exact_coefficients`` solves a stencil's Vandermonde
+system in exact rational arithmetic, the reference for the irregular plan.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,3 +54,24 @@ def first_diff_table(n_points: int, dt: float) -> sp.csr_matrix:
                            np.tile([-1 / (2 * dt), 1 / (2 * dt)], len(idx)),
                            [1 / (2 * dt), -4 / (2 * dt), 3 / (2 * dt)]])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_points, n_points))
+
+
+def exact_coefficients(distances, nu: int) -> np.ndarray:
+    """The stencil coefficients of the float ``distances``, solved exactly.
+
+    Gauss-Jordan elimination in ``Fraction`` on ``sum_j d_j^i c_j = nu! delta(i, nu)``,
+    with each float distance taken at its exact binary value; only the final rounding
+    of each coefficient to float64 is inexact.
+    """
+    d = [Fraction(float(x)) for x in distances]
+    size = len(d)
+    rows = [[x**i for x in d] + [Fraction(math.factorial(nu) if i == nu else 0)]
+            for i in range(size)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return np.array([float(rows[i][size] / rows[i][i]) for i in range(size)])

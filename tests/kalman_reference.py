@@ -5,6 +5,11 @@ with an associative scan. It is slow (a Python loop over samples) and
 exists only so tests can compare the scan against it. Model stacks follow
 the library's convention: ``As``, ``Qs`` and ``Rs`` have a leading axis of
 length 1 (time-invariant) or N, and ``cs`` is the known drift ``B_n u_n``.
+
+``rtsdiff_per_step`` and ``robustdiff_per_step`` build the constant-derivative
+model with the integrator chain evaluated at every sample's step, and factor
+and invert every ``Q`` of the stack, as the library did before it took each
+distinct step once.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from derivkit.core import NumericError
-from derivkit.kalman import KalmanTrack
+from derivkit.kalman import KalmanTrack, _integrator_chain, _map_means, _robust_map_core, _steps
 
 
 def _at(stack, n):
@@ -88,3 +93,28 @@ def map_objective(states, As, cs, C, Qs, Rs, x0, P0, ys) -> float:
             g = _whiten(_at(Qs, n), states[n] - _at(As, n) @ states[n - 1] - cs[n])
             total += 0.5 * float(g @ g)
     return total
+
+
+def naive_model_per_step(signal, nu, q, r):
+    """The constant-derivative model ``(A, c, C, Q, R, x0, P0)`` of an irregular grid,
+    with one integrator chain per sample."""
+    A, Q = _integrator_chain(nu, _steps(signal), q)
+    d = nu + 1
+    C = np.zeros((1, d))
+    C[0, 0] = 1.0
+    x0 = np.zeros(d)
+    x0[0] = signal.values[0]
+    return A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, 10.0 * r * np.eye(d)
+
+
+def rtsdiff_per_step(signal, nu, q, r) -> np.ndarray:
+    """The MAP states ``rtsdiff`` reads its outputs from."""
+    A, c, C, Q, R, x0, P0 = naive_model_per_step(signal, nu, q, r)
+    return _map_means(A, c, C, Q, np.linalg.inv(R), x0, P0, signal.values[:, None])
+
+
+def robustdiff_per_step(signal, nu, q, r, spec):
+    """The ``RobustSmoothResult`` behind ``robustdiff``: ``Q``'s Cholesky factor and its
+    inverse are taken over the full per-sample stack."""
+    return _robust_map_core(*naive_model_per_step(signal, nu, q, r), signal.values[:, None],
+                            spec)

@@ -14,6 +14,7 @@ from derivkit import (
     DerivativeResult,
     Grid,
     KernelSpec,
+    NoiseSpec,
     RobustSpec,
     Signal,
     SplineSpec,
@@ -432,6 +433,37 @@ class TestIntegerSettings:
     def test_apply_method_runs_a_whole_derivative_order_as_the_int(self, method, one):
         got, want = apply_method(method, _signal(), nu=one), apply_method(method, _signal())
         assert pickle.dumps(got) == pickle.dumps(want)
+
+
+#: Real-valued settings, by their public function or spec: a call with the value.
+REAL_SETTINGS = {
+    "cutoff_hz": lambda v: TuneSpec(cutoff_hz=v),
+    "tol": lambda v: RobustSpec(tol=v),
+    "huber_m_process": lambda v: RobustSpec(huber_m_process=v),
+    "gamma": lambda v: TvrSpec(gamma=v),
+    "sigma": lambda v: KernelSpec(sigma=v),
+    "lam": lambda v: SplineSpec(lam=v),
+    "scale": lambda v: NoiseSpec(scale=v),
+    "q": lambda v: constant_derivative_model(2, 0.1, v, 1.0),
+    "dx": lambda v: stencil_coefficients(Stencil((-1, 0, 1), 1), v),
+}
+
+
+class TestRealSettings:
+    """One rule for every real-valued setting, beside the integer one: a bool or a value
+    that is not a real number is refused by the setting's name."""
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "3", 1j, [1.0]], ids=repr)
+    @pytest.mark.parametrize("setting", sorted(REAL_SETTINGS))
+    def test_refused_by_name(self, setting, bad):
+        # before, True ran as 1.0 and "3" raised a bare TypeError
+        with pytest.raises(ValidationError) as info:
+            REAL_SETTINGS[setting](bad)
+        assert str(info.value) == f"{setting} must be a real number, got {bad!r}"
+
+    @pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(3)], ids=repr)
+    def test_real_numbers_of_any_type_pass(self, value):
+        assert TuneSpec(cutoff_hz=value).cutoff_hz == value
 
 
 class TestCumtrapz:

@@ -16,7 +16,7 @@ from derivkit import (
     iterated_fd,
     stencil_coefficients,
 )
-from fd_reference import first_diff_table, safe_first_derivative
+from fd_reference import exact_coefficients, first_diff_table, safe_first_derivative
 
 from derivkit.fd import (
     _edge_plan,
@@ -247,6 +247,36 @@ class TestWindowPlan:
                         for n, (lo, size) in enumerate(plan)])
         out = fd_derivative(Signal(Grid(t), y), nu=nu, order=order).derivative
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestIrregularPlanAgainstExact:
+    """Every stencil of the irregular plan against the exact rational solution of the same
+    float window. Solved by LAPACK, order 8 lost up to 2.0e-12 relative here."""
+
+    # in raw distances of ~0.01 the order-8 windows' condition numbers reach ~1e14 and warn
+    @pytest.mark.filterwarnings("ignore::derivkit.ConditioningWarning")
+    @pytest.mark.parametrize("t0", [0.0, 1.7e9])
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_coefficients_within_1e_13(self, order, nu, t0):
+        rng = np.random.default_rng(order + 10 * nu)
+        n = 30
+        t = t0 + 0.01 * (np.arange(n) + rng.uniform(-0.3, 0.3, n))
+        plan = _fd_plan(n, nu, order, None, t)
+        stencils = [(n_, slice(n_ - plan.h, n_ + plan.h + 1), c)
+                    for n_, c in enumerate(plan.interior, start=plan.h)]
+        for n_, window, c in stencils + list(plan.edges):
+            exact = exact_coefficients(t[window] - t[n_], nu)
+            assert np.max(np.abs(c - exact)) <= 1e-13 * np.max(np.abs(exact)), n_
+
+    @pytest.mark.filterwarnings("ignore::derivkit.ConditioningWarning")
+    def test_irregular_coefficients_within_1e_13(self):
+        rng = np.random.default_rng(3)
+        d = 0.01 * (np.arange(-4, 5) + rng.uniform(-0.3, 0.3, 9))
+        for nu in (1, 2):
+            exact = exact_coefficients(d, nu)
+            c = irregular_coefficients(d, nu)
+            assert np.max(np.abs(c - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 class TestIteratedFd:

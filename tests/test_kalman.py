@@ -526,6 +526,45 @@ class TestRobustdiff:
         assert np.all(np.isfinite(r.derivative))
 
 
+class TestDistinctSteps:
+    """On an irregular grid whose steps repeat (samples dropped from a uniform grid) the
+    chain is built and ``Q`` factored once per distinct step, then gathered per sample; on
+    a jittered grid, once per sample. Every output bit and flag stays that of the
+    per-sample stacks."""
+
+    @staticmethod
+    def _grids():
+        rng = np.random.default_rng(34)
+        t = 0.01 * np.arange(600)
+        y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(600)
+        y[rng.choice(600, 6, replace=False)] += 3.0
+        keep = np.sort(rng.choice(600, 300, replace=False))
+        jitter = t + 0.003 * rng.uniform(-1, 1, 600)
+        return {"dropped": Signal(Grid(t[keep]), y[keep]), "jittered": Signal(Grid(jitter), y)}
+
+    @pytest.mark.parametrize("grid", ["dropped", "jittered"])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_bitwise_equal_to_per_step_stacks(self, grid, nu):
+        s = self._grids()[grid]
+        distinct = len(np.unique(np.diff(s.grid.points)))
+        assert 2 * distinct < len(s) if grid == "dropped" else distinct == len(s) - 1
+        specs = [RobustSpec(), RobustSpec(process_loss="l1", measurement_loss="l1", max_iter=5),
+                 RobustSpec(process_loss="huber", measurement_loss="quadratic")]
+        for q, r in ((1e2, 1e-2), (1.0, 1.0), (1e-6, 1e2)):
+            xr = ref.rtsdiff_per_step(s, nu, q, r)
+            out = rtsdiff(s, nu=nu, q=q, r=r)
+            assert np.array_equal(out.smoothed, xr[:, 0])
+            assert np.array_equal(out.derivative, xr[:, 1])
+            for spec in specs:
+                want = ref.robustdiff_per_step(s, nu, q, r, spec)
+                got = robustdiff(s, nu=nu, q=q, r=r, spec=spec)
+                assert np.array_equal(got.smoothed, want.states[:, 0])
+                assert np.array_equal(got.derivative, want.states[:, 1])
+                assert got.flags == {"converged": want.converged,
+                                     "iterations": want.iterations,
+                                     "objective": want.objective}
+
+
 def _rel(new, old):
     return np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1e-300)
 

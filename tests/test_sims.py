@@ -181,6 +181,18 @@ class TestAddNoise:
         np.testing.assert_array_equal(add_outliers(clean, seed=1.0).values,
                                       add_outliers(clean, seed=1).values)
 
+    @pytest.mark.parametrize("scale", [1, np.float64(1.0), np.int64(1), np.float32(1.0)],
+                             ids=repr)
+    def test_scale_draws_by_value(self, scale):
+        # before, the stream hashed the scale's repr, so 1 and np.float64(1.0) drew
+        # other noise than 1.0
+        x, _, grid = simulate(SimulationCase("sine_sum"))
+        clean = Signal(grid, x)
+        spec = NoiseSpec(scale=scale, seed=4)
+        assert type(spec.scale) is float
+        np.testing.assert_array_equal(add_noise(clean, spec).values,
+                                      add_noise(clean, NoiseSpec(scale=1.0, seed=4)).values)
+
     @pytest.mark.parametrize("value", [True, 2.5, "1", None])
     def test_seed_refused_unless_integer(self, value):
         clean = Signal(Grid.regular(400, 0.01), np.zeros(400))
@@ -265,7 +277,7 @@ class TestBenchmarkSweep:
         ("noise_scale", float("inf"), "scale must be finite, got inf"),
         ("noise_scale", -1.0, "scale must be >= 0"),
         ("dt", -0.01, "dt must be positive"),
-        ("dt", "x", "must be real number, not str"),
+        ("dt", "x", "dt must be a real number, got 'x'"),
         ("outliers", [1], "must be a number, string, boolean or None"),
         ("noise_scale", (1.0,), "must be a number, string, boolean or None"),
         ("noise_type", {"family": "normal"}, "must be a number, string, boolean or None"),
