@@ -10,14 +10,11 @@ accuracy at the edges. One plan holds every stencil: ``fd_derivative``, every
 ``iterated_fd`` pass and TVR's sparse difference matrix apply it.
 
 - Uniform plans are solved by LAPACK once per (N, nu, order, dt), in steps
-  scaled by ``dt^-nu``, and kept read-only in a small cache. The tuner's
-  goldens pin their bits, which the Björck–Pereyra solver below does not
-  reproduce on most uniform stencils.
+  scaled by ``dt^-nu``, and kept read-only in a small cache.
 - Irregular plans are solved once per call, in units of the independent
   variable, by the Björck–Pereyra algorithm (Math. Comp. 24, 1970; error
-  analysis by Higham, Numer. Math. 50, 1987): O(S^2) per right-hand side,
-  batched over every window, with no LAPACK call per sample. It is also the
-  more accurate solver here. Against the exact rational solutions of jittered
+  analysis by Higham, Numer. Math. 50, 1987), batched over every window with
+  no LAPACK call per sample. Against the exact rational solutions of jittered
   windows it loses at most ~5e-15 relative at orders 2-8, where LAPACK lost
   up to ~8e-13 at order 8.
 """
