@@ -78,8 +78,9 @@ class Stencil:
 
 def _warn_if_ill_conditioned(cond: float, stacklevel: int) -> None:
     """Warn when the worst condition number ``cond`` of a batch of stencils exceeds
-    :data:`CONDITION_LIMIT`; ``stacklevel`` counts from the caller of this function."""
-    if cond > CONDITION_LIMIT:
+    :data:`CONDITION_LIMIT`, or is NaN; ``stacklevel`` counts from the caller of this
+    function."""
+    if not cond <= CONDITION_LIMIT:
         warnings.warn(
             f"stencil system condition number {cond:.2e} exceeds {CONDITION_LIMIT:.0e}; "
             "coefficients may be inaccurate",
@@ -154,7 +155,8 @@ def irregular_coefficients(distances, nu: int) -> np.ndarray:
     ``distances`` are signed offsets from the evaluation point (zero allowed),
     solved by Björck–Pereyra as the irregular ``fd`` plan is. Agrees to rounding
     with :func:`stencil_coefficients` when the distances are integer multiples
-    of a common step.
+    of a common step. Coefficients that leave float64's range (distances near
+    1e-200 at ``nu`` 2) raise a ValidationError.
     """
     d = np.asarray(distances, dtype=float)
     for x in d:
@@ -162,6 +164,10 @@ def irregular_coefficients(distances, nu: int) -> np.ndarray:
     stencil = Stencil(tuple(d), nu)  # validates distinctness and length
     c, cond = _bjorck_pereyra(np.asarray(stencil.offsets)[:, None], stencil.nu)
     _warn_if_ill_conditioned(cond, 2)
+    if not np.isfinite(c).all():
+        raise ValidationError(
+            f"distances {list(stencil.offsets)} give nu={stencil.nu} stencil coefficients "
+            "outside float64's range")
     return c[0]
 
 

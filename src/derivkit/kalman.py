@@ -7,11 +7,10 @@ and continuous-to-discrete conversion via a block matrix exponential.
 Two primitives share the model stacks. Models may vary per step (``A_n``,
 ``Q_n``, ``R_n``, known drift ``B_n u_n``); a time-invariant one is a
 broadcast stack of length 1, so uniform and irregular grids share all code.
-On an irregular grid the model's matrices depend only on the step. Where the
-steps repeat, as on a uniform grid with samples dropped (a few dozen distinct
-steps in thousands), they are built, and ``Q`` factored, once per distinct
-step and then gathered per sample; a jittered grid, whose steps all differ,
-keeps one matrix per sample.
+On an irregular grid the model's matrices depend only on the step, so they
+are built, and ``Q`` factored, once per distinct step and then gathered per
+sample. That saves work where the steps repeat, as on a uniform grid with
+samples dropped (a few dozen distinct steps in thousands).
 
 - The public filter and smoother return covariances, and run in covariance
   form as associative scans (Särkkä & García-Fernández, "Temporal
@@ -658,17 +657,16 @@ def robust_map_smooth(model: LinearGaussianModel, measurements, inputs=None,
 def _naive_stacks(signal: Signal, nu: int, q: float, r: float):
     """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid, and ``index``.
 
-    Where fewer than half of an irregular grid's steps are distinct, ``A`` and ``Q`` hold
-    one matrix per distinct step and sample ``n`` takes entry ``index[n]``. Otherwise
-    ``index`` is None, and they hold one matrix per sample, or one, broadcast, on a
-    uniform grid: there a gather would cost more than the chain it saves.
+    On an irregular grid ``A`` and ``Q`` hold one matrix per distinct step and sample
+    ``n`` takes entry ``index[n]``. On a uniform grid ``index`` is None and they hold
+    one matrix, broadcast.
     """
     if r <= 0:
         raise ValidationError("r must be positive")
-    steps, index = [signal.grid.dt] if signal.grid.uniform else _steps(signal), None
-    distinct = 1 + np.count_nonzero(np.diff(np.sort(steps)))
-    if 2 * distinct < len(steps):
-        steps, index = np.unique(steps, return_inverse=True)
+    if signal.grid.uniform:
+        steps, index = [signal.grid.dt], None
+    else:
+        steps, index = np.unique(_steps(signal), return_inverse=True)
     A, Q = _integrator_chain(nu, steps, q)
     # Beyond float64's range of q / r, _equilibrate's scaling cannot settle
     # and the KKT solve returns a wrong derivative without failing.
@@ -699,8 +697,8 @@ def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> Deri
     """Constant-derivative-model RTS smoothing; derivative read from the state.
 
     Works on uniform and irregular grids: the integrator chain's closed-form
-    transition and noise matrices are evaluated per step, once per distinct step
-    where the steps repeat (:func:`_naive_stacks`). The smoothed
+    transition and noise matrices are evaluated once per distinct step
+    (:func:`_naive_stacks`). The smoothed
     means are the model's MAP states, taken from one banded KKT solve
     (:func:`_map_means`); the covariance-form scans behind :func:`kalman_filter`
     and :func:`rts_smooth` are not run, as no covariance is returned.

@@ -25,6 +25,7 @@ from derivkit.fd import (
     _iterated_plans,
     _smoothing_plan,
     _uniform_plan,
+    _warn_if_ill_conditioned,
 )
 
 
@@ -79,6 +80,10 @@ class TestStencilCoefficients:
         with pytest.warns(ConditioningWarning):
             irregular_coefficients([0.0, 1e-9, 1.0, 2.0, 3.0, 4.0, 5.0], 1)
 
+    def test_nan_condition_number_warns(self):
+        with pytest.warns(ConditioningWarning, match="condition number nan"):
+            _warn_if_ill_conditioned(float("nan"), 1)
+
     def test_conditioning_warning_points_at_fd_derivative_caller(self):
         t = np.concatenate([[0.0, 1e-12], np.arange(1.0, 30.0)])
         with pytest.warns(ConditioningWarning) as record:
@@ -106,6 +111,13 @@ class TestIrregularCoefficients:
     def test_non_finite_distance_refused(self, value):
         with pytest.raises(ValidationError, match="distances must be finite"):
             irregular_coefficients([-1.0, 0.0, value], 1)
+
+    @pytest.mark.filterwarnings("ignore::derivkit.ConditioningWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_coefficients_beyond_float64_refused(self):
+        # the nu=2 coefficients of steps ~1e-200 are ~1e400
+        with pytest.raises(ValidationError, match=r"nu=2 stencil coefficients outside float64"):
+            irregular_coefficients([-1.3e-200, 0.0, 0.9e-200], 2)
 
     def test_matches_uniform_solution(self):
         dx = 0.37

@@ -527,9 +527,9 @@ class TestRobustdiff:
 
 
 class TestDistinctSteps:
-    """On an irregular grid whose steps repeat (samples dropped from a uniform grid) the
-    chain is built and ``Q`` factored once per distinct step, then gathered per sample; on
-    a jittered grid, once per sample. Every output bit and flag stays that of the
+    """On an irregular grid the chain is built and ``Q`` factored once per distinct step,
+    then gathered per sample, whether the steps repeat (samples dropped from a uniform
+    grid) or all differ (a jittered grid). Every output bit and flag stays that of the
     per-sample stacks."""
 
     @staticmethod
