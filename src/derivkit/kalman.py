@@ -599,8 +599,9 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
     # process residuals exist from step 1 on; step 0's Q is step 1's on a distinct stack
     LQ = _cholesky(_later(Q) if index is None else Q, "Q")
     TQ = np.linalg.inv(LQ)
-    if index is not None:
-        A, Q, LQ, TQ = A[index], Q[index], LQ[index[1:]], TQ[index[1:]]
+    if index is not None:  # np.take gathers about twice as fast as fancy indexing
+        A, Q = np.take(A, index, axis=0), np.take(Q, index, axis=0)
+        LQ, TQ = np.take(LQ, index[1:], axis=0), np.take(TQ, index[1:], axis=0)
     A = np.broadcast_to(A, (n, d, d))
     TRC = TR @ C
     TRy = _mv(TR, ys)
@@ -689,7 +690,7 @@ def _naive_model(signal: Signal, nu: int, q: float, r: float):
     irregular grid: the stacks :func:`_filter` takes."""
     (A, c, C, Q, R, x0, P0), index = _naive_stacks(signal, nu, q, r)
     if index is not None:
-        A, Q = A[index], Q[index]
+        A, Q = np.take(A, index, axis=0), np.take(Q, index, axis=0)
     return A, c, C, Q, R, x0, P0
 
 
