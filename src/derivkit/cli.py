@@ -238,8 +238,9 @@ def _load_signal(path: str) -> Signal:
 
 def _parse_params(pairs: list[str], method: str, signal: Signal) -> dict:
     """``--param name=value`` pairs resolved on ``signal`` by the method registry. A
-    malformed pair, unknown name or out-of-bounds value is a usage error that prints the
-    method's schema; a signal too short for the method's bounds is a validation error."""
+    malformed pair, repeated or unknown name or out-of-bounds value is a usage error that
+    prints the method's schema; a signal too short for the method's bounds is a validation
+    error."""
     spec = get_method(method)
     params = _bounded_params(spec, signal)
     try:
@@ -248,8 +249,11 @@ def _parse_params(pairs: list[str], method: str, signal: Signal) -> dict:
             name, sep, raw = pair.partition("=")
             if not sep:
                 raise ValidationError(f"--param expects name=value, got {pair!r}")
+            name = name.strip()
+            if name in phi:
+                raise ValidationError(f"--param {name!r} given more than once")
             try:
-                phi[name.strip()] = float(raw)
+                phi[name] = float(raw)
             except ValueError:
                 raise ValidationError(
                     f"parameter {name!r} has non-numeric value {raw!r}") from None

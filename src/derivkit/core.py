@@ -286,17 +286,11 @@ def _require_uniform(signal: Signal, what: str) -> float:
     return signal.grid.dt
 
 
-def _band_index(rows, cols, size: int) -> tuple[int, np.ndarray]:
-    """``(k, index)``: the half-bandwidth of the ``size x size`` matrix with entries at
-    ``(rows, cols)``, and each entry's flat position in ``_band``'s storage."""
-    k = int(np.max(np.abs(rows - cols)))
-    return k, (k + rows - cols) * size + cols
-
-
 def _band(rows, cols, vals, size: int) -> tuple[int, np.ndarray]:
     """Sum the triplets ``M[rows, cols] += vals`` of a ``size x size`` matrix into the band
     storage ``_solve_banded`` reads, ``band[k + i - j, j] = M[i, j]``; returns ``(k, band)``."""
-    k, index = _band_index(rows, cols, size)
+    k = int(np.max(np.abs(rows - cols)))
+    index = (k + rows - cols) * size + cols
     return k, np.bincount(index, vals, (2 * k + 1) * size).reshape(2 * k + 1, size)
 
 

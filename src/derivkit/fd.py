@@ -102,13 +102,15 @@ def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float, stacklevel=3
 
 def _bjorck_pereyra(locs: np.ndarray, nu: int) -> tuple[np.ndarray, float]:
     """Coefficients, ``(P, S)``, of the ``P`` stencils that are the columns of ``locs``
-    (``(S, P)``, distances in units of the variable), and their worst condition number
-    ``|V|_1 |V^-1|_1``.
+    (``(S, P)``, distances in units of the variable), and their worst condition number.
 
     The Björck–Pereyra algorithm for ``V x = b`` with ``V[i, j] = locs[j]^i`` (Higham,
     "Accuracy and Stability of Numerical Algorithms", ch. 22) runs on the ``S`` unit
     right-hand sides at once, window index last, so it gives each ``V^-1``: the
-    coefficients are its column ``nu`` times ``nu!``.
+    coefficients are its column ``nu`` times ``nu!``. The condition number is
+    ``|V_s|_1 |V_s^-1|_1`` of the window's distances divided by their largest magnitude
+    ``s``, so it does not depend on the unit of the variable: ``V_s = diag(s^-i) V``, and
+    ``V_s^-1 = V^-1 diag(s^i)`` is taken in logarithms, where ``s^i`` could overflow.
     """
     S = len(locs)
     inv = np.zeros((S, S, locs.shape[1]))
@@ -118,8 +120,11 @@ def _bjorck_pereyra(locs: np.ndarray, nu: int) -> tuple[np.ndarray, float]:
     for k in range(S - 2, -1, -1):
         inv[k + 1 :] /= (locs[k + 1 :] - locs[: S - k - 1])[:, None]
         inv[k:-1] -= inv[k + 1 :]
-    v_norm = np.abs(polyvander(locs, S - 1)).sum(-1).max(0)
-    cond = np.max(v_norm * np.abs(inv).sum(0).max(0))
+    scale = np.abs(locs).max(0)
+    v_norm = np.abs(polyvander(locs / scale, S - 1)).sum(-1).max(0)
+    with np.errstate(divide="ignore"):  # a zero column sum adds nothing to the norm
+        log_inv = np.log(np.abs(inv).sum(0)) + np.arange(S)[:, None] * np.log(scale)
+    cond = np.max(v_norm * np.exp(log_inv.max(0)))
     return np.ascontiguousarray(inv[:, nu].T * math.factorial(nu)), cond
 
 

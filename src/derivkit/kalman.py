@@ -8,7 +8,8 @@ Two primitives share the model stacks. Models may vary per step (``A_n``,
 ``Q_n``, ``R_n``, known drift ``B_n u_n``); a time-invariant one is a
 broadcast stack of length 1, so uniform and irregular grids share all code.
 On an irregular grid the model's matrices depend only on the step, so they
-are built, and ``Q`` factored, once per distinct step and then gathered per
+are built, and ``Q`` factored, once per distinct step; the MAP solves below
+write their band from the distinct steps, and the rest gathers them per
 sample. That saves work where the steps repeat, as on a uniform grid with
 samples dropped (a few dozen distinct steps in thousands).
 
@@ -476,10 +477,10 @@ def kalman_irregular(cm: ContinuousModel, C, R, x0, P0, signal: Signal, inputs=N
     return track, xr, Pr
 
 
-def _prior(A, c, Q, x0, P0) -> tuple[np.ndarray, np.ndarray]:
+def _prior(A0, c0, Q0, x0, P0) -> tuple[np.ndarray, np.ndarray]:
     """Mean and information matrix of the first state's prior: the seed ``(x0, P0)``
-    predicted over the first step, as :func:`_filter` predicts it."""
-    return A[0] @ x0 + c[0], _sym(np.linalg.inv(A[0] @ P0 @ A[0].T + Q[0]))
+    predicted over the first step by ``(A0, c0, Q0)``, as :func:`_filter` predicts it."""
+    return A0 @ x0 + c0, _sym(np.linalg.inv(A0 @ P0 @ A0.T + Q0))
 
 
 def _blocks(ab: np.ndarray, d: int, offset: int, first: int, count: int) -> np.ndarray:
@@ -515,9 +516,12 @@ def _equilibrate(H, Q, A) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite solution is checked
-def _map_means(A, c, C, Q, Rinv, x0, P0, ys) -> np.ndarray:
-    """MAP states, ``(N, d)``, of the model stacks :func:`_filter` takes, with the
-    measurement weights ``Rinv`` (inverse noise covariances) in place of ``R``.
+def _map_means(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
+    """MAP states, ``(N, d)``, of the model stacks :func:`_filter` takes, or, given
+    ``index``, of ``A`` and ``Q`` with one matrix per distinct step, sample ``n`` taking
+    entry ``index[n]`` (as :func:`_naive_stacks` returns them: ``index[1:]`` is
+    ``0 .. N-2`` wherever the stack has ``N - 1`` entries); the measurement weights
+    ``Rinv`` (inverse noise covariances) stand in place of ``R``.
 
     They minimize the prior term, ``1/2 |y_n - C x_n|^2`` weighted by ``Rinv_n``, and
     ``1/2 |x_n - A_n x_{n-1} - c_n|^2`` weighted by ``Q_n^-1``. With the multipliers
@@ -525,32 +529,55 @@ def _map_means(A, c, C, Q, Rinv, x0, P0, ys) -> np.ndarray:
     quasi-definite KKT system ``[[H, G^T], [G, -Q]]``: ``H_n = C^T Rinv_n C`` (plus the
     prior's information at step 0), and row ``n`` of ``G`` holds ``I`` and ``-A_n``. ``Q``
     is never inverted, so it may be singular. Ordered ``x_0, lam_1, x_1, lam_2, ...``,
-    the unknowns give half-bandwidth ``2d - 1``; every block type lies on a fixed block
-    diagonal, so the band, equilibrated by :func:`_equilibrate`, is written in place one
-    strided view per block type and factored in place by :func:`core._solve_banded`.
+    the unknowns give half-bandwidth ``2d - 1``, and the columns of ``x_{n-1}`` and
+    ``lam_n`` hold ``H_{n-1}`` and, equilibrated by :func:`_equilibrate`, blocks that
+    depend only on step ``n``'s ``(A_n, Q_n)``. So the band is written straight into the
+    LU workspace that :func:`core._solve_banded` factors in place: one column-pair
+    template per entry of the stack, through strided block views, then one gather of the
+    templates into place, then ``H`` and the two ends. Where there is one entry per pair
+    (a per-sample stack, or every step distinct), the gather would be the identity, and
+    the templates are written in place instead.
     """
     n, d = len(ys), len(x0)
-    mu0, H0 = _prior(A, c, Q, x0, P0)
+    if index is None:  # the entries of steps 1 .. N-1; a length-1 stack is broadcast
+        (An, Qn), first = np.broadcast_arrays(_later(A), _later(Q)), 0
+    else:
+        An, Qn, first = A, Q, index[0]
+    mu0, H0 = _prior(A[first], c[0], Q[first], x0, P0)
     CtRinv = _T(C) @ Rinv
     H = CtRinv @ C
-    Qn, An = _later(Q), _later(A)
     sx, sl = _equilibrate(np.concatenate([H, (H[0] + H0)[None]]), Qn, An)
-    SAS = An * np.outer(sl, sx)
     k = 2 * d - 1
-    ab = np.zeros((3 * k + 1, (2 * n - 1) * d), order="F")
+    rows, count = 3 * k + 1, len(An)
+    in_place = count == n - 1
+    ab = (np.zeros if in_place else np.empty)((rows, (2 * n - 1) * d), order="F")
+    tmpl = ab if in_place else np.zeros((rows, 2 * d * count), order="F")
+    SAS = An * np.outer(sl, sx)
+    _blocks(tmpl, d, 1, 0, count)[:] = -SAS             # lam_n's row, x_{n-1}'s column
+    _blocks(tmpl, d, -1, 1, count)[:] = -_T(SAS)
+    _blocks(tmpl, d, 0, 1, count)[:] = Qn * -np.outer(sl, sl)
+    for offset, block in ((-1, 0), (1, 1)):  # the I blocks of G and G^T: diagonals only
+        np.einsum("nii->ni", _blocks(tmpl, d, offset, block, count))[:] = sl * sx
+    if not in_place:
+        # each pair's columns are contiguous in the workspace: one row of `pairs` each
+        pairs = ab.T[: 2 * d * (n - 1)].reshape(n - 1, 2 * d * rows)
+        templates = tmpl.T.reshape(count, 2 * d * rows)
+        if index is None:
+            pairs[:] = templates
+        else:  # mode="raise" would buffer the output
+            np.take(templates, index[1:], axis=0, out=pairs, mode="clip")
+        ab[:, 2 * d * (n - 1) :] = 0.0
+    np.einsum("ii->i", _blocks(ab, d, -1, 0, 1)[0])[:] = 0.0  # no lam_0 row: outside M
+    if n > 1:  # x_{N-1}'s column closes the band
+        np.einsum("ii->i", _blocks(ab, d, -1, 2 * n - 2, 1)[0])[:] = sl * sx
     _blocks(ab, d, 0, 0, n)[:] = H * np.outer(sx, sx)
     _blocks(ab, d, 0, 0, 1)[0] += H0 * np.outer(sx, sx)
-    _blocks(ab, d, 0, 1, n - 1)[:] = Qn * -np.outer(sl, sl)
-    for offset, first in ((-1, 2), (1, 1)):  # the I blocks of G and G^T: diagonals only
-        np.einsum("nii->ni", _blocks(ab, d, offset, first, n - 1))[:] = sl * sx
-    _blocks(ab, d, 1, 0, n - 1)[:] = -SAS               # lam_n's row, x_{n-1}'s column
-    _blocks(ab, d, -1, 1, n - 1)[:] = -_T(SAS)
     b = _mv(CtRinv, ys)
     b[0] += H0 @ mu0
     rhs = np.empty(ab.shape[1])
     rhs[:d] = sx * b[0]
-    pairs = rhs[d:].reshape(n - 1, 2, d)
-    pairs[:, 0], pairs[:, 1] = sl * c[1:], sx * b[1:]
+    rhs_pairs = rhs[d:].reshape(n - 1, 2, d)
+    rhs_pairs[:, 0], rhs_pairs[:, 1] = sl * c[1:], sx * b[1:]
     sol = _solve_banded(k, ab, rhs, "singular KKT system for the MAP states")
     return sx * np.concatenate([sol[None, :d], sol[d:].reshape(n - 1, 2, d)[:, 1]])
 
@@ -584,8 +611,9 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
                      index: np.ndarray | None = None) -> RobustSmoothResult:
     """IRLS on the joint MAP objective; model stacks as in :func:`_filter`, or, given
     ``index``, ``A`` and ``Q`` with one matrix per distinct step, sample ``n`` taking
-    entry ``index[n]``. ``Q``'s Cholesky factor and its inverse are then taken once per
-    distinct step.
+    entry ``index[n]``, as :func:`_map_means` takes them.
+    ``Q``'s Cholesky factor and its inverse are then taken once per distinct step, and
+    while the process loss is quadratic every solve takes the distinct stacks.
 
     The first iterate is the quadratic model's MAP estimate (the RTS means), and each
     iteration is one more :func:`_map_means` solve whose blocks carry the current loss
@@ -599,14 +627,16 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
     # process residuals exist from step 1 on; step 0's Q is step 1's on a distinct stack
     LQ = _cholesky(_later(Q) if index is None else Q, "Q")
     TQ = np.linalg.inv(LQ)
+    A_steps, Q_steps = A, Q  # as the quadratic-process solves take them, with index
+    Q0 = Q[0 if index is None else index[0]]
     if index is not None:  # np.take gathers about twice as fast as fancy indexing
-        A, Q = np.take(A, index, axis=0), np.take(Q, index, axis=0)
+        A = np.take(A, index, axis=0)
         LQ, TQ = np.take(LQ, index[1:], axis=0), np.take(TQ, index[1:], axis=0)
     A = np.broadcast_to(A, (n, d, d))
     TRC = TR @ C
     TRy = _mv(TR, ys)
     Rinv = _T(TR) @ TR
-    mu0, H_prior = _prior(A, c, Q, x0, P0)
+    mu0, H_prior = _prior(A[0], c[0], Q0, x0, P0)
 
     def objective(states: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The objective at ``states``, with the whitened measurement and process
@@ -618,21 +648,23 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
                 + _loss_value(spec.process_loss, spec.huber_m_process, g.ravel())
                 + 0.5 * float(dx0 @ H_prior @ dx0)), e, g
 
-    x = _map_means(A, c, C, Q, Rinv, x0, P0, ys)
+    x = _map_means(A_steps, c, C, Q_steps, Rinv, x0, P0, ys, index)
     best_x = x
     best_obj, e, g = objective(x)
     converged = False
     iterations = 0
     for it in range(spec.max_iter):
         iterations = it + 1
-        Rw, Qw = Rinv, Q
+        Rw = Rinv
         if spec.measurement_loss != "quadratic":
             We = _loss_weights(spec.measurement_loss, spec.huber_m_measurement, e)
             Rw = _T(TR) @ (We[..., None] * TR)
-        if spec.process_loss != "quadratic":
+        if spec.process_loss == "quadratic":
+            x_new = _map_means(A_steps, c, C, Q_steps, Rw, x0, P0, ys, index)
+        else:
             Wg = _loss_weights(spec.process_loss, spec.huber_m_process, g)
-            Qw = np.concatenate([Q[:1], _sym((LQ / Wg[..., None, :]) @ _T(LQ))])
-        x_new = _map_means(A, c, C, Qw, Rw, x0, P0, ys)
+            Qw = np.concatenate([Q0[None], _sym((LQ / Wg[..., None, :]) @ _T(LQ))])
+            x_new = _map_means(A, c, C, Qw, Rw, x0, P0, ys)
         obj, e, g = objective(x_new)
         if obj < best_obj:
             best_obj, best_x = obj, x_new
@@ -659,15 +691,21 @@ def _naive_stacks(signal: Signal, nu: int, q: float, r: float):
     """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid, and ``index``.
 
     On an irregular grid ``A`` and ``Q`` hold one matrix per distinct step and sample
-    ``n`` takes entry ``index[n]``. On a uniform grid ``index`` is None and they hold
-    one matrix, broadcast.
+    ``n`` takes entry ``index[n]``; where every gap differs they are the gaps in order, so
+    ``index[1:]`` is ``0 .. N-2``. On a uniform grid ``index`` is None and they hold one
+    matrix, broadcast.
     """
     if r <= 0:
         raise ValidationError("r must be positive")
     if signal.grid.uniform:
         steps, index = [signal.grid.dt], None
     else:
-        steps, index = np.unique(_steps(signal), return_inverse=True)
+        steps = _steps(signal)  # the first step is the first gap again
+        unique = np.unique(steps)
+        if len(unique) < len(steps) - 1:
+            steps, index = unique, np.searchsorted(unique, steps)
+        else:
+            steps, index = steps[1:], np.concatenate([[0], np.arange(len(steps) - 1)])
     A, Q = _integrator_chain(nu, steps, q)
     # Beyond float64's range of q / r, _equilibrate's scaling cannot settle
     # and the KKT solve returns a wrong derivative without failing.
@@ -685,15 +723,6 @@ def _naive_stacks(signal: Signal, nu: int, q: float, r: float):
     return (A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, P0), index
 
 
-def _naive_model(signal: Signal, nu: int, q: float, r: float):
-    """:func:`_naive_stacks`'s model with ``A`` and ``Q`` gathered per sample on an
-    irregular grid: the stacks :func:`_filter` takes."""
-    (A, c, C, Q, R, x0, P0), index = _naive_stacks(signal, nu, q, r)
-    if index is not None:
-        A, Q = np.take(A, index, axis=0), np.take(Q, index, axis=0)
-    return A, c, C, Q, R, x0, P0
-
-
 def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> DerivativeResult:
     """Constant-derivative-model RTS smoothing; derivative read from the state.
 
@@ -705,8 +734,8 @@ def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> Deri
     and :func:`rts_smooth` are not run, as no covariance is returned.
     """
     nu = _check_chain(nu, q)
-    A, c, C, Q, R, x0, P0 = _naive_model(signal, nu, q, r)
-    xr = _map_means(A, c, C, Q, np.linalg.inv(R), x0, P0, signal.values[:, None])
+    (A, c, C, Q, R, x0, P0), index = _naive_stacks(signal, nu, q, r)
+    xr = _map_means(A, c, C, Q, np.linalg.inv(R), x0, P0, signal.values[:, None], index)
     return DerivativeResult(
         smoothed=xr[:, 0],
         derivative=xr[:, 1],

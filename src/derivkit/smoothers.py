@@ -29,7 +29,6 @@ from .core import (
     DerivativeResult,
     Signal,
     ValidationError,
-    _band_index,
     _reflect_pad,
     _require_finite_settings,
     _require_int,
@@ -478,9 +477,10 @@ def _curvature_rows(knots: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 class _SplineSystem(NamedTuple):
     """``_solve_spline``'s system for one grid and degree, all but ``y`` and ``sqrt(lam)``:
     ``where`` places the m coefficients, then one residual per row of ``A``; ``index`` is
-    the flat band position (half-bandwidth ``half``) of each entry of ``[[I, A], [A^T, 0]]``,
-    in the order ``I``, ``A^T``, ``A``, where ``A``'s entries are ``b_vals`` then
-    ``sqrt(lam) * k_vals`` (empty without a penalty)."""
+    the flat position of each entry of ``[[I, A], [A^T, 0]]`` (half-bandwidth ``half``) in
+    the Fortran-ordered ``(3 half + 1, size)`` LU workspace that ``core._solve_banded``
+    factors in place, in the order ``I``, ``A^T``, ``A``, where ``A``'s entries are
+    ``b_vals`` then ``sqrt(lam) * k_vals`` (empty without a penalty)."""
 
     knots: np.ndarray
     where: np.ndarray
@@ -490,7 +490,7 @@ class _SplineSystem(NamedTuple):
     k_vals: np.ndarray
 
 
-@lru_cache(maxsize=1)  # one system: at N = 1e5 it holds ~25 MB at degree 3, ~56 MB at 5
+@lru_cache(maxsize=1)  # one system: at N = 1e5 ~25 MB at degree 3, ~56 MB at 5 (tracemalloc)
 def _spline_system(grid: bytes, k: int, penalized: bool) -> _SplineSystem:
     """The read-only system on the sample times whose float64 bytes are ``grid``."""
     t = np.frombuffer(grid)
@@ -505,8 +505,9 @@ def _spline_system(grid: bytes, k: int, penalized: bool) -> _SplineSystem:
     where = np.argsort(np.argsort(np.concatenate([np.arange(m), first + k / 2]), kind="stable"))
     cols = where[first[:, None] + np.arange(k + 1)].ravel()
     at = np.repeat(where[m:], k + 1)
-    half, index = _band_index(np.concatenate([where[m:], at, cols]),
-                              np.concatenate([where[m:], cols, at]), len(where))
+    i, j = np.concatenate([where[m:], at, cols]), np.concatenate([where[m:], cols, at])
+    half = int(np.max(np.abs(i - j)))
+    index = j * (3 * half + 1) + 2 * half + i - j  # M[i, j] sits at lu[2 half + i - j, j]
     # kept in the smallest unsigned type that holds it: the index is most of what is cached
     index = index.astype(np.min_scalar_type(index.max()))
     system = _SplineSystem(knots, where, half, index, rows.ravel(), k_vals)
@@ -522,15 +523,21 @@ def _solve_spline(t, y, k, lam):
     ``A``, not its square. Each residual ``r_i`` is ordered just past the middle of the k+1
     coefficients its row touches, which makes the system banded (half-bandwidth 9 at k = 3).
     The system is assembled once per grid, degree and ``lam > 0`` (``_spline_system``); a
-    call scales the curvature rows, fills the band and solves."""
+    call scales the curvature rows and scatters every entry straight into the LU workspace,
+    which is factored in place. The positions are distinct, so each entry is the value
+    itself (``+ 0.0`` turns a scaled -0.0 into the 0.0 that summing into zeros gives)."""
     knots, where, half, index, b_vals, k_vals = _spline_system(
         np.asarray(t, dtype=float).tobytes(), k, lam > 0)
     m, size = len(knots) - k - 1, len(where)
-    vals = np.concatenate([b_vals, np.sqrt(lam) * k_vals])
-    band = np.bincount(index, np.concatenate([np.ones(size - m), vals, vals]),
-                       (2 * half + 1) * size).reshape(2 * half + 1, size)
+    lu = np.zeros(size * (3 * half + 1))
+    lu[index[: size - m]] = 1.0
+    k_vals = np.sqrt(lam) * k_vals + 0.0
+    for part in np.split(index[size - m :], 2):  # A^T, then A
+        lu[part[: len(b_vals)]] = b_vals
+        lu[part[len(b_vals) :]] = k_vals
     rhs = np.bincount(where[m : m + len(y)], y, size)
-    return BSpline(knots, _solve_banded(half, band, rhs, "singular spline system")[where[:m]], k)
+    coef = _solve_banded(half, lu.reshape(size, 3 * half + 1).T, rhs, "singular spline system")
+    return BSpline(knots, coef[where[:m]], k)
 
 
 def _reinsch_fit(t, y, k, s):

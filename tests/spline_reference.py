@@ -5,6 +5,11 @@ factor ``K`` built from two sparse derivative transforms, the normal matrix
 ``B^T B`` formed explicitly, and the system ``[[B^T B, sqrt(lam) K^T],
 [sqrt(lam) K, -I]]`` (or ``B^T B`` alone when ``lam = 0``) factored by
 SuperLU. Tests compare the banded augmented least-squares solve against it.
+
+``solve_spline_bincount`` is the banded solve as the library assembled it
+before it scattered the entries straight into LAPACK's workspace: the band
+summed by ``np.bincount`` in C order, then copied into a fresh LU workspace by
+``core._solve_banded``. Tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import scipy.sparse as sp
 from scipy.interpolate import BSpline
 from scipy.sparse.linalg import spsolve
 
-from derivkit.core import NumericError
-from derivkit.smoothers import _site_knots
+from derivkit.core import NumericError, _solve_banded
+from derivkit.smoothers import _basis_rows, _curvature_rows, _site_knots
 
 
 def _derivative_transform(knots: np.ndarray, k: int, m: int) -> sp.csr_matrix:
@@ -83,3 +88,25 @@ def _solve_spline(t, y, k, lam):
     else:
         alpha = _spsolve_checked((B.T @ B).tocsc(), rhs)
     return BSpline(knots, alpha, k)
+
+
+def solve_spline_bincount(t, y, k, lam):
+    """``smoothers._solve_spline`` with the band summed by ``np.bincount``."""
+    knots = _site_knots(t, k)
+    m = len(knots) - k - 1
+    first, rows = _basis_rows(t, knots, k)
+    k_vals = np.empty(0)
+    if lam > 0:
+        k_first, k_rows = _curvature_rows(knots, k)
+        first, k_vals = np.concatenate([first, k_first]), k_rows.ravel()
+    where = np.argsort(np.argsort(np.concatenate([np.arange(m), first + k / 2]), kind="stable"))
+    cols = where[first[:, None] + np.arange(k + 1)].ravel()
+    at = np.repeat(where[m:], k + 1)
+    i, j = np.concatenate([where[m:], at, cols]), np.concatenate([where[m:], cols, at])
+    size = len(where)
+    half = int(np.max(np.abs(i - j)))
+    vals = np.concatenate([rows.ravel(), np.sqrt(lam) * k_vals])
+    band = np.bincount((half + i - j) * size + j, np.concatenate([np.ones(size - m), vals, vals]),
+                       (2 * half + 1) * size).reshape(2 * half + 1, size)
+    rhs = np.bincount(where[m : m + len(y)], y, size)
+    return BSpline(knots, _solve_banded(half, band, rhs, "singular spline system")[where[:m]], k)

@@ -64,6 +64,18 @@ class TestDiff:
         err = capsys.readouterr().err
         assert "window" in err and "degree" in err
 
+    @pytest.mark.parametrize("second", ["window=31", " window=11"])
+    def test_repeated_param_exits_2_and_names_it(self, tmp_path, sine_csv, capsys, second):
+        # the last of two --param window=... once ran silently
+        out = tmp_path / "o.csv"
+        code = main(["diff", str(sine_csv), "--method", "savgol", "--param", "window=11",
+                     "--param", second, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--param 'window' given more than once" in err
+        assert "parameters: window=" in err and "degree=" in err
+        assert not out.exists()
+
     def test_out_of_bounds_param_prints_schema_on_the_input_signal(self, tmp_path, sine_csv,
                                                                    capsys):
         code = main(["diff", str(sine_csv), "--method", "fourier",

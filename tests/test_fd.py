@@ -1,7 +1,9 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from derivkit import (
     ConditioningWarning,
@@ -19,6 +21,8 @@ from derivkit import (
 from fd_reference import exact_coefficients, first_diff_table, safe_first_derivative
 
 from derivkit.fd import (
+    _bjorck_pereyra,
+    _centered_halfwidth,
     _edge_plan,
     _fd_plan,
     _first_diff_matrix,
@@ -83,6 +87,29 @@ class TestStencilCoefficients:
     def test_nan_condition_number_warns(self):
         with pytest.warns(ConditioningWarning, match="condition number nan"):
             _warn_if_ill_conditioned(float("nan"), 1)
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_condition_number_does_not_depend_on_the_unit(self, order):
+        # in raw distances this grid's order-4 plan read 1.5e20 in ks and its order-8 plan
+        # warned in s, ms and ks; in units of each window's width it reads ~2e2 and ~2e4
+        rng = np.random.default_rng(1)
+        t = 0.01 * (np.arange(400) + rng.uniform(-0.3, 0.3, 400))
+        h = _centered_halfwidth(1, order)
+        conds = []
+        for unit in (1.0, 1e3, 1e-3):
+            tt = t * unit
+            conds.append(_bjorck_pereyra(sliding_window_view(tt, 2 * h + 1).T - tt[h:-h], 1)[1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ConditioningWarning)
+                fd_derivative(Signal(Grid(tt), np.sin(t)), nu=1, order=order)
+        np.testing.assert_allclose(conds, conds[0], rtol=1e-12)
+        assert conds[0] < (1e3 if order == 4 else 1e5)
+
+    @pytest.mark.parametrize("unit", [1e-3, 1.0, 1e3])
+    def test_close_samples_warn_in_every_unit(self, unit):
+        t = unit * np.concatenate([[0.0, 1e-12], np.arange(1.0, 30.0)])
+        with pytest.warns(ConditioningWarning):
+            fd_derivative(Signal(Grid(t), np.sin(t)), nu=1, order=6)
 
     def test_conditioning_warning_points_at_fd_derivative_caller(self):
         t = np.concatenate([[0.0, 1e-12], np.arange(1.0, 30.0)])
@@ -261,12 +288,12 @@ class TestWindowPlan:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.filterwarnings("error::derivkit.ConditioningWarning")
 class TestIrregularPlanAgainstExact:
     """Every stencil of the irregular plan against the exact rational solution of the same
-    float window. A LAPACK solve of these windows lost 1.6e-13 to 4.9e-13 at order 8."""
+    float window. A LAPACK solve of these windows lost 1.6e-13 to 4.9e-13 at order 8. The
+    windows are well conditioned in units of their own width, so none warns."""
 
-    # in raw distances of ~0.01 the order-8 windows' condition numbers reach ~1e14 and warn
-    @pytest.mark.filterwarnings("ignore::derivkit.ConditioningWarning")
     @pytest.mark.parametrize("t0", [0.0, 1.7e9])
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
@@ -281,7 +308,6 @@ class TestIrregularPlanAgainstExact:
             exact = exact_coefficients(t[window] - t[n_], nu)
             assert np.max(np.abs(c - exact)) <= 1e-13 * np.max(np.abs(exact)), n_
 
-    @pytest.mark.filterwarnings("ignore::derivkit.ConditioningWarning")
     def test_irregular_coefficients_within_1e_13(self):
         rng = np.random.default_rng(3)
         d = 0.01 * (np.arange(-4, 5) + rng.uniform(-0.3, 0.3, 9))

@@ -565,6 +565,60 @@ class TestDistinctSteps:
                                      "objective": want.objective}
 
 
+def _oracle_grids(n, rng):
+    """Uniform, dropped-sample, jittered and epoch-stamped (t0 = 1.7e9) grids of n points."""
+    base = 0.01 * np.arange(n)
+    jitter = base + 0.003 * rng.uniform(-1, 1, n)
+    dropped = 0.01 * np.sort(rng.choice(2 * n, n, replace=False))
+    return {"uniform": base, "dropped": dropped, "jittered": jitter, "epoch": 1.7e9 + dropped}
+
+
+class TestMapMeansAgainstStrided:
+    """The band written straight into LAPACK's workspace, one template per distinct step,
+    against the strided assembly over per-sample stacks, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 600])
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_naive_models_bitwise(self, n, nu):
+        rng = np.random.default_rng(70 + 10 * nu + n)
+        for name, t in _oracle_grids(n, rng).items():
+            signal = Signal(Grid(t), np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n))
+            ys = signal.values[:, None]
+            for q, r in ((1e2, 1e-2), (1.0, 1.0), (1e-6, 1e2)):
+                (A, c, C, Q, R, x0, P0), index = kalman._naive_stacks(signal, nu, q, r)
+                weights = (np.linalg.inv(R), rng.uniform(0.1, 10.0, (n, 1, 1)))
+                for Rinv in weights:  # time-invariant, then per-sample measurement weights
+                    got = kalman._map_means(A, c, C, Q, Rinv, x0, P0, ys, index)
+                    want = ref.map_means_strided(*ref.naive_model(signal, nu, q, r)[:4], Rinv,
+                                                 x0, P0, ys)
+                    assert np.array_equal(got, want), (name, q, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 150])
+    def test_per_sample_general_models_bitwise(self, monkeypatch, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(4):
+            base = random_stable_model(rng, p=int(rng.integers(1, 3)))
+            d = base.state_dim
+            L = 0.3 * rng.standard_normal((n, d, d))
+            Q = L @ np.swapaxes(L, -1, -2) + 0.01 * np.eye(d)
+            A = base.A + 0.05 * rng.standard_normal((n, d, d))
+            c = rng.standard_normal((n, d))
+            ys = simulate_model(base, n, rng)[1]
+            Rinv = np.linalg.inv(base.R)[None]
+            for A_ in (A, base.A[None]):  # per-sample A, then one A beside per-sample Q
+                got = kalman._map_means(A_, c, base.C, Q, Rinv, base.x0, base.P0, ys)
+                want = ref.map_means_strided(A_, c, base.C, Q, Rinv, base.x0, base.P0, ys)
+                assert np.array_equal(got, want)
+            # robust_map_smooth with a robust process loss solves per-sample Q stacks
+            spec = RobustSpec(process_loss="huber", measurement_loss="l1", max_iter=6)
+            got = robust_map_smooth(base, ys, spec=spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(kalman, "_map_means", ref.map_means_strided)
+                want = robust_map_smooth(base, ys, spec=spec)
+            assert np.array_equal(got.states, want.states)
+            assert got[1:] == want[1:]
+
+
 def _rel(new, old):
     return np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1e-300)
 
@@ -612,7 +666,7 @@ class TestScanAgainstLoop:
         signal = Signal(Grid(t), y)
         for q in (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e10):
             for r in (1e-6, 1.0, 1e6):
-                stacks = kalman._naive_model(signal, nu, q, r)
+                stacks = ref.naive_model(signal, nu, q, r)
                 assert len(stacks[0]) == (1 if uniform else n)
                 _assert_scan_matches_loop(*stacks, y[:, None], rng)
 
@@ -659,7 +713,7 @@ class TestMapMeansAgainstLoop:
         signal = Signal(Grid(t), y)
         for q in (1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e10):
             for r in (1e-6, 1.0, 1e6):
-                _assert_map_means_match_loop(*kalman._naive_model(signal, nu, q, r), y[:, None], rng)
+                _assert_map_means_match_loop(*ref.naive_model(signal, nu, q, r), y[:, None], rng)
 
     def test_random_models_with_inputs(self):
         rng = np.random.default_rng(41)

@@ -15,6 +15,7 @@ from scipy.interpolate import BSpline
 from scipy.linalg import get_lapack_funcs
 from spline_reference import _curvature_factor as sparse_curvature_factor
 from spline_reference import _solve_spline as superlu_solve_spline
+from spline_reference import solve_spline_bincount as bincount_solve_spline
 
 import derivkit
 from derivkit import (
@@ -767,6 +768,55 @@ class TestSplineSystemCache:
             fresh = smoothers._solve_spline(t, y, 4, lam)
             smoothers._solve_spline(t, y, 4, 7.0)  # warm, at another lam
             np.testing.assert_array_equal(smoothers._solve_spline(t, y, 4, lam).c, fresh.c)
+
+
+def _oracle_grids(n, rng):
+    """Uniform, dropped-sample, jittered and epoch-stamped (t0 = 1.7e9) grids of n points."""
+    base = 0.01 * np.arange(n)
+    jitter = base + 0.003 * rng.uniform(-1, 1, n)
+    dropped = 0.01 * np.sort(rng.choice(2 * n, n, replace=False))
+    return {"uniform": base, "dropped": dropped, "jittered": jitter, "epoch": 1.7e9 + dropped}
+
+
+class TestSplineAgainstBincount:
+    """The entries scattered straight into the LU workspace against the band that
+    ``np.bincount`` summed and ``core._solve_banded`` copied, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_lambda_mode_bitwise(self, k):
+        rng = np.random.default_rng(50 + k)
+        for n in (k + 2, k + 3, 600):
+            for name, t in _oracle_grids(n, rng).items():
+                y = np.sin(2 * np.pi * (t - t[0])) + 0.1 * rng.standard_normal(n)
+                y[0] = -0.0
+                for lam in (0.0, 1e-9, 1e-3, 1e9):
+                    got = smoothers._solve_spline(t, y, k, lam)
+                    want = bincount_solve_spline(t, y, k, lam)
+                    np.testing.assert_array_equal(got.t, want.t)
+                    assert np.array_equal(got.c, want.c), (name, n, lam)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_bound_mode_bitwise(self, monkeypatch, k):
+        rng = np.random.default_rng(60 + k)
+        for name, t in _oracle_grids(600, rng).items():
+            y = np.sin(2 * np.pi * (t - t[0])) + 0.1 * rng.standard_normal(600)
+            spec = SplineSpec(degree=k, mode="bound", s=600 * 0.1**2)
+            got = splinediff(Signal(Grid(t), y), spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(smoothers, "_solve_spline", bincount_solve_spline)
+                want = splinediff(Signal(Grid(t), y), spec)
+            assert np.array_equal(got.smoothed, want.smoothed), name
+            assert np.array_equal(got.derivative, want.derivative), name
+            assert got.flags == want.flags
+
+    def test_singular_system_names_itself(self, monkeypatch):
+        # with every basis value zero the coefficients are unconstrained
+        t = np.linspace(0.0, 3.0, 40)
+        system = smoothers._spline_system.__wrapped__(t.tobytes(), 3, False)
+        monkeypatch.setattr(smoothers, "_spline_system",
+                            lambda *_: system._replace(b_vals=np.zeros_like(system.b_vals)))
+        with pytest.raises(NumericError, match=r"^singular spline system \(zero pivot\)$"):
+            smoothers._solve_spline(t, np.sin(t), 3, 0.0)
 
 
 def _line_rss(t, y):
