@@ -45,7 +45,9 @@ from .core import (
 )
 
 #: Condition number ``|V|_1 |V^-1|_1`` (the 1-norm: largest absolute column sum)
-#: above which a stencil solve emits a ConditioningWarning.
+#: above which a stencil solve emits a ConditioningWarning. ``V`` is taken in offsets
+#: free of the variable's unit: in steps for uniform plans and ``stencil_coefficients``,
+#: in distances over the window's largest one for irregular stencils.
 CONDITION_LIMIT = 1e12
 #: ``_iterated_fd`` keeps every ``ITERATE_STRIDE``-th iterate in its memo for later calls.
 ITERATE_STRIDE = 8
