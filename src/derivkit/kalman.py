@@ -519,8 +519,7 @@ def _equilibrate(H, Q, A) -> tuple[np.ndarray, np.ndarray]:
 def _map_means(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
     """MAP states, ``(N, d)``, of the model stacks :func:`_filter` takes, or, given
     ``index``, of ``A`` and ``Q`` with one matrix per distinct step, sample ``n`` taking
-    entry ``index[n]`` (as :func:`_naive_stacks` returns them: ``index[1:]`` is
-    ``0 .. N-2`` wherever the stack has ``N - 1`` entries); the measurement weights
+    entry ``index[n]`` (as :func:`_naive_stacks` returns them); the measurement weights
     ``Rinv`` (inverse noise covariances) stand in place of ``R``.
 
     They minimize the prior term, ``1/2 |y_n - C x_n|^2`` weighted by ``Rinv_n``, and
@@ -534,9 +533,9 @@ def _map_means(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
     depend only on step ``n``'s ``(A_n, Q_n)``. So the band is written straight into the
     LU workspace that :func:`core._solve_banded` factors in place: one column-pair
     template per entry of the stack, through strided block views, then one gather of the
-    templates into place, then ``H`` and the two ends. Where there is one entry per pair
-    (a per-sample stack, or every step distinct), the gather would be the identity, and
-    the templates are written in place instead.
+    templates into place, then ``H`` and the two ends. Where the gather would be the
+    identity (a per-sample stack, or every step distinct, ``index[1:] = 0 .. N-2``), the
+    templates are written in place instead.
     """
     n, d = len(ys), len(x0)
     if index is None:  # the entries of steps 1 .. N-1; a length-1 stack is broadcast
@@ -549,7 +548,7 @@ def _map_means(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
     sx, sl = _equilibrate(np.concatenate([H, (H[0] + H0)[None]]), Qn, An)
     k = 2 * d - 1
     rows, count = 3 * k + 1, len(An)
-    in_place = count == n - 1
+    in_place = count == n - 1 and (index is None or np.array_equal(index[1:], np.arange(count)))
     ab = (np.zeros if in_place else np.empty)((rows, (2 * n - 1) * d), order="F")
     tmpl = ab if in_place else np.zeros((rows, 2 * d * count), order="F")
     SAS = An * np.outer(sl, sx)

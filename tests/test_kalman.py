@@ -609,6 +609,16 @@ class TestMapMeansAgainstStrided:
                 got = kalman._map_means(A_, c, base.C, Q, Rinv, base.x0, base.P0, ys)
                 want = ref.map_means_strided(A_, c, base.C, Q, Rinv, base.x0, base.P0, ys)
                 assert np.array_equal(got, want)
+            # one entry per step, shuffled: an index that is not the identity is gathered
+            order = rng.permutation(n - 1)
+            index = np.concatenate([order[:1], order])
+            stacks = np.empty_like(A[1:]), np.empty_like(Q[1:])
+            stacks[0][order], stacks[1][order] = A[1:], Q[1:]
+            A[0], Q[0] = A[1], Q[1]  # step 0 takes step 1's entry, as index[0] says
+            got = kalman._map_means(stacks[0], c, base.C, stacks[1], Rinv, base.x0, base.P0, ys,
+                                    index)
+            assert np.array_equal(got, ref.map_means_strided(A, c, base.C, Q, Rinv, base.x0,
+                                                             base.P0, ys))
             # robust_map_smooth with a robust process loss solves per-sample Q stacks
             spec = RobustSpec(process_loss="huber", measurement_loss="l1", max_iter=6)
             got = robust_map_smooth(base, ys, spec=spec)
