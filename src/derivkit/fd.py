@@ -45,9 +45,10 @@ from .core import (
 )
 
 #: Condition number ``|V|_1 |V^-1|_1`` (the 1-norm: largest absolute column sum)
-#: above which a stencil solve emits a ConditioningWarning. ``V`` is taken in offsets
-#: free of the variable's unit: in steps for uniform plans and ``stencil_coefficients``,
-#: in distances over the window's largest one for irregular stencils.
+#: above which a stencil solve emits a ConditioningWarning. ``V`` is taken in each
+#: stencil's offsets over their largest magnitude, so uniform plans,
+#: ``stencil_coefficients`` and irregular stencils read one figure for one window shape,
+#: whatever the unit of the variable.
 CONDITION_LIMIT = 1e12
 #: ``_iterated_fd`` keeps every ``ITERATE_STRIDE``-th iterate in its memo for later calls.
 ITERATE_STRIDE = 8
@@ -93,13 +94,18 @@ def _warn_if_ill_conditioned(cond: float, stacklevel: int) -> None:
 
 def _vandermonde_solve(locs: np.ndarray, nu: int, rhs_scale: float, stacklevel=3) -> np.ndarray:
     """Coefficients for each row of ``locs`` (``(..., S)``) by LAPACK; warns on the
-    worst-conditioned."""
-    V = np.swapaxes(polyvander(locs, locs.shape[-1] - 1), -1, -2)
+    worst-conditioned, measured as :func:`_bjorck_pereyra` does, on the offsets over
+    their largest magnitude. Offsets whose powers leave float64 give NaN
+    coefficients, and warn with a NaN condition number."""
+    S = locs.shape[-1]
+    V = np.swapaxes(polyvander(locs, S - 1), -1, -2)
     rhs = np.zeros(locs.shape + (1,))
     rhs[..., nu, 0] = math.factorial(nu) * rhs_scale
-    cond = np.max(np.abs(V).sum(-2).max(-1) * np.abs(np.linalg.inv(V)).sum(-2).max(-1))
-    _warn_if_ill_conditioned(cond, stacklevel)
-    return np.linalg.solve(V, rhs)[..., 0]
+    c = np.linalg.solve(V, rhs)[..., 0]
+    Vs = np.swapaxes(polyvander(locs / np.abs(locs).max(-1, keepdims=True), S - 1), -1, -2)
+    cond = np.max(np.abs(Vs).sum(-2).max(-1) * np.abs(np.linalg.inv(Vs)).sum(-2).max(-1))
+    _warn_if_ill_conditioned(cond if np.isfinite(c).all() else math.nan, stacklevel)
+    return c
 
 
 def _bjorck_pereyra(locs: np.ndarray, nu: int) -> tuple[np.ndarray, float]:

@@ -533,9 +533,8 @@ def _map_means(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
     depend only on step ``n``'s ``(A_n, Q_n)``. So the band is written straight into the
     LU workspace that :func:`core._solve_banded` factors in place: one column-pair
     template per entry of the stack, through strided block views, then one gather of the
-    templates into place, then ``H`` and the two ends. Where the gather would be the
-    identity (a per-sample stack, or every step distinct, ``index[1:] = 0 .. N-2``), the
-    templates are written in place instead.
+    templates into place, then ``H`` and the two ends. A per-sample stack has nothing to
+    gather, so its templates are written in place.
     """
     n, d = len(ys), len(x0)
     if index is None:  # the entries of steps 1 .. N-1; a length-1 stack is broadcast
@@ -548,7 +547,7 @@ def _map_means(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
     sx, sl = _equilibrate(np.concatenate([H, (H[0] + H0)[None]]), Qn, An)
     k = 2 * d - 1
     rows, count = 3 * k + 1, len(An)
-    in_place = count == n - 1 and (index is None or np.array_equal(index[1:], np.arange(count)))
+    in_place = index is None and count == n - 1
     ab = (np.zeros if in_place else np.empty)((rows, (2 * n - 1) * d), order="F")
     tmpl = ab if in_place else np.zeros((rows, 2 * d * count), order="F")
     SAS = An * np.outer(sl, sx)
@@ -690,21 +689,15 @@ def _naive_stacks(signal: Signal, nu: int, q: float, r: float):
     """Constant-derivative model ``(A, c, C, Q, R, x0, P0)`` on any grid, and ``index``.
 
     On an irregular grid ``A`` and ``Q`` hold one matrix per distinct step and sample
-    ``n`` takes entry ``index[n]``; where every gap differs they are the gaps in order, so
-    ``index[1:]`` is ``0 .. N-2``. On a uniform grid ``index`` is None and they hold one
-    matrix, broadcast.
+    ``n`` takes entry ``index[n]``. On a uniform grid ``index`` is None and they hold
+    one matrix, broadcast.
     """
     if r <= 0:
         raise ValidationError("r must be positive")
     if signal.grid.uniform:
         steps, index = [signal.grid.dt], None
     else:
-        steps = _steps(signal)  # the first step is the first gap again
-        unique = np.unique(steps)
-        if len(unique) < len(steps) - 1:
-            steps, index = unique, np.searchsorted(unique, steps)
-        else:
-            steps, index = steps[1:], np.concatenate([[0], np.arange(len(steps) - 1)])
+        steps, index = np.unique(_steps(signal), return_inverse=True)
     A, Q = _integrator_chain(nu, steps, q)
     # Beyond float64's range of q / r, _equilibrate's scaling cannot settle
     # and the KKT solve returns a wrong derivative without failing.

@@ -20,6 +20,7 @@ from derivkit import (
 )
 from fd_reference import exact_coefficients, first_diff_table, safe_first_derivative
 
+from derivkit import fd
 from derivkit.fd import (
     _bjorck_pereyra,
     _centered_halfwidth,
@@ -116,6 +117,26 @@ class TestStencilCoefficients:
         with pytest.warns(ConditioningWarning) as record:
             fd_derivative(Signal(Grid(t), np.sin(t)), nu=1, order=6)
         assert record[0].filename == __file__
+
+    @pytest.mark.parametrize("offsets", [range(-4, 5), range(9), range(-8, 9), (-3, -1, 0, 2, 5)])
+    def test_uniform_and_irregular_stencils_read_one_condition_number(self, offsets, monkeypatch):
+        conds = []
+        monkeypatch.setattr(fd, "_warn_if_ill_conditioned", lambda cond, _: conds.append(cond))
+        stencil_coefficients(Stencil(tuple(offsets), 1), 0.37)
+        irregular_coefficients(0.37 * np.array(offsets, float), 1)
+        np.testing.assert_allclose(conds[0], conds[1], rtol=1e-10)
+
+    def test_wide_exact_stencil_does_not_warn(self):
+        # in raw offsets this stencil read 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            c = stencil_coefficients(Stencil((-1e100, 0.0, 1e100), 1), 1.0)
+        np.testing.assert_allclose(c, [-5e-101, 0.0, 5e-101], rtol=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_offsets_whose_powers_overflow_warn(self):
+        with pytest.warns(ConditioningWarning, match="condition number nan"):
+            stencil_coefficients(Stencil((-1e200, 0.0, 1e200), 1), 1.0)
 
 
 class TestIrregularCoefficients:

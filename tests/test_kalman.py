@@ -1,6 +1,7 @@
 import kalman_reference as ref
 import numpy as np
 import pytest
+from grid_reference import oracle_grids
 
 from derivkit import (
     ContinuousModel,
@@ -565,14 +566,6 @@ class TestDistinctSteps:
                                      "objective": want.objective}
 
 
-def _oracle_grids(n, rng):
-    """Uniform, dropped-sample, jittered and epoch-stamped (t0 = 1.7e9) grids of n points."""
-    base = 0.01 * np.arange(n)
-    jitter = base + 0.003 * rng.uniform(-1, 1, n)
-    dropped = 0.01 * np.sort(rng.choice(2 * n, n, replace=False))
-    return {"uniform": base, "dropped": dropped, "jittered": jitter, "epoch": 1.7e9 + dropped}
-
-
 class TestMapMeansAgainstStrided:
     """The band written straight into LAPACK's workspace, one template per distinct step,
     against the strided assembly over per-sample stacks, bit for bit."""
@@ -581,7 +574,7 @@ class TestMapMeansAgainstStrided:
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_naive_models_bitwise(self, n, nu):
         rng = np.random.default_rng(70 + 10 * nu + n)
-        for name, t in _oracle_grids(n, rng).items():
+        for name, t in oracle_grids(n, rng).items():
             signal = Signal(Grid(t), np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(n))
             ys = signal.values[:, None]
             for q, r in ((1e2, 1e-2), (1.0, 1.0), (1e-6, 1e2)):
@@ -609,7 +602,7 @@ class TestMapMeansAgainstStrided:
                 got = kalman._map_means(A_, c, base.C, Q, Rinv, base.x0, base.P0, ys)
                 want = ref.map_means_strided(A_, c, base.C, Q, Rinv, base.x0, base.P0, ys)
                 assert np.array_equal(got, want)
-            # one entry per step, shuffled: an index that is not the identity is gathered
+            # one entry per step, in shuffled order, gathered by index
             order = rng.permutation(n - 1)
             index = np.concatenate([order[:1], order])
             stacks = np.empty_like(A[1:]), np.empty_like(Q[1:])

@@ -9,6 +9,7 @@ from pathlib import Path
 import butter_reference
 import numpy as np
 import pytest
+from grid_reference import oracle_grids
 from poly_reference import loop_polydiff
 from rbf_reference import dense_rbf, extended_rbf
 from scipy.interpolate import BSpline
@@ -770,14 +771,6 @@ class TestSplineSystemCache:
             np.testing.assert_array_equal(smoothers._solve_spline(t, y, 4, lam).c, fresh.c)
 
 
-def _oracle_grids(n, rng):
-    """Uniform, dropped-sample, jittered and epoch-stamped (t0 = 1.7e9) grids of n points."""
-    base = 0.01 * np.arange(n)
-    jitter = base + 0.003 * rng.uniform(-1, 1, n)
-    dropped = 0.01 * np.sort(rng.choice(2 * n, n, replace=False))
-    return {"uniform": base, "dropped": dropped, "jittered": jitter, "epoch": 1.7e9 + dropped}
-
-
 class TestSplineAgainstBincount:
     """The entries scattered straight into the LU workspace against the band that
     ``np.bincount`` summed and ``core._solve_banded`` copied, bit for bit."""
@@ -786,7 +779,7 @@ class TestSplineAgainstBincount:
     def test_lambda_mode_bitwise(self, k):
         rng = np.random.default_rng(50 + k)
         for n in (k + 2, k + 3, 600):
-            for name, t in _oracle_grids(n, rng).items():
+            for name, t in oracle_grids(n, rng).items():
                 y = np.sin(2 * np.pi * (t - t[0])) + 0.1 * rng.standard_normal(n)
                 y[0] = -0.0
                 for lam in (0.0, 1e-9, 1e-3, 1e9):
@@ -798,7 +791,7 @@ class TestSplineAgainstBincount:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_bound_mode_bitwise(self, monkeypatch, k):
         rng = np.random.default_rng(60 + k)
-        for name, t in _oracle_grids(600, rng).items():
+        for name, t in oracle_grids(600, rng).items():
             y = np.sin(2 * np.pi * (t - t[0])) + 0.1 * rng.standard_normal(600)
             spec = SplineSpec(degree=k, mode="bound", s=600 * 0.1**2)
             got = splinediff(Signal(Grid(t), y), spec)
