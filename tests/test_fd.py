@@ -127,7 +127,7 @@ class TestStencilCoefficients:
         np.testing.assert_allclose(conds[0], conds[1], rtol=1e-10)
 
     def test_wide_exact_stencil_does_not_warn(self):
-        # in raw offsets this stencil read 1e200
+        # unscaled, |V|_1 |V^-1|_1 of these offsets is 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConditioningWarning)
             c = stencil_coefficients(Stencil((-1e100, 0.0, 1e100), 1), 1.0)
