@@ -23,8 +23,10 @@ samples dropped (a few dozen distinct steps in thousands).
   ``[[H, G^T], [G, -Q]]``, which never inverts ``Q`` (Paige & Saunders 1977;
   Aravkin et al., "Generalized Kalman smoothing", Automatica 2017). ``rtsdiff``
   makes one such solve; the robust smoother makes one for its first iterate
-  and one per iteration of its reweighted least squares, whose loss weights
-  scale the measurement and process blocks.
+  and one per iteration of its reweighted least squares whose loss weights,
+  which scale the measurement and process blocks, differ from the last
+  solve's. With a quadratic process loss and every Huber weight 1, that is the
+  first solve alone.
 """
 
 from __future__ import annotations
@@ -132,7 +134,9 @@ class RobustSpec:
 
     ``huber_m_*`` give the quadratic-to-linear radius in units of the noise-normalized
     residual; other losses ignore them. Reweighting stops once no state moves by more
-    than ``tol * (1 + max |state|)`` in an iteration, or after ``max_iter`` iterations.
+    than ``tol * (1 + max |state|)`` in an iteration, once an iteration's weights equal
+    those of the solve that gave the current states (its solve would return them again;
+    with a quadratic process loss only), or after ``max_iter`` iterations.
     """
 
     process_loss: str = "quadratic"
@@ -171,6 +175,7 @@ class RobustSmoothResult(NamedTuple):
     converged: bool
     iterations: int
     objective: float
+    kkt_solves: int  # banded KKT solves that ran, the first iterate's included
 
 
 def _shape_measurements(ys, p: int) -> np.ndarray:
@@ -618,7 +623,11 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
     weights: measurement weights ``TR^T diag(w) TR`` and process blocks
     ``LQ diag(1/w) LQ^T``, where ``TR`` is the inverse of ``R``'s Cholesky factor and
     ``Q = LQ LQ^T``. The weighted least-squares problem of an iteration is that solve's
-    MAP estimate.
+    MAP estimate. While the process loss is quadratic, an iteration whose measurement
+    weights equal the last solve's, entry for entry, would solve that system again and
+    return the current iterate, a zero step: it stops there, converged, without the
+    solve. A robust process loss always solves, since its rebuilt ``Q`` does not round
+    like ``Q``.
     """
     n, d = len(ys), len(x0)
     TR = np.linalg.inv(_cholesky(R, "R"))
@@ -647,6 +656,7 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
                 + 0.5 * float(dx0 @ H_prior @ dx0)), e, g
 
     x = _map_means(A_steps, c, C, Q_steps, Rinv, x0, P0, ys, index)
+    solved_Rw, solves = Rinv, 1  # the measurement weights that gave x
     best_x = x
     best_obj, e, g = objective(x)
     converged = False
@@ -658,11 +668,16 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
             We = _loss_weights(spec.measurement_loss, spec.huber_m_measurement, e)
             Rw = _T(TR) @ (We[..., None] * TR)
         if spec.process_loss == "quadratic":
+            if np.all(Rw == solved_Rw):  # x's own system: its solve would return x again
+                converged = True
+                break
             x_new = _map_means(A_steps, c, C, Q_steps, Rw, x0, P0, ys, index)
+            solved_Rw = Rw
         else:
             Wg = _loss_weights(spec.process_loss, spec.huber_m_process, g)
             Qw = np.concatenate([Q0[None], _sym((LQ / Wg[..., None, :]) @ _T(LQ))])
             x_new = _map_means(A, c, C, Qw, Rw, x0, P0, ys)
+        solves += 1
         obj, e, g = objective(x_new)
         if obj < best_obj:
             best_obj, best_x = obj, x_new
@@ -671,7 +686,7 @@ def _robust_map_core(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
         if step <= spec.tol * (1.0 + np.max(np.abs(best_x))):
             converged = True
             break
-    return RobustSmoothResult(best_x, converged, iterations, best_obj)
+    return RobustSmoothResult(best_x, converged, iterations, best_obj, solves)
 
 
 def robust_map_smooth(model: LinearGaussianModel, measurements, inputs=None,
@@ -742,9 +757,11 @@ def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
 
     Unlike :func:`rtsdiff`, the absolute scales of ``q`` and ``r`` matter
     here: they interact with the Huber radii through the normalized residuals.
-    The first iterate and each reweighting iteration are one banded KKT solve
-    each (:func:`_robust_map_core`); ``flags`` report ``converged``,
-    ``iterations`` and the ``objective`` of the returned states.
+    The first iterate and each reweighting iteration whose weights changed are
+    one banded KKT solve each (:func:`_robust_map_core`); ``flags`` report
+    ``converged``, ``iterations``, the ``objective`` of the returned states and
+    ``kkt_solves``, the solves that ran. With the default quadratic process
+    loss and no residual beyond the Huber radius, that is one solve, ``rtsdiff``'s.
     """
     spec, nu = spec or RobustSpec(), _check_chain(nu, q)
     model, index = _naive_stacks(signal, nu, q, r)
@@ -757,5 +774,5 @@ def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
              "process_loss": spec.process_loss,
              "measurement_loss": spec.measurement_loss},
         flags={"converged": result.converged, "iterations": result.iterations,
-               "objective": result.objective},
+               "objective": result.objective, "kkt_solves": result.kkt_solves},
     )

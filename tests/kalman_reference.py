@@ -10,23 +10,24 @@ length 1 (time-invariant) or N, and ``cs`` is the known drift ``B_n u_n``.
 wrote the band straight into LAPACK's workspace: a zeroed workspace, one
 strided write per block type over every sample, and the equilibration scales
 reduced over per-sample stacks. ``naive_model`` is ``rtsdiff``'s model
-gathered per sample. ``rtsdiff_per_step`` and ``robustdiff_per_step`` build
-the constant-derivative model with the integrator chain evaluated at every
-sample's step, factor and invert every ``Q`` of the stack, as the library did
-before it took each distinct step once, and solve with ``map_means_strided``.
+gathered per sample. ``robust_map_every_solve`` is the robust smoother's
+reweighting loop as it was before it stopped ahead of a repeated system: it
+solves on every iteration, with ``map_means_strided``. ``rtsdiff_per_step`` and
+``robustdiff_per_step`` build the constant-derivative model with the integrator
+chain evaluated at every sample's step, factor and invert every ``Q`` of the
+stack, as the library did before it took each distinct step once, and solve with
+``map_means_strided``.
 """
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import scipy.linalg as sla
 
-from derivkit import kalman
 from derivkit.core import NumericError, _solve_banded
-from derivkit.kalman import (KalmanTrack, _blocks, _equilibrate, _integrator_chain, _later, _mv,
-                             _naive_stacks, _robust_map_core, _steps, _sym, _T)
+from derivkit.kalman import (KalmanTrack, RobustSmoothResult, RobustSpec, _blocks, _cholesky,
+                             _equilibrate, _integrator_chain, _later, _loss_value, _loss_weights,
+                             _mv, _naive_stacks, _prior, _steps, _sym, _T)
 
 
 def _at(stack, n):
@@ -136,6 +137,71 @@ def map_means_strided(A, c, C, Q, Rinv, x0, P0, ys, index=None) -> np.ndarray:
     return sx * np.concatenate([sol[None, :d], sol[d:].reshape(n - 1, 2, d)[:, 1]])
 
 
+def robust_map_every_solve(A, c, C, Q, R, x0, P0, ys, spec: RobustSpec,
+                           index: np.ndarray | None = None) -> RobustSmoothResult:
+    """The IRLS loop of ``kalman._robust_map_core`` that solves on every iteration, even
+    one whose weights are those of the solve before it; each solve is
+    ``map_means_strided``. Of its ``1 + iterations`` solves, ``kkt_solves`` counts those
+    of a system other than the one solved just before: with a quadratic process loss,
+    one whose measurement weights differ from that solve's somewhere."""
+    n, d = len(ys), len(x0)
+    TR = np.linalg.inv(_cholesky(R, "R"))
+    # process residuals exist from step 1 on; step 0's Q is step 1's on a distinct stack
+    LQ = _cholesky(_later(Q) if index is None else Q, "Q")
+    TQ = np.linalg.inv(LQ)
+    A_steps, Q_steps = A, Q  # as the quadratic-process solves take them, with index
+    Q0 = Q[0 if index is None else index[0]]
+    if index is not None:  # np.take gathers about twice as fast as fancy indexing
+        A = np.take(A, index, axis=0)
+        LQ, TQ = np.take(LQ, index[1:], axis=0), np.take(TQ, index[1:], axis=0)
+    A = np.broadcast_to(A, (n, d, d))
+    TRC = TR @ C
+    TRy = _mv(TR, ys)
+    Rinv = _T(TR) @ TR
+    mu0, H_prior = _prior(A[0], c[0], Q0, x0, P0)
+
+    def objective(states: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The objective at ``states``, with the whitened measurement and process
+        residuals it sums, which weight the next iteration."""
+        e = TRy - _mv(TRC, states)
+        g = _mv(TQ, states[1:] - _mv(A[1:], states[:-1]) - c[1:])
+        dx0 = states[0] - mu0
+        return (_loss_value(spec.measurement_loss, spec.huber_m_measurement, e.ravel())
+                + _loss_value(spec.process_loss, spec.huber_m_process, g.ravel())
+                + 0.5 * float(dx0 @ H_prior @ dx0)), e, g
+
+    x = map_means_strided(A_steps, c, C, Q_steps, Rinv, x0, P0, ys, index)
+    solved = [Rinv]  # the measurement weights of every solve
+    best_x = x
+    best_obj, e, g = objective(x)
+    converged = False
+    iterations = 0
+    for it in range(spec.max_iter):
+        iterations = it + 1
+        Rw = Rinv
+        if spec.measurement_loss != "quadratic":
+            We = _loss_weights(spec.measurement_loss, spec.huber_m_measurement, e)
+            Rw = _T(TR) @ (We[..., None] * TR)
+        if spec.process_loss == "quadratic":
+            x_new = map_means_strided(A_steps, c, C, Q_steps, Rw, x0, P0, ys, index)
+        else:
+            Wg = _loss_weights(spec.process_loss, spec.huber_m_process, g)
+            Qw = np.concatenate([Q0[None], _sym((LQ / Wg[..., None, :]) @ _T(LQ))])
+            x_new = map_means_strided(A, c, C, Qw, Rw, x0, P0, ys)
+        solved.append(Rw)
+        obj, e, g = objective(x_new)
+        if obj < best_obj:
+            best_obj, best_x = obj, x_new
+        step = np.max(np.abs(x_new - x))
+        x = x_new
+        if step <= spec.tol * (1.0 + np.max(np.abs(best_x))):
+            converged = True
+            break
+    repeated = spec.process_loss == "quadratic" and np.array_equal(
+        *np.broadcast_arrays(solved[-1], solved[-2]))
+    return RobustSmoothResult(best_x, converged, iterations, best_obj, len(solved) - repeated)
+
+
 def naive_model(signal, nu, q, r):
     """``kalman._naive_stacks``'s model with ``A`` and ``Q`` gathered per sample where an
     index is returned: the stacks ``kalman._filter`` takes."""
@@ -164,9 +230,7 @@ def rtsdiff_per_step(signal, nu, q, r) -> np.ndarray:
 
 
 def robustdiff_per_step(signal, nu, q, r, spec):
-    """The ``RobustSmoothResult`` behind ``robustdiff``: ``Q``'s Cholesky factor and its
-    inverse are taken over the full per-sample stack, and every solve is
-    ``map_means_strided``."""
-    with mock.patch.object(kalman, "_map_means", map_means_strided):
-        return _robust_map_core(*naive_model_per_step(signal, nu, q, r),
-                                signal.values[:, None], spec)
+    """The ``RobustSmoothResult`` behind ``robustdiff``, from ``robust_map_every_solve``:
+    ``Q``'s Cholesky factor and its inverse are taken over the full per-sample stack."""
+    return robust_map_every_solve(*naive_model_per_step(signal, nu, q, r),
+                                  signal.values[:, None], spec)

@@ -132,7 +132,7 @@ class TestDiff:
         ("tvr", ["converged", "duality_gap", "iterations", "lu_steps", "objective"]),
         ("smooth_accel_tvr", ["converged", "duality_gap", "iterations", "lu_steps",
                               "objective"]),
-        ("robust", ["converged", "iterations", "objective"]),
+        ("robust", ["converged", "iterations", "kkt_solves", "objective"]),
         ("spline", []),  # its one flag is the fit itself, which phi reproduces
         ("fd", []),
         ("savgol", [])])
