@@ -297,12 +297,18 @@ def cmd_tune(args) -> int:
         "failure_reasons": config.info["failure_reasons"],
         "search": config.info["search"],
         "seed": args.seed,
+        # the budget that produced phi, as TuneSpec holds it
+        "cutoff_hz": spec.cutoff_hz,
+        "starts": spec.starts,
+        "max_evals": spec.max_evals,
+        "outliers": spec.outliers,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        _write_manifest(args.out, payload)
+        # the worker count changes no bit of the JSON, so only the manifest records it
+        _write_manifest(args.out, {**payload, "processes": config.info["processes"]})
     else:
         print(text)
     return EXIT_OK

@@ -279,12 +279,13 @@ def _uniform_plan(n_points: int, nu: int, order: int, dt: float) -> _FdPlan:
         for n, lo, size in edges)))
 
 
-def fd_derivative(signal: Signal, nu: int = 1, order: int = 2) -> DerivativeResult:
+def fd_derivative(signal: Signal, nu: int = 1, *, order: int) -> DerivativeResult:
     """Pointwise finite-difference derivative; does no smoothing.
 
-    Interior points use centered schemes of the requested accuracy order;
-    edge points fall back to one-sided second-order schemes and near-edge
-    points shrink the centered stencil rather than grow a one-sided one.
+    Interior points use centered schemes of accuracy order ``order``, which has no
+    default (the registry's ``fd`` holds it); edge points fall back to one-sided
+    second-order schemes and near-edge points shrink the centered stencil rather than
+    grow a one-sided one.
     Irregular grids take one batched Björck–Pereyra solve over the interior
     windows, in units of the independent variable. ``nu`` must be a whole number >= 1.
     """
@@ -310,8 +311,10 @@ def _smoothing_plan(plan: _FdPlan, n_points: int, dt: float) -> _FdPlan:
     return plan._replace(edges=(ends[0], *plan.edges[1:-1], ends[1]))
 
 
-def iterated_fd(signal: Signal, order: int = 2, iterations: int = 1) -> DerivativeResult:
-    """Smooth by repeated differentiate-then-integrate passes, then differentiate.
+def iterated_fd(signal: Signal, order: int, iterations: int) -> DerivativeResult:
+    """Smooth by ``iterations`` differentiate-then-integrate passes, then differentiate
+    at accuracy order ``order``; neither has a default (the registry's ``iterated_fd``
+    holds both).
 
     Each iteration applies the ``fd`` first-derivative plan, with edge-safe
     endpoint stencils, cumulatively integrates with the trapezoid rule, and

@@ -133,10 +133,12 @@ class RobustSpec:
     """Loss choices for the joint MAP smoother.
 
     ``huber_m_*`` give the quadratic-to-linear radius in units of the noise-normalized
-    residual; other losses ignore them. Reweighting stops once no state moves by more
-    than ``tol * (1 + max |state|)`` in an iteration, once an iteration's weights equal
-    those of the solve that gave the current states (its solve would return them again;
-    with a quadratic process loss only), or after ``max_iter`` iterations.
+    residual; other losses ignore them. ``huber_m_measurement``'s default is also the
+    registry's ``robust`` default ``m``, which reads it from here. Reweighting stops once
+    no state moves by more than ``tol * (1 + max |state|)`` in an iteration, once an
+    iteration's weights equal those of the solve that gave the current states (its solve
+    would return them again; with a quadratic process loss only), or after ``max_iter``
+    iterations.
     """
 
     process_loss: str = "quadratic"
@@ -730,8 +732,12 @@ def _naive_stacks(signal: Signal, nu: int, q: float, r: float):
     return (A, np.zeros((len(signal), d)), C, Q, np.array([[[r]]]), x0, P0), index
 
 
-def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> DerivativeResult:
+def rtsdiff(signal: Signal, nu: int, q: float, r: float = 1.0) -> DerivativeResult:
     """Constant-derivative-model RTS smoothing; derivative read from the state.
+
+    The model integrates white noise of intensity ``q`` ``nu`` times; the output depends
+    on ``q`` and ``r`` only through ``q / r``. ``nu`` and ``q`` have no defaults: the
+    registry's ``rts`` holds them.
 
     Works on uniform and irregular grids: the integrator chain's closed-form
     transition and noise matrices are evaluated once per distinct step
@@ -751,12 +757,13 @@ def rtsdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0) -> Deri
     )
 
 
-def robustdiff(signal: Signal, nu: int = 2, q: float = 1.0, r: float = 1.0,
+def robustdiff(signal: Signal, nu: int, q: float, r: float,
                spec: RobustSpec | None = None) -> DerivativeResult:
     """Constant-derivative model plus robust MAP smoothing.
 
     Unlike :func:`rtsdiff`, the absolute scales of ``q`` and ``r`` matter
     here: they interact with the Huber radii through the normalized residuals.
+    ``nu``, ``q`` and ``r`` have no defaults: the registry's ``robust`` holds them.
     The first iterate and each reweighting iteration whose weights changed are
     one banded KKT solve each (:func:`_robust_map_core`); ``flags`` report
     ``converged``, ``iterations``, the ``objective`` of the returned states and

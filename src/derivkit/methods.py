@@ -6,6 +6,10 @@ set (odd windows, even orders, cross-parameter constraints), and how to run
 the method. Bounds may depend on the signal, e.g. on its length or Nyquist
 frequency.
 
+The registry is the one home of these defaults: the library functions and specs the
+adapters call take every parameter the registry declares without a default, and each
+adapter passes all the values its function runs with.
+
 ``run(signal, phi, nu, memo)`` takes a dict the caller owns for one signal.
 A method may keep stages there that later runs on that signal reuse without
 changing a bit: ``iterated_fd`` its iterates, ``savgol`` its smoothed values
@@ -197,7 +201,7 @@ def _savgol_params(signal: Signal):
     n = len(signal)
     hi = min(n if n % 2 == 1 else n - 1, 129)
     return (
-        ParamSpec("window", 5, hi, "integer", min(21, hi)),
+        ParamSpec("window", 5, hi, "integer", 21),
         ParamSpec("degree", 1, 8, "integer", 3),
         ParamSpec("post_smooth_sigma", 0.05, 50.0, "log", 1.0),
     )
@@ -218,7 +222,7 @@ def _savgol_run(signal, phi, nu, memo):
 def _poly_params(signal: Signal):
     n = len(signal)
     return (
-        ParamSpec("window", 8, min(n, 160), "integer", min(40, n)),
+        ParamSpec("window", 8, min(n, 160), "integer", 40),
         ParamSpec("degree", 1, 8, "integer", 3),
     )
 
@@ -306,21 +310,22 @@ def _satvr_run(signal, phi, nu, memo):
 
 def _rts_params(signal: Signal):
     return (
-        # rtsdiff depends on q and r only through q / r, so r stays at its default
+        # rtsdiff depends on q and r only through q / r, so r is not a parameter
         ParamSpec("q", 1e-10, 1e10, "log", 1e2),
         ParamSpec("nu", 1, 3, "integer", 2, tunable=False),
     )
 
 
 def _rts_run(signal, phi, nu, memo):
-    return kalman.rtsdiff(signal, nu=phi["nu"], q=phi["q"])
+    return kalman.rtsdiff(signal, nu=phi["nu"], q=phi["q"], r=1.0)
 
 
 def _robust_params(signal: Signal):
     return (
         ParamSpec("q", 1e-10, 1e10, "log", 1e2),
         ParamSpec("r", 1e-6, 1e6, "log", 1.0),
-        ParamSpec("m", 0.5, 20.0, "log", 2.0, tunable=False),
+        ParamSpec("m", 0.5, 20.0, "log", kalman.RobustSpec.huber_m_measurement,
+                  tunable=False),
         ParamSpec("nu", 1, 3, "integer", 2, tunable=False),
     )
 

@@ -41,13 +41,17 @@ from .fd import _fd_plan
 _KERNEL_KINDS = ("mean", "gaussian", "friedrichs", "median")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class KernelSpec:
-    """A sliding-window kernel: its kind, window length, and Gaussian width."""
+    """A sliding-window kernel: its kind, window length, and Gaussian width.
+
+    ``window`` has no default, nor has ``sigma``, which only the Gaussian reads: the
+    registry's ``kernel`` holds both (window ``2 ceil(4 sigma) + 1``).
+    """
 
     kind: str = "gaussian"
-    window: int = 11
-    sigma: float = 2.0
+    window: int
+    sigma: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KERNEL_KINDS:
@@ -56,7 +60,7 @@ class KernelSpec:
         object.__setattr__(self, "window", _require_int("window", self.window, 3))
         if self.window % 2 == 0:
             raise ValidationError(f"window must be odd and >= 3, got {self.window}")
-        if self.kind == "gaussian" and self.sigma <= 0:
+        if self.kind == "gaussian" and (self.sigma is None or self.sigma <= 0):
             raise ValidationError(f"gaussian sigma must be positive, got {self.sigma}")
 
 
@@ -220,8 +224,10 @@ def _butter_design(signal: Signal, order: int, cutoff_hz: float, what: str):
     return _butter_sos(order, cutoff_hz, fs), fs, order
 
 
-def butterdiff(signal: Signal, order: int = 2, cutoff_hz: float = 1.0) -> DerivativeResult:
+def butterdiff(signal: Signal, order: int, cutoff_hz: float) -> DerivativeResult:
     """Zero-phase Butterworth smoothing followed by second-order differences.
+
+    ``order`` and ``cutoff_hz`` have no defaults: the registry's ``butter`` holds them.
 
     The filter is designed as cascaded second-order sections via the bilinear
     transform (with frequency prewarping, so the half-power point lands
@@ -275,10 +281,11 @@ def _window_fits(offsets: np.ndarray, degree: int) -> tuple:
     return fit, bool(keep.all())
 
 
-def polydiff(signal: Signal, window: int, stride: int | None = None, degree: int = 3,
+def polydiff(signal: Signal, window: int, stride: int | None = None, *, degree: int,
              weight_kernel: KernelSpec | None = None) -> DerivativeResult:
     """Sliding-window polynomial fits, combined by (weighted) averaging.
 
+    ``window`` and ``degree`` have no defaults: the registry's ``poly`` holds them.
     Fits use the actual timestamps, so irregular grids are fine. Windows
     advance by ``stride``; a final window is anchored to the tail so every
     sample is covered. Each window is fitted as ``Polynomial.fit`` fits it
@@ -356,13 +363,14 @@ def _savgol_rows(window: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def savgoldiff(signal: Signal, window: int, degree: int,
-               post_smooth_sigma: float | None = None) -> DerivativeResult:
+               post_smooth_sigma: float | None) -> DerivativeResult:
     """Savitzky-Golay smoothing and differentiation by convolution.
 
     Equivalent to a stride-1 sliding polynomial fit evaluated only at window
     centers, but the coefficients are fixed and found offline. The derivative
-    can optionally be Gaussian-smoothed afterwards, since neighboring
-    implicit fits are independent and can jitter.
+    is Gaussian-smoothed afterwards with width ``post_smooth_sigma`` samples (None or 0:
+    not at all), since neighboring implicit fits are independent and can jitter. No
+    argument has a default: the registry's ``savgol`` holds them.
     """
     return _savgoldiff(signal, window, degree, post_smooth_sigma, {})
 
@@ -407,20 +415,22 @@ def _savgoldiff(signal: Signal, window: int, degree: int, post_smooth_sigma: flo
 _SPLINE_MODES = ("lambda", "bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SplineSpec:
     """Smoothing-spline parameters.
 
-    ``lambda`` mode penalizes integrated squared curvature with weight
-    ``lam``. ``bound`` mode is Reinsch's spline: the smoothest fit whose
-    residual sum of squares is at most ``s``. Either penalty needs degree >= 2.
+    ``lambda`` mode penalizes integrated squared curvature with weight ``lam`` (0
+    interpolates). ``bound`` mode is Reinsch's spline: the smoothest fit whose residual
+    sum of squares is at most ``s``. Either penalty needs degree >= 2. ``degree``,
+    ``iterations`` and, in lambda mode, ``lam`` have no defaults: the registry's
+    ``spline`` holds them.
     """
 
-    degree: int = 3
+    degree: int
     mode: str = "lambda"
-    lam: float = 0.0
+    lam: float | None = None
     s: float = 0.0
-    iterations: int = 1
+    iterations: int
 
     def __post_init__(self):
         if self.mode not in _SPLINE_MODES:
@@ -429,12 +439,14 @@ class SplineSpec:
             object.__setattr__(self, name, _require_int(name, getattr(self, name), 1))
         # s = inf is a bound every fit meets, so bound mode returns the least-squares line
         _require_finite_settings(lam=self.lam, s=None if self.s == np.inf else self.s)
-        if self.lam < 0 or self.s < 0:
+        if self.mode == "lambda" and self.lam is None:
+            raise ValidationError("lambda mode needs lam")
+        if (self.lam is not None and self.lam < 0) or self.s < 0:
             raise ValidationError("lam and s must be >= 0")
         if self.mode == "lambda" and self.s != 0.0:
             raise ValidationError("bound s is unused in lambda mode; leave it at 0")
-        if self.mode == "bound" and self.lam != 0.0:
-            raise ValidationError("lam is unused in bound mode; leave it at 0")
+        if self.mode == "bound" and self.lam is not None:
+            raise ValidationError("lam is unused in bound mode; leave it unset")
         if (self.mode == "bound" or self.lam > 0) and self.degree < 2:
             raise ValidationError("curvature penalty needs degree >= 2")
 
@@ -647,8 +659,10 @@ def _rbf_kernel(t: np.ndarray, b: int, sigma: float, rho: float) -> np.ndarray:
     return ab
 
 
-def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float = 0.0) -> DerivativeResult:
-    """Truncated-Gaussian radial basis fit with eigenvalue damping.
+def rbfdiff(signal: Signal, sigma: float, rho: float, damping: float) -> DerivativeResult:
+    """Truncated-Gaussian radial basis fit with eigenvalue damping. No argument has a
+    default: the registry's ``rbf`` holds ``sigma`` and ``damping``, and sets ``rho``
+    from ``sigma``.
 
     One basis function sits on every sample. The kernel is cut off at radius
     ``rho``, so only a band of the collocation matrix is built: its half-width

@@ -157,15 +157,17 @@ def chebyshev_derivative(values, a: float = -1.0, b: float = 1.0, nu: int = 1,
     )
 
 
-def fourier_extension_derivative(signal: Signal, pad: int = 0, extension: str = "even",
-                                 keep_modes: int | None = None, nu: int = 1) -> DerivativeResult:
+def fourier_extension_derivative(signal: Signal, *, pad: int, extension: str = "even",
+                                 keep_modes: int | None, nu: int = 1) -> DerivativeResult:
     """Fourier differentiation made workable for aperiodic (noisy) signals.
 
     The signal is insulated by ``pad`` repeats of its end values, the padding
     is blended by a moving average of window ceil(pad/4) (original samples are
     restored), and the result is optionally concatenated with its mirror image
-    so the transform sees a periodic sequence. High modes are zeroed before
-    differentiation and the original index range is sliced back out.
+    so the transform sees a periodic sequence. Modes from ``keep_modes`` up are zeroed
+    before differentiation (None keeps them all) and the original index range is sliced
+    back out. ``pad`` and ``keep_modes`` have no defaults: the registry's ``fourier``
+    holds them.
     """
     dt = _require_uniform(signal, "fourier_extension_derivative")
     pad, nu = _require_int("pad", pad, 0), _require_int("derivative order", nu, 1)

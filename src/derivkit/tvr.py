@@ -46,18 +46,19 @@ _BETA = 0.5
 _MAX_BACKTRACK = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TvrSpec:
     """Parameters for a TVR solve.
 
-    ``tol`` is the relative duality gap at which the solver stops and
-    ``max_iter`` the largest number of Newton iterations it takes;
-    ``soften_sigma``, when set, is the width in samples of a Gaussian that
-    blurs the derivative.
+    ``gamma`` weighs the total variation of the ``nu``-th derivative; neither has a
+    default (the registry's ``tvr`` holds them). ``tol`` is the relative duality gap at
+    which the solver stops and ``max_iter`` the largest number of Newton iterations it
+    takes; ``soften_sigma``, when set, is the width in samples of a Gaussian that blurs
+    the derivative (:func:`smooth_accel_tvr` needs it set).
     """
 
     gamma: float
-    nu: int = 1
+    nu: int
     tol: float = 1e-8
     max_iter: int = 100
     soften_sigma: float | None = None
@@ -211,7 +212,7 @@ def _interior_point(y: np.ndarray, E: sp.csr_matrix, weight: float, tol: float,
 
         # the multipliers and the box slacks stay positive along the step
         step = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for v, dv in ((mu1, dmu1), (mu2, dmu2), (s1, -dz), (s2, dz)):
                 step = min(step, _STEP_FRACTION * float(np.min(np.where(dv < 0, -v / dv, np.inf))))
         r_norm = norm(res)
@@ -263,10 +264,12 @@ def tvrdiff(signal: Signal, spec: TvrSpec) -> DerivativeResult:
 
 def smooth_accel_tvr(signal: Signal, spec: TvrSpec) -> DerivativeResult:
     """Second-derivative TVR followed by Gaussian softening of the corners:
-    :func:`tvrdiff` at ``nu = 2`` (any other ``nu`` is refused), with no softening
-    (``soften_sigma`` 0) when ``spec`` sets none."""
+    :func:`tvrdiff` at ``nu = 2`` (any other ``nu`` is refused) with ``spec.soften_sigma``,
+    which has to be set (the registry's ``smooth_accel_tvr`` holds it; 0 softens
+    nothing)."""
     if spec.nu != 2:
         raise ValidationError(f"smooth_accel_tvr penalizes nu = 2, got nu = {spec.nu}")
+    if spec.soften_sigma is None:
+        raise ValidationError("smooth_accel_tvr needs soften_sigma")
     _require_uniform(signal, "smooth_accel_tvr")
-    result = tvrdiff(signal, replace(spec, soften_sigma=spec.soften_sigma or 0.0))
-    return replace(result, method="smooth_accel_tvr")
+    return replace(tvrdiff(signal, spec), method="smooth_accel_tvr")

@@ -109,7 +109,7 @@ def test_c04_savgol_oracle_equivalence():
     for _ in range(20):
         window = int(rng.choice(np.arange(5, 32, 2)))
         degree = int(rng.integers(1, min(window - 1, 8)))
-        r = savgoldiff(s, window=window, degree=degree)
+        r = savgoldiff(s, window=window, degree=degree, post_smooth_sigma=None)
         half = window // 2
         for n in rng.integers(half, 160 - half, 5):
             sl = slice(n - half, n + half + 1)
@@ -314,7 +314,7 @@ def test_c09c_proxy_loss_tracks_true_rmse():
     losses, errors = [], []
     for w in np.arange(7, 87, 8):  # 10 windows x 5 degrees = 50-point grid
         for degree in range(1, 6):
-            est = savgoldiff(signal, window=int(w), degree=degree)
+            est = savgoldiff(signal, window=int(w), degree=degree, post_smooth_sigma=None)
             losses.append(proxy_loss(est.derivative, signal, gamma))
             errors.append(rmse(est.derivative, truth_deriv))
     rho = spearmanr(losses, errors).statistic

@@ -248,6 +248,28 @@ class TestTune:
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
 
+    def test_budget_in_the_json_and_processes_in_the_manifest(self, tmp_path, sine_csv,
+                                                              monkeypatch):
+        monkeypatch.setenv("DERIVKIT_WORKERS", "1")
+        out = tmp_path / "t.json"
+        assert main(["tune", str(sine_csv), "--method", "savgol", "--cutoff-hz", "2.5",
+                     "--outliers", "--starts", "2", "--max-evals", "15",
+                     "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        budget = {k: payload[k] for k in ("cutoff_hz", "starts", "max_evals", "outliers")}
+        assert budget == {"cutoff_hz": 2.5, "starts": 2, "max_evals": 15, "outliers": True}
+        assert "processes" not in payload
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert manifest["processes"] == 1
+        assert {k: manifest[k] for k in payload} == payload
+        # the recorded budget and seed alone reproduce the JSON
+        again = tmp_path / "again.json"
+        assert main(["tune", str(sine_csv), "--method", "savgol", "--out", str(again),
+                     "--cutoff-hz", str(budget["cutoff_hz"]), "--starts", str(budget["starts"]),
+                     "--max-evals", str(budget["max_evals"]), "--seed", str(payload["seed"]),
+                     *(["--outliers"] if budget["outliers"] else [])]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
     def test_worker_variable_below_one_exits_3(self, tmp_path, sine_csv, capsys,
                                                monkeypatch):
         monkeypatch.setenv("DERIVKIT_WORKERS", "0")

@@ -202,7 +202,7 @@ class TestCheckedWhenBuilt:
         proxy_loss(derivative, uniform, 0.1)
         robust_proxy_loss(derivative, uniform, 0.1)
         cumtrapz(irregular)
-        kernel_smooth(uniform, KernelSpec())
+        kernel_smooth(uniform, KernelSpec(window=11, sigma=2.0))
         fourier_lowpass(uniform, 20)
         power_spectrum(uniform)
         kalman_irregular(constant_derivative_continuous(2, 100.0), [[1.0, 0.0, 0.0]],
@@ -323,11 +323,13 @@ INTEGER_SETTINGS = {
         lambda v: Stencil((-1, 0, 1), v), lambda st: stencil_coefficients(st, 0.1))),
     "irregular_coefficients.nu": ("derivative order", 2, None,
                                   lambda v: irregular_coefficients([-0.1, 0.0, 0.2], v)),
-    "fd_derivative.nu": ("derivative order", 2, "nu", lambda v: fd_derivative(_signal(), nu=v)),
+    "fd_derivative.nu": ("derivative order", 2, "nu",
+                         lambda v: fd_derivative(_signal(), nu=v, order=2)),
     "fd_derivative.order": ("order", 4, "order", lambda v: fd_derivative(_signal(), order=v)),
-    "iterated_fd.order": ("order", 4, "order", lambda v: iterated_fd(_signal(), order=v)),
+    "iterated_fd.order": ("order", 4, "order",
+                          lambda v: iterated_fd(_signal(), order=v, iterations=1)),
     "iterated_fd.iterations": ("iterations", 3, "iterations",
-                               lambda v: iterated_fd(_signal(), iterations=v)),
+                               lambda v: iterated_fd(_signal(), order=2, iterations=v)),
     "fourier_derivative.nu": ("derivative order", 2, "nu",
                               lambda v: fourier_derivative(_signal(), nu=v)),
     "fourier_derivative.keep_modes": ("keep_modes", 10, "keep_modes",
@@ -339,41 +341,47 @@ INTEGER_SETTINGS = {
     "chebyshev_derivative.nu": ("derivative order", 2, "nu", lambda v: chebyshev_derivative(
         np.exp(cheb_nodes(16)), nu=v)),
     "fourier_extension_derivative.pad": (
-        "pad", 8, "pad", lambda v: fourier_extension_derivative(_signal(), pad=v)),
+        "pad", 8, "pad", lambda v: fourier_extension_derivative(_signal(), pad=v, keep_modes=None)),
     "fourier_extension_derivative.nu": (
-        "derivative order", 2, "nu", lambda v: fourier_extension_derivative(_signal(), nu=v)),
+        "derivative order", 2, "nu",
+        lambda v: fourier_extension_derivative(_signal(), pad=0, keep_modes=None, nu=v)),
     "fourier_extension_derivative.keep_modes": (
         "keep_modes", 10, "keep_modes",
-        lambda v: fourier_extension_derivative(_signal(), keep_modes=v)),
+        lambda v: fourier_extension_derivative(_signal(), pad=0, keep_modes=v)),
     "constant_derivative_model.nu": ("nu", 2, None,
                                      lambda v: constant_derivative_model(v, 0.1, 1.0, 1.0)),
     "constant_derivative_continuous.nu": ("nu", 2, None,
                                           lambda v: constant_derivative_continuous(v, 1.0)),
-    "rtsdiff.nu": ("nu", 3, "nu", lambda v: rtsdiff(_signal(), nu=v)),
-    "robustdiff.nu": ("nu", 1, "nu", lambda v: robustdiff(_signal(), nu=v)),
+    "rtsdiff.nu": ("nu", 3, "nu", lambda v: rtsdiff(_signal(), nu=v, q=1.0)),
+    "robustdiff.nu": ("nu", 1, "nu", lambda v: robustdiff(_signal(), nu=v, q=1.0, r=1.0)),
     "RobustSpec.max_iter": ("max_iter", 3, "max_iter", _spec_run(
-        lambda v: RobustSpec(max_iter=v), lambda sp: robustdiff(_signal(), spec=sp))),
+        lambda v: RobustSpec(max_iter=v),
+        lambda sp: robustdiff(_signal(), nu=2, q=1.0, r=1.0, spec=sp))),
     "TvrSpec.nu": ("nu", 2, "nu", _spec_run(
         lambda v: TvrSpec(gamma=1.0, nu=v), lambda sp: tvrdiff(_signal(), sp))),
     "TvrSpec.max_iter": ("max_iter", 5, "max_iter", _spec_run(
-        lambda v: TvrSpec(gamma=1.0, max_iter=v), lambda sp: tvrdiff(_signal(), sp))),
+        lambda v: TvrSpec(gamma=1.0, nu=1, max_iter=v), lambda sp: tvrdiff(_signal(), sp))),
     "KernelSpec.window": ("window", 11, "window", _spec_run(
-        lambda v: KernelSpec(window=v), lambda sp: kerneldiff(_signal(), sp))),
+        lambda v: KernelSpec(window=v, sigma=2.0), lambda sp: kerneldiff(_signal(), sp))),
     "butterdiff.order": ("order", 3, "order",
                          lambda v: butterdiff(_signal(), order=v, cutoff_hz=1.0)),
     "butter_single_pass.order": ("order", 3, None,
                                  lambda v: butter_single_pass(_signal(), v, 1.0)),
-    "polydiff.window": ("window", 20, "window", lambda v: polydiff(_signal(), window=v)),
+    "polydiff.window": ("window", 20, "window",
+                        lambda v: polydiff(_signal(), window=v, degree=3)),
     "polydiff.degree": ("degree", 2, "degree", lambda v: polydiff(_signal(), 20, degree=v)),
-    "polydiff.stride": ("stride", 5, "stride", lambda v: polydiff(_signal(), 20, stride=v)),
-    "savgoldiff.window": ("window", 11, "window", lambda v: savgoldiff(_signal(), v, 3)),
-    "savgoldiff.degree": ("degree", 4, "degree", lambda v: savgoldiff(_signal(), 11, v)),
+    "polydiff.stride": ("stride", 5, "stride",
+                        lambda v: polydiff(_signal(), 20, stride=v, degree=3)),
+    "savgoldiff.window": ("window", 11, "window", lambda v: savgoldiff(_signal(), v, 3, None)),
+    "savgoldiff.degree": ("degree", 4, "degree", lambda v: savgoldiff(_signal(), 11, v, None)),
     "savgol_coefficients.window": ("window", 11, None, lambda v: savgol_coefficients(v, 3)),
     "savgol_coefficients.degree": ("degree", 4, None, lambda v: savgol_coefficients(11, v)),
     "SplineSpec.degree": ("degree", 4, "degree", _spec_run(
-        lambda v: SplineSpec(degree=v, lam=1e-3), lambda sp: splinediff(_signal(), sp))),
+        lambda v: SplineSpec(degree=v, lam=1e-3, iterations=1),
+        lambda sp: splinediff(_signal(), sp))),
     "SplineSpec.iterations": ("iterations", 2, "iterations", _spec_run(
-        lambda v: SplineSpec(iterations=v, lam=1e-3), lambda sp: splinediff(_signal(), sp))),
+        lambda v: SplineSpec(degree=3, iterations=v, lam=1e-3),
+        lambda sp: splinediff(_signal(), sp))),
     "TuneSpec.starts": ("starts", 2, "starts", _spec_run(
         lambda v: TuneSpec(starts=v, max_evals=10), lambda sp: autotune("poly", _signal(), sp))),
     "TuneSpec.max_evals": ("max_evals", 10, "max_evals", _spec_run(
@@ -440,9 +448,9 @@ REAL_SETTINGS = {
     "cutoff_hz": lambda v: TuneSpec(cutoff_hz=v),
     "tol": lambda v: RobustSpec(tol=v),
     "huber_m_process": lambda v: RobustSpec(huber_m_process=v),
-    "gamma": lambda v: TvrSpec(gamma=v),
-    "sigma": lambda v: KernelSpec(sigma=v),
-    "lam": lambda v: SplineSpec(lam=v),
+    "gamma": lambda v: TvrSpec(gamma=v, nu=1),
+    "sigma": lambda v: KernelSpec(window=11, sigma=v),
+    "lam": lambda v: SplineSpec(degree=3, lam=v, iterations=1),
     "scale": lambda v: NoiseSpec(scale=v),
     "q": lambda v: constant_derivative_model(2, 0.1, v, 1.0),
     "dx": lambda v: stencil_coefficients(Stencil((-1, 0, 1), 1), v),

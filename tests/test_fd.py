@@ -226,9 +226,9 @@ class TestFdDerivative:
     def test_step_whose_power_leaves_float64_refused(self, dt):
         # at nu = 2 the plan's dt**-2 underflows to 0 (a zero derivative) or overflows
         s = Signal(Grid.regular(50, dt), np.sin(np.arange(50.0)))
-        fd_derivative(s, nu=1)
+        fd_derivative(s, nu=1, order=2)
         with pytest.raises(ValidationError, match=r"dt=1e[-+]200 puts dt\*\*-2 outside"):
-            fd_derivative(s, nu=2)
+            fd_derivative(s, nu=2, order=2)
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
@@ -243,29 +243,29 @@ class TestFdDerivative:
         # nu = 0 returned the input as its derivative, -1 died in math.factorial, and 2.5
         # raised a TypeError
         s = Signal(Grid.regular(50, 0.1), np.sin(0.1 * np.arange(50)))
-        for run in (lambda: fd_derivative(s, nu=nu), lambda: apply_method("fd", s, nu=nu),
+        for run in (lambda: fd_derivative(s, nu=nu, order=2), lambda: apply_method("fd", s, nu=nu),
                     lambda: Stencil((-1, 0, 1), nu)):
             with pytest.raises(ValidationError, match=re.escape(message)):
                 run()
 
     def test_whole_orders_given_as_other_types_are_ints(self):
         s = Signal(Grid.regular(50, 0.1), np.sin(0.1 * np.arange(50)))
-        want = fd_derivative(s, nu=2).derivative
+        want = fd_derivative(s, nu=2, order=2).derivative
         for nu in (2.0, np.int64(2)):
-            r = fd_derivative(s, nu=nu)
+            r = fd_derivative(s, nu=nu, order=2)
             assert type(r.phi["nu"]) is int and np.array_equal(r.derivative, want)
         # a bool is refused: True used to index the Vandermonde right-hand side as a mask
         with pytest.raises(ValidationError, match="derivative order must be an integer, got True"):
-            fd_derivative(s, nu=True)
+            fd_derivative(s, nu=True, order=2)
 
     def test_irregular_matches_uniform_when_equispaced(self):
         # same values presented as an irregular grid must agree exactly
         t = 0.1 * np.arange(30)
         y = np.sin(t)
-        uniform = fd_derivative(Signal(Grid(t), y))
+        uniform = fd_derivative(Signal(Grid(t), y), order=2)
         jittered = t.copy()
         jittered[13] += 2e-9  # big enough to flag the grid irregular
-        irregular = fd_derivative(Signal(Grid(jittered), y))
+        irregular = fd_derivative(Signal(Grid(jittered), y), order=2)
         np.testing.assert_allclose(uniform.derivative, irregular.derivative,
                                    rtol=1e-5, atol=1e-7)
 
@@ -349,7 +349,7 @@ class TestIteratedFd:
 
     def test_constant_signal(self):
         s = Signal(Grid.regular(32, 0.5), np.full(32, 2.5))
-        r = iterated_fd(s, iterations=5)
+        r = iterated_fd(s, order=2, iterations=5)
         np.testing.assert_allclose(r.derivative, 0.0, atol=1e-12)
         np.testing.assert_allclose(r.smoothed, 2.5, atol=1e-12)
 
@@ -367,7 +367,7 @@ class TestIteratedFd:
     def test_irregular_grid_unsupported(self):
         g = Grid([0.0, 0.1, 0.3, 0.7, 0.8, 1.0])
         with pytest.raises(UnsupportedMethodError):
-            iterated_fd(Signal(g, np.zeros(6)), iterations=1)
+            iterated_fd(Signal(g, np.zeros(6)), order=2, iterations=1)
 
     def test_smoothing_pass_edge_coefficients_bounded(self):
         # every scheme used by the smoothing pass satisfies |c * dt| <= 1
@@ -387,7 +387,7 @@ class TestIteratedFd:
         g = Grid.regular(200, 0.01)
         clean = np.sin(2 * np.pi * g.points)
         noisy = clean + 0.1 * rng.standard_normal(200)
-        out = iterated_fd(Signal(g, noisy), iterations=20).smoothed
+        out = iterated_fd(Signal(g, noisy), order=2, iterations=20).smoothed
         assert np.mean((out - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
 
 

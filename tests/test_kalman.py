@@ -894,13 +894,13 @@ class TestNumericErrors:
         match = "singular KKT system.*non-finite solution"
         with pytest.raises(NumericError, match=match):
             # the measurement weight 1 / r overflows; q keeps q / r finite
-            rtsdiff(s, q=1e-20, r=1e-320)
+            rtsdiff(s, nu=2, q=1e-20, r=1e-320)
         chain = kalman._integrator_chain
         monkeypatch.setattr(kalman, "_integrator_chain",
                             lambda nu, steps, q: (chain(nu, steps, q)[0],
                                                   np.full((1, nu + 1, nu + 1), np.nan)))
         with pytest.raises(NumericError, match=match):
-            rtsdiff(s)
+            rtsdiff(s, nu=2, q=1.0)
 
 
 def test_robustdiff_small_q_converges_at_once():

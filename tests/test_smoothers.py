@@ -99,7 +99,7 @@ class TestKernelSmooth:
     @pytest.mark.parametrize("kind", ["gaussian", "mean"])
     def test_non_finite_sigma_refused(self, kind, value):
         with pytest.raises(ValidationError, match="sigma must be finite"):
-            KernelSpec(kind=kind, sigma=value)
+            KernelSpec(kind=kind, window=11, sigma=value)
 
     @pytest.mark.parametrize("window, message", [
         (7.5, "window must be an integer"), (np.nan, "window must be an integer"),
@@ -111,7 +111,7 @@ class TestKernelSmooth:
     @pytest.mark.parametrize("kind", ["mean", "gaussian", "friedrichs", "median"])
     def test_integral_float_window_runs_at_the_signal_length(self, kind):
         s = Signal(Grid.regular(100, 0.01), np.sin(0.1 * np.arange(100)))
-        spec = KernelSpec(kind=kind, window=11.0)
+        spec = KernelSpec(kind=kind, window=11.0, sigma=2.0)
         assert spec.window == 11 and type(spec.window) is int
         assert len(kernel_smooth(s, spec).values) == 100
         r = kerneldiff(s, spec)
@@ -137,8 +137,9 @@ class TestReflectPad:
                 s = Signal(Grid.regular(n, 0.01), np.sin(np.arange(n)) + rng.standard_normal(n))
                 for kind in ("mean", "gaussian", "friedrichs", "median"):
                     for window in (3, 11):
-                        out.append(kernel_smooth(s, KernelSpec(kind, window, 1.7)).values)
-                        out.append(kerneldiff(s, KernelSpec(kind, window, 1.7)).derivative)
+                        spec = KernelSpec(kind=kind, window=window, sigma=1.7)
+                        out.append(kernel_smooth(s, spec).values)
+                        out.append(kerneldiff(s, spec).derivative)
                 for sigma in (None, 0.5, 3.0, 12.0, 50.0):  # radius 200 > N = 12: repeated mirrors
                     r = savgoldiff(s, 5, 2, post_smooth_sigma=sigma)
                     out += [r.smoothed, r.derivative]
@@ -177,7 +178,7 @@ class TestKerneldiff:
         y = np.sin(2 * np.pi * g.points) + 0.1 * rng.standard_normal(400)
         s = Signal(g, y)
         smooth = kerneldiff(s, KernelSpec(kind="gaussian", window=25, sigma=3.0))
-        plain = fd_derivative(s)
+        plain = fd_derivative(s, order=2)
         sl = slice(15, -15)
         err_smooth = np.max(np.abs(np.asarray(smooth.derivative)[sl] - truth_deriv[sl]))
         err_plain = np.max(np.abs(np.asarray(plain.derivative)[sl] - truth_deriv[sl]))
@@ -426,7 +427,8 @@ class TestPolydiffAgainstLoop:
             for stride in sorted({1, max(window // 2, 1), window}):
                 for wk in (None, kernel):
                     weights = None if wk is None else _kernel_weights("gaussian", window, 5.0)
-                    got, warned = self._run(lambda: polydiff(s, window, stride, degree, wk))
+                    got, warned = self._run(lambda: polydiff(s, window, stride, degree=degree,
+                                                             weight_kernel=wk))
                     ref, ref_warned = self._run(
                         lambda: loop_polydiff(t, s.values, window, stride, degree, weights))
                     assert warned == ref_warned
@@ -479,7 +481,7 @@ class TestSavgol:
         g = Grid.regular(120, 0.02)
         y = np.cos(3 * g.points) + 0.1 * rng.standard_normal(120)
         window, degree = 11, 4
-        r = savgoldiff(Signal(g, y), window=window, degree=degree)
+        r = savgoldiff(Signal(g, y), window=window, degree=degree, post_smooth_sigma=None)
         half = window // 2
         for n in rng.integers(half, 120 - half, 15):
             sl = slice(n - half, n + half + 1)
@@ -493,7 +495,7 @@ class TestSavgol:
         t = g.points
         y = 0.5 * t**3 - t**2 + 2
         dy = 1.5 * t**2 - 2 * t
-        r = savgoldiff(Signal(g, y), window=11, degree=3)
+        r = savgoldiff(Signal(g, y), window=11, degree=3, post_smooth_sigma=None)
         h = 5
         np.testing.assert_allclose(r.derivative[h:-h], dy[h:-h], atol=1e-8)
 
@@ -501,7 +503,7 @@ class TestSavgol:
         rng = np.random.default_rng(6)
         g = Grid.regular(300, 0.01)
         y = np.sin(2 * np.pi * g.points) + 0.1 * rng.standard_normal(300)
-        rough = savgoldiff(Signal(g, y), window=9, degree=3)
+        rough = savgoldiff(Signal(g, y), window=9, degree=3, post_smooth_sigma=None)
         smooth = savgoldiff(Signal(g, y), window=9, degree=3, post_smooth_sigma=4.0)
         tv = lambda v: np.sum(np.abs(np.diff(v)))
         assert tv(smooth.derivative) < tv(rough.derivative)
@@ -538,11 +540,11 @@ class TestSavgol:
     def test_caller_owns_the_coefficients(self):
         rng = np.random.default_rng(7)
         s = Signal(Grid.regular(100, 0.01), rng.standard_normal(100))
-        before = savgoldiff(s, window=11, degree=3)
+        before = savgoldiff(s, window=11, degree=3, post_smooth_sigma=None)
         c_value, c_slope = savgol_coefficients(11, 3)
         c_value[:] = 0.0
         c_slope[:] = 0.0
-        after = savgoldiff(s, window=11, degree=3)
+        after = savgoldiff(s, window=11, degree=3, post_smooth_sigma=None)
         np.testing.assert_array_equal(after.smoothed, before.smoothed)
         np.testing.assert_array_equal(after.derivative, before.derivative)
         assert savgol_coefficients(11, 3)[0].any()
@@ -553,14 +555,16 @@ class TestSplinediff:
         rng = np.random.default_rng(7)
         t = np.sort(rng.uniform(0, 3, 40))
         y = np.sin(2 * t) + 0.1 * rng.standard_normal(40)
-        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=0.0))
+        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=0.0,
+                                                     iterations=1))
         np.testing.assert_allclose(r.smoothed, y, atol=1e-8)
 
     def test_huge_lambda_matches_linear_regression(self):
         rng = np.random.default_rng(8)
         t = np.sort(rng.uniform(0, 4, 120))
         y = 0.7 * t - 1.0 + 0.2 * rng.standard_normal(120)
-        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=1e12))
+        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=1e12,
+                                                     iterations=1))
         design = np.column_stack([t, np.ones_like(t)])
         slope, intercept = np.linalg.lstsq(design, y, rcond=None)[0]
         line = slope * t + intercept
@@ -582,7 +586,8 @@ class TestSplinediff:
         rng = np.random.default_rng(10)
         t = np.linspace(0, 2, 60)
         y = np.sin(3 * t) + 0.05 * rng.standard_normal(60)
-        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=1e-4))
+        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=1e-4,
+                                                             iterations=1))
         fit = BSpline(np.array(r.flags["spline"]["knots"]),
                       np.array(r.flags["spline"]["coefficients"]), 3)
         interior = np.unique(fit.t)[1:-1]
@@ -596,7 +601,8 @@ class TestSplinediff:
         t = np.linspace(0, 4, 150)
         y = np.sin(2 * np.pi * 0.8 * t) + 0.1 * rng.standard_normal(150)
         bound = 150 * 0.1**2 * 1.5
-        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="bound", s=bound))
+        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="bound", s=bound,
+                                                             iterations=1))
         assert r.flags["bound_met"]
         resid = np.sum((np.asarray(r.smoothed) - y) ** 2)
         assert resid <= bound
@@ -611,7 +617,8 @@ class TestSplinediff:
                     interpolant = smoothers._solve_spline(t, y, k, 0.0)
                     floor = np.sum((y - interpolant(t)) ** 2)
                     for s in (0.0, 0.5 * floor, floor):
-                        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                        r = splinediff(Signal(Grid(t), y),
+                                       SplineSpec(degree=k, mode="bound", s=s, iterations=1))
                         assert r.flags["bound_met"] == (s >= floor), (k, n, name, s, floor)
                         if not r.flags["bound_met"]:
                             assert r.flags["lam"] == 0.0
@@ -621,9 +628,10 @@ class TestSplinediff:
         rng = np.random.default_rng(13)
         t = np.linspace(0, 4, 200)
         y = np.sin(2 * np.pi * t) + 0.1 * rng.standard_normal(200)
-        one = splinediff(Signal(Grid(t), y), SplineSpec(mode="lambda", lam=1e-5))
+        one = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="lambda", lam=1e-5,
+                                                       iterations=1))
         many = splinediff(Signal(Grid(t), y),
-                          SplineSpec(mode="lambda", lam=1e-5, iterations=4))
+                          SplineSpec(degree=3, mode="lambda", lam=1e-5, iterations=4))
         tv = lambda v: np.sum(np.abs(np.diff(v)))
         assert tv(many.derivative) < tv(one.derivative)
 
@@ -793,7 +801,7 @@ class TestSplineAgainstBincount:
         rng = np.random.default_rng(60 + k)
         for name, t in oracle_grids(600, rng).items():
             y = np.sin(2 * np.pi * (t - t[0])) + 0.1 * rng.standard_normal(600)
-            spec = SplineSpec(degree=k, mode="bound", s=600 * 0.1**2)
+            spec = SplineSpec(degree=k, mode="bound", s=600 * 0.1**2, iterations=1)
             got = splinediff(Signal(Grid(t), y), spec)
             with monkeypatch.context() as patch:
                 patch.setattr(smoothers, "_solve_spline", bincount_solve_spline)
@@ -834,7 +842,8 @@ class TestBoundMode:
                 line, _ = _line_rss(t, y)
                 for s in (1e-4 * line, 0.01 * n, 0.5 * line, 0.9 * line):
                     solves.clear()
-                    r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                    r = splinediff(Signal(Grid(t), y),
+                                   SplineSpec(degree=k, mode="bound", s=s, iterations=1))
                     rss = np.sum((r.smoothed - y) ** 2)
                     case = (name, n, s, rss / s, len(solves))
                     assert r.flags["bound_met"] and r.flags["lam"] > 0, case
@@ -852,7 +861,8 @@ class TestBoundMode:
                 y = np.sin(2 * (t - t[0])) + 0.1 * rng.standard_normal(n)
                 line, slope = _line_rss(t, y)
                 for s in ((1 + 1e-9) * line, 10 * line):
-                    r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                    r = splinediff(Signal(Grid(t), y),
+                                   SplineSpec(degree=k, mode="bound", s=s, iterations=1))
                     assert r.flags["lam"] is None and r.flags["bound_met"], (name, n)
                     assert len(r.flags["spline"]["knots"]) == 2 * (k + 1)
                     assert np.sum((r.smoothed - y) ** 2) <= s
@@ -868,11 +878,12 @@ class TestBoundMode:
                 keep = np.sort(np.random.default_rng(n).choice(2 * n, n, replace=False))
                 t, y = t[keep], y[keep]
             for bound in (0.015 * n, 0.008 * n):
-                got = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=bound))
+                got = splinediff(Signal(Grid(t), y),
+                                 SplineSpec(degree=k, mode="bound", s=bound, iterations=1))
                 with monkeypatch.context() as patch:
                     patch.setattr(smoothers, "_solve_spline", superlu_solve_spline)
                     ref = splinediff(Signal(Grid(t), y),
-                                     SplineSpec(degree=k, mode="bound", s=bound))
+                                     SplineSpec(degree=k, mode="bound", s=bound, iterations=1))
                 assert got.flags["lam"] == pytest.approx(ref.flags["lam"], rel=1e-5)
                 for field in ("smoothed", "derivative"):
                     want = getattr(ref, field)
@@ -892,7 +903,8 @@ class TestBoundMode:
                 line, _ = _line_rss(t, y)
                 for s in ((1 - 1e-9) * line, (1 - 1e-13) * line):
                     solves.clear()
-                    r = splinediff(Signal(Grid(t), y), SplineSpec(degree=k, mode="bound", s=s))
+                    r = splinediff(Signal(Grid(t), y),
+                                   SplineSpec(degree=k, mode="bound", s=s, iterations=1))
                     rss = np.sum((r.smoothed - y) ** 2)
                     case = (name, n, s, rss / s, len(solves))
                     assert r.flags["bound_met"], case
@@ -901,23 +913,24 @@ class TestBoundMode:
 
     def test_degree_one_has_no_curvature_penalty(self):
         with pytest.raises(ValidationError, match="curvature penalty needs degree >= 2"):
-            SplineSpec(degree=1, mode="bound", s=1.0)
+            SplineSpec(degree=1, mode="bound", s=1.0, iterations=1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_lam_refused(self, value):
         with pytest.raises(ValidationError, match="lam must be finite"):
-            SplineSpec(lam=value)
+            SplineSpec(degree=3, lam=value, iterations=1)
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_bound_refused(self, value):
         with pytest.raises(ValidationError, match="s must be finite"):
-            SplineSpec(mode="bound", s=value)
+            SplineSpec(degree=3, mode="bound", s=value, iterations=1)
 
     def test_infinite_bound_is_the_line(self):
         rng = np.random.default_rng(3)
         t = 0.01 * np.arange(60)
         y = np.sin(2 * t) + 0.1 * rng.standard_normal(60)
-        r = splinediff(Signal(Grid(t), y), SplineSpec(mode="bound", s=np.inf))
+        r = splinediff(Signal(Grid(t), y), SplineSpec(degree=3, mode="bound", s=np.inf,
+                                                     iterations=1))
         assert r.flags["lam"] is None and r.flags["bound_met"]
         np.testing.assert_allclose(r.derivative, _line_rss(t, y)[1], rtol=1e-9)
 
@@ -927,7 +940,7 @@ class TestBoundMode:
         t = 0.01 * np.arange(n)
         y = np.sin(t) + 0.1 * np.random.default_rng(1).standard_normal(n)
         r = splinediff(Signal(Grid.regular(n, 0.01), y), SplineSpec(degree=5, mode="bound",
-                                                                      s=0.012 * n))
+                                                                      s=0.012 * n, iterations=1))
         assert np.sqrt(np.mean((r.derivative - np.cos(t)) ** 2)) <= 0.1
 
 
@@ -971,7 +984,7 @@ class TestRbfdiff:
     def test_rho_must_exceed_sigma(self):
         s = Signal(Grid.regular(50, 0.1), np.zeros(50))
         with pytest.raises(ValidationError):
-            rbfdiff(s, sigma=0.5, rho=0.3)
+            rbfdiff(s, sigma=0.5, rho=0.3, damping=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["sigma", "rho", "damping"])
@@ -1171,7 +1184,7 @@ class TestConstantsMapToConstants:
         lambda s: butterdiff(s, order=3, cutoff_hz=2.0),
         lambda s: polydiff(s, window=25, stride=10, degree=4),
         lambda s: savgoldiff(s, window=13, degree=4, post_smooth_sigma=2.0),
-        lambda s: splinediff(s, SplineSpec(mode="lambda", lam=1e-2)),
+        lambda s: splinediff(s, SplineSpec(degree=3, mode="lambda", lam=1e-2, iterations=1)),
     ], ids=["kernel", "butter", "poly", "savgol", "spline"])
     def test_constant(self, runner):
         s = Signal(Grid.regular(120, 0.01), np.full(120, 3.7))
@@ -1202,11 +1215,13 @@ class TestLinearTrendEquivariance:
         self._check(lambda s: butterdiff(s, order=2, cutoff_hz=3.0), margin=20)
 
     def test_savgol(self):
-        self._check(lambda s: savgoldiff(s, window=15, degree=3), margin=16)
+        self._check(lambda s: savgoldiff(s, window=15, degree=3, post_smooth_sigma=None),
+                    margin=16)
 
     def test_poly(self):
         self._check(lambda s: polydiff(s, window=40, stride=20, degree=3), margin=0)
 
     def test_spline(self):
-        self._check(lambda s: splinediff(s, SplineSpec(mode="lambda", lam=1e-5)),
+        self._check(lambda s: splinediff(s, SplineSpec(degree=3, mode="lambda", lam=1e-5,
+                                                       iterations=1)),
                     margin=0)

@@ -253,7 +253,8 @@ class TestFourierExtension:
         n = 65
         t = np.arange(n) / (n - 1) * np.pi
         s = Signal(Grid(t), np.cos(t))
-        r = fourier_extension_derivative(s, pad=0, extension="even", nu=1)
+        r = fourier_extension_derivative(s, pad=0, extension="even", keep_modes=None,
+                                         nu=1)
         np.testing.assert_allclose(r.derivative[3:-3], -np.sin(t)[3:-3], atol=1e-6)
 
     def test_sigmoid_low_error(self):
@@ -285,7 +286,7 @@ class TestFourierExtension:
     def test_negative_pad_rejected(self):
         s, _ = periodic_signal(np.sin, n=16)
         with pytest.raises(ValidationError):
-            fourier_extension_derivative(s, pad=-1)
+            fourier_extension_derivative(s, pad=-1, keep_modes=None)
 
     @staticmethod
     def _full_blend_reference(s, pad, keep_modes, nu):

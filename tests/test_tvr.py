@@ -53,7 +53,7 @@ def plateau_clusters(values, tol):
 class TestTvrSpec:
     def test_gamma_positive(self):
         with pytest.raises(ValidationError):
-            TvrSpec(gamma=0.0)
+            TvrSpec(gamma=0.0, nu=1)
 
     def test_nu_range(self):
         with pytest.raises(ValidationError):
@@ -63,7 +63,7 @@ class TestTvrSpec:
     @pytest.mark.parametrize("field", ["gamma", "tol", "soften_sigma"])
     def test_non_finite_setting_refused(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
-            TvrSpec(**{"gamma": 1.0, field: value})
+            TvrSpec(**{"gamma": 1.0, "nu": 1, field: value})
 
 
 class TestTvrdiff:
@@ -72,7 +72,7 @@ class TestTvrdiff:
         t = 0.01 * np.arange(100)
         y = np.sin(t * 4) + 0.05 * rng.standard_normal(100)
         s = Signal(Grid(t), y)
-        r = tvrdiff(s, TvrSpec(gamma=1e-12))
+        r = tvrdiff(s, TvrSpec(gamma=1e-12, nu=1))
         np.testing.assert_allclose(r.smoothed, y, atol=1e-6)
 
     def test_huge_gamma_flattens_derivative(self):
@@ -102,12 +102,12 @@ class TestTvrdiff:
     def test_two_samples_rejected(self):
         # the order-2 difference matrix needs three samples
         with pytest.raises(ValidationError, match="need at least 3 samples"):
-            tvrdiff(Signal(Grid.regular(2, 0.1), np.array([0.0, 1.0])), TvrSpec(gamma=1.0))
+            tvrdiff(Signal(Grid.regular(2, 0.1), np.array([0.0, 1.0])), TvrSpec(gamma=1.0, nu=1))
 
     def test_irregular_grid_rejected(self):
         g = Grid([0.0, 0.1, 0.3, 0.4, 0.41, 0.6])
         with pytest.raises(UnsupportedMethodError):
-            tvrdiff(Signal(g, np.zeros(6)), TvrSpec(gamma=1.0))
+            tvrdiff(Signal(g, np.zeros(6)), TvrSpec(gamma=1.0, nu=1))
 
     def test_objective_matches_cvxpy_small_instances(self):
         cp = pytest.importorskip("cvxpy")
@@ -140,15 +140,15 @@ class TestTvrdiff:
     def test_translation_equivariance(self):
         signal, _, _ = noisy_triangle(n=120, seed=5)
         shifted = Signal(signal.grid, signal.values + 7.5)
-        a = tvrdiff(signal, TvrSpec(gamma=5.0, tol=1e-8))
-        b = tvrdiff(shifted, TvrSpec(gamma=5.0, tol=1e-8))
+        a = tvrdiff(signal, TvrSpec(gamma=5.0, nu=1, tol=1e-8))
+        b = tvrdiff(shifted, TvrSpec(gamma=5.0, nu=1, tol=1e-8))
         np.testing.assert_allclose(np.asarray(b.smoothed) - np.asarray(a.smoothed),
                                    7.5, atol=1e-4)
         np.testing.assert_allclose(b.derivative, a.derivative, atol=1e-3)
 
     def test_nonconvergence_flagged(self):
         signal, _, _ = noisy_triangle(n=200, seed=6)
-        r = tvrdiff(signal, TvrSpec(gamma=100.0, tol=1e-12, max_iter=5))
+        r = tvrdiff(signal, TvrSpec(gamma=100.0, nu=1, tol=1e-12, max_iter=5))
         assert r.flags["converged"] is False
         assert r.flags["iterations"] == 5
 
@@ -174,7 +174,7 @@ class TestTvrdiff:
 
         monkeypatch.setattr(core, "get_lapack_funcs", lapack_with_failing_solve)
         with pytest.raises(NumericError, match="Newton system in tvrdiff.*condition estimate"):
-            tvrdiff(signal, TvrSpec(gamma=1.0))
+            tvrdiff(signal, TvrSpec(gamma=1.0, nu=1))
 
 
 class TestSmoothAccelTvr:
@@ -215,7 +215,7 @@ class TestSmoothAccelTvr:
         s = Signal(Grid([0.0, 0.1, 0.3, 0.4, 0.41, 0.6]), np.zeros(6))
         match = "smooth_accel_tvr requires a uniform grid"
         with pytest.raises(UnsupportedMethodError, match=match):
-            smooth_accel_tvr(s, TvrSpec(gamma=1.0, nu=2))
+            smooth_accel_tvr(s, TvrSpec(gamma=1.0, nu=2, soften_sigma=0.0))
         with pytest.raises(UnsupportedMethodError, match=match):
             apply_method("smooth_accel_tvr", s)
 
